@@ -352,7 +352,7 @@ class InvariantChecker(Hooks):
         Notices in a node's interval log are authored by that node;
         both protocols' invalidation-skipping arguments need the
         advertised version per (author, block) to strictly increase."""
-        log = self.p.ilog._log[node_id]
+        log = self.p.ilog.intervals(node_id)
         for k in range(self._scanned[node_id], len(log)):
             for wn in log[k]:
                 if wn.owner != node_id:

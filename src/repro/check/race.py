@@ -8,10 +8,8 @@ detector reconstructs the happens-before relation from the
 instrumentation hooks (:mod:`repro.hooks`) and reports every
 conflicting access pair it cannot order, in the DJIT+ style:
 
-* each node carries a vector clock (through the
-  :class:`~repro.core.timestamps.Clock` interface -- dense at paper
-  scale, sparse on wide machines), advanced at releases and barrier
-  entries;
+* each node carries a :class:`~repro.core.timestamps.VectorClock`,
+  advanced at releases and barrier entries;
 * each lock carries a clock merged from every releaser and folded into
   each acquirer (the transitive lock-chain ordering);
 * a barrier episode stashes every participant's entry clock and folds
@@ -49,7 +47,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.timestamps import Clock, make_clock
+from repro.core.timestamps import VectorClock
 from repro.hooks import Hooks
 
 #: named detection units; "block" resolves to the machine's coherence
@@ -189,14 +187,14 @@ class RaceDetector(Hooks):
         self.unit_bytes = unit_bytes
         self.max_reports = max_reports
         self.engine = engine
-        self._clock = [make_clock(n_nodes) for _ in range(n_nodes)]
+        self._clock = [VectorClock(n_nodes) for _ in range(n_nodes)]
         for i, c in enumerate(self._clock):
             # Epochs start at 1 so a first-epoch access is distinguishable
             # from "never synchronized with" (component 0).
             c.tick(i)
-        self._lock_clock: Dict[int, Clock] = {}
+        self._lock_clock: Dict[int, VectorClock] = {}
         #: (barrier_id, episode) -> (entry clocks, exit countdown)
-        self._episodes: Dict[Tuple[int, int], Tuple[List[Clock], List[int]]] = {}
+        self._episodes: Dict[Tuple[int, int], Tuple[List[VectorClock], List[int]]] = {}
         #: unit -> node -> last write / last read epoch
         self._writes: Dict[int, Dict[int, _Epoch]] = {}
         self._reads: Dict[int, Dict[int, _Epoch]] = {}
@@ -317,7 +315,7 @@ class RaceDetector(Hooks):
         clock = self._clock[node_id]
         lock_clock = self._lock_clock.get(lock_id)
         if lock_clock is None:
-            lock_clock = self._lock_clock[lock_id] = make_clock(len(clock))
+            lock_clock = self._lock_clock[lock_id] = VectorClock(len(clock))
         lock_clock.merge(clock)
         clock.tick(node_id)
         self._context[node_id] = (

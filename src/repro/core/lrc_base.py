@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol
-from repro.core.timestamps import Clock, IntervalLog, WriteNotice, make_clock
+from repro.core.timestamps import IntervalLog, VectorClock, WriteNotice
 
 
 class LRCBase(CoherenceProtocol):
@@ -31,9 +31,7 @@ class LRCBase(CoherenceProtocol):
     def __init__(self, machine):
         super().__init__(machine)
         n = machine.params.n_nodes
-        # Representation picked by width: dense at paper scale, sparse
-        # above DENSE_CLOCK_MAX (same observable behavior by contract).
-        self.vt: List[Clock] = [make_clock(n) for _ in range(n)]
+        self.vt: List[VectorClock] = [VectorClock(n) for _ in range(n)]
         self.ilog = IntervalLog(n)
         #: blocks written since the node's last release (notice sources)
         self.dirty: List[Set[int]] = [set() for _ in range(n)]
@@ -76,25 +74,27 @@ class LRCBase(CoherenceProtocol):
     def grant_payload(self, granter_id: int, acq_vt) -> Tuple[Any, int]:
         if acq_vt is None:
             acq_vt = (0,) * self.params.n_nodes
-        notices = self.ilog.notices_between(acq_vt, self.vt[granter_id].as_tuple())
-        payload = {"vt": self.vt[granter_id].as_tuple(), "notices": notices}
+        vt = self.vt[granter_id].as_tuple()
+        notices = self.ilog.notices_between(acq_vt, vt)
+        payload = {"vt": vt, "notices": notices}
         return payload, self.ilog.compressed_count(notices)
 
     def barrier_payloads(
         self, vts: Dict[int, Any]
     ) -> Dict[int, Tuple[Any, int]]:
-        n = self.params.n_nodes
-        merged = [0] * n
-        for vt in vts.values():
-            for i, x in enumerate(vt):
-                if x > merged[i]:
-                    merged[i] = x
+        if len(vts) > 1:
+            # Column-wise max over every arrival, at C level; computed
+            # once and shared by every payload.
+            merged = tuple(map(max, *vts.values()))
+        else:  # max() of a single int raises: nothing to merge
+            merged = tuple(*vts.values())
+        ilog = self.ilog
         out: Dict[int, Tuple[Any, int]] = {}
         for node_id, vt in vts.items():
-            notices = self.ilog.notices_between(vt, merged)
+            notices = ilog.notices_between(vt, merged)
             out[node_id] = (
-                {"vt": tuple(merged), "notices": notices},
-                self.ilog.compressed_count(notices),
+                {"vt": merged, "notices": notices},
+                ilog.compressed_count(notices),
             )
         return out
 

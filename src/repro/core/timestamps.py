@@ -16,8 +16,9 @@ sizes for the notices actually shipped.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Set, Tuple, Union
 
 from repro.simcore import vc_alloc, vc_dominates, vc_merge_into
 
@@ -38,73 +39,40 @@ class WriteNotice:
 
 
 #: anything a clock method accepts as "the other side": a component
-#: sequence (the wire form) or another clock object
-ClockLike = Union[Sequence[int], "Clock"]
+#: sequence (the wire form) or another clock
+ClockLike = Union[Sequence[int], "VectorClock"]
 
-#: widest clock the dense representation is kept for; above this
-#: :func:`make_clock` switches to the sparse dict form.  16-node paper
-#: runs sit far below the threshold, so representation selection cannot
-#: perturb paper-scale results (the bit-identity contract).
-DENSE_CLOCK_MAX = 64
-
-#: modeled storage cost of one dense component / one sparse entry
-_DENSE_COMPONENT_BYTES = 8
-_SPARSE_ENTRY_BYTES = 16  # 8-byte key + 8-byte count
+#: modeled storage cost of one clock component
+_COMPONENT_BYTES = 8
 
 
 def _components(other: ClockLike) -> Sequence[int]:
     """The component sequence of a clock-or-sequence operand."""
     if isinstance(other, VectorClock):
         return other.v  # zero-copy: the kernels take any int sequence
-    if isinstance(other, SparseClock):
-        return other.as_tuple()
     return other
 
 
-class Clock:
-    """The minimal vector-clock interface consumers may rely on.
+class VectorClock:
+    """A mutable dense vector timestamp over ``n`` nodes.
 
-    Concrete representations (:class:`VectorClock` dense,
-    :class:`SparseClock` dict-backed) are interchangeable behind it;
-    call sites must not reach into representation internals (the dense
-    buffer attribute is private to the dense class).  Contract:
+    One representation serves every machine width: a barrier merges
+    every node's component into every clock, so on barrier programs a
+    dense clock is both the smallest and the fastest form.  Contract:
 
     * ``merge(other)`` -- elementwise max into self;
     * ``dominates(other)`` -- ``self[i] >= other[i]`` for every i;
-    * ``advance(node)`` -- bump one component (interval start);
-    * ``bytes_used()`` -- honest storage bytes of this representation;
+    * ``tick(node)`` -- bump one component (interval start);
+    * ``bytes_used()`` -- modeled storage bytes (8 per component);
     * plus ``as_tuple``/``copy``/``__getitem__``/``__len__``.
 
     ``other`` may be any component sequence (the wire form of a clock)
-    or another clock of either representation.
-    """
-
-    __slots__ = ()
-
-    def merge(self, other: ClockLike) -> None:
-        raise NotImplementedError
-
-    def dominates(self, other: ClockLike) -> bool:
-        raise NotImplementedError
-
-    def advance(self, node: int) -> int:
-        raise NotImplementedError
-
-    def bytes_used(self) -> int:
-        raise NotImplementedError
-
-    def as_tuple(self) -> Tuple[int, ...]:
-        raise NotImplementedError
-
-
-class VectorClock(Clock):
-    """A mutable dense vector timestamp over ``n`` nodes.
-
-    The component container comes from ``simcore.vc_alloc``: a plain
-    list for the paper's narrow clocks (fastest to index and loop
-    over), a dense ``array('q')`` for wide clocks so the fast backend's
-    merge/dominates kernels can vectorize over the raw int64 buffer.
-    Either way ``v`` supports indexing and item assignment.
+    or another clock.  The component container comes from
+    ``simcore.vc_alloc``: a plain list for the paper's narrow clocks
+    (fastest to index and loop over), a dense ``array('q')`` for wide
+    clocks so the fast backend's merge/dominates kernels can vectorize
+    over the raw int64 buffer.  Either way ``v`` supports indexing and
+    item assignment; call sites go through the methods, not ``v``.
     """
 
     __slots__ = ("v",)
@@ -126,11 +94,9 @@ class VectorClock(Clock):
         self.v[node] += 1
         return self.v[node]
 
-    advance = tick
-
     def bytes_used(self) -> int:
         """Dense cost: every component is materialized."""
-        return _DENSE_COMPONENT_BYTES * len(self.v)
+        return _COMPONENT_BYTES * len(self.v)
 
     def __getitem__(self, i: int) -> int:
         return self.v[i]
@@ -148,112 +114,38 @@ class VectorClock(Clock):
         return f"VC{list(self.v)}"
 
 
-class SparseClock(Clock):
-    """A dict-backed vector timestamp: only nonzero components stored.
-
-    Above :data:`DENSE_CLOCK_MAX` nodes a dense clock costs 8N bytes
-    per clock and every node holds one (plus one per lock episode in
-    the race detector): O(N^2) machine-wide.  Most components stay zero
-    in real executions -- a node's clock has nonzero entries only for
-    nodes whose intervals it has transitively synchronized with -- so a
-    dict of nonzero components is capacity-honest.
-
-    Observable behavior (every method result, including
-    ``as_tuple()``) is identical to :class:`VectorClock` by contract;
-    the differential suite in ``tests/test_scaling.py`` pins this
-    op-by-op on seeded random schedules.
-    """
-
-    __slots__ = ("n", "c")
-
-    def __init__(self, n: int):
-        self.n = n
-        #: nonzero components only: node -> count
-        self.c: Dict[int, int] = {}
-
-    def copy(self) -> "SparseClock":
-        out = SparseClock.__new__(SparseClock)
-        out.n = self.n
-        out.c = dict(self.c)
-        return out
-
-    def merge(self, other: ClockLike) -> None:
-        c = self.c
-        if isinstance(other, SparseClock):
-            for i, x in other.c.items():
-                if x > c.get(i, 0):
-                    c[i] = x
-            return
-        comps = _components(other)
-        for i, x in enumerate(comps):
-            if x > c.get(i, 0):
-                c[i] = x
-
-    def tick(self, node: int) -> int:
-        nxt = self.c.get(node, 0) + 1
-        self.c[node] = nxt
-        return nxt
-
-    advance = tick
-
-    def bytes_used(self) -> int:
-        """Sparse cost: one entry per nonzero component."""
-        return _SPARSE_ENTRY_BYTES * len(self.c)
-
-    def __getitem__(self, i: int) -> int:
-        return self.c.get(i, 0)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def as_tuple(self) -> Tuple[int, ...]:
-        c = self.c
-        return tuple(c.get(i, 0) for i in range(self.n))
-
-    def dominates(self, other: ClockLike) -> bool:
-        c = self.c
-        if isinstance(other, SparseClock):
-            return all(c.get(i, 0) >= x for i, x in other.c.items())
-        comps = _components(other)
-        for i, x in enumerate(comps):
-            if c.get(i, 0) < x:
-                return False
-        return True
-
-    def nonzero_items(self) -> Iterable[Tuple[int, int]]:
-        """(node, count) pairs of the nonzero components."""
-        return self.c.items()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SparseVC(n={self.n}, {dict(sorted(self.c.items()))})"
-
-
-def make_clock(n: int) -> Clock:
-    """The capacity-honest clock for an ``n``-node machine: dense at
-    and below :data:`DENSE_CLOCK_MAX` nodes (paper scale -- fastest,
-    and byte-identical to the pre-refactor representation), sparse
-    above it."""
-    if n <= DENSE_CLOCK_MAX:
-        return VectorClock(n)
-    return SparseClock(n)
-
-
 class IntervalLog:
     """Per-node sequences of closed intervals and their notices.
 
-    ``log[i][k]`` is the list of write notices of node ``i``'s
+    ``intervals(i)[k]`` is the list of write notices of node ``i``'s
     ``k``-th closed interval (0-based).  A node's vector component
     ``vt[i] == m`` means it has seen intervals ``0..m-1`` of node ``i``.
+
+    Most nodes of a wide machine close only empty intervals (every
+    barrier closes one), so the log also keeps the sorted *writers*:
+    nodes that closed at least one non-empty interval.  Only their
+    intervals can contribute a notice, so :meth:`notices_between` walks
+    them alone and returns the same list, in the same order, as a walk
+    over every node.
     """
 
     def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
         self._log: List[List[List[WriteNotice]]] = [[] for _ in range(n_nodes)]
+        self._writers: List[int] = []
+        self._writer_set: Set[int] = set()
 
     def close_interval(self, node: int, notices: List[WriteNotice]) -> int:
         """Append a closed interval for ``node``; returns its index."""
-        self._log[node].append(notices)
-        return len(self._log[node]) - 1
+        log = self._log[node]
+        log.append(notices)
+        if notices and node not in self._writer_set:
+            self._writer_set.add(node)
+            insort(self._writers, node)
+        return len(log) - 1
+
+    def intervals(self, node: int) -> Sequence[List[WriteNotice]]:
+        """``node``'s closed intervals in order (read-only view)."""
+        return self._log[node]
 
     def intervals_of(self, node: int) -> int:
         return len(self._log[node])
@@ -266,7 +158,7 @@ class IntervalLog:
         out: List[WriteNotice] = []
         log = self._log
         extend = out.extend
-        for i in range(self.n_nodes):
+        for i in self._writers:
             lo, hi = seen[i], upto[i]
             if hi > lo:
                 for interval in log[i][lo:hi]:
@@ -289,11 +181,3 @@ class IntervalLog:
             if b != a + 1:
                 runs += 1
         return runs
-
-    def notice_count_between(self, seen: Sequence[int], upto: Sequence[int]) -> int:
-        total = 0
-        for i in range(self.n_nodes):
-            lo, hi = seen[i], upto[i]
-            for k in range(lo, hi):
-                total += len(self._log[i][k])
-        return total

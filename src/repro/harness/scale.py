@@ -7,10 +7,10 @@ protocols do on bigger machines.  Two things change with N:
   fan-out, and barrier fan-in grow.
 * **Metadata** -- the classic representations carry O(N) state per
   block (directory bitmaps, vector clocks), which is exactly what
-  caps real DSM installs.  The capacity-honest representations
-  (sparse clocks, sharded copysets) and the tardis timestamp protocol
-  (O(1) per block by construction) are the countermeasures; this
-  sweep turns the O(N)-vs-O(1) separation into a measured curve.
+  caps real DSM installs.  Sharded copysets and the tardis timestamp
+  protocol (O(1) per block by construction) are the countermeasures;
+  the LRC protocols keep dense vector clocks, which barriers fill.
+  This sweep turns the O(N)-vs-O(1) separation into a measured curve.
 
 Cells run in-process (not through :mod:`repro.exec`) because the
 metadata counter needs the live :class:`~repro.cluster.machine.Machine`
@@ -33,7 +33,7 @@ from repro.harness.experiment import RunConfig, run_experiment
 from repro.stats.counters import MetadataStats, protocol_metadata
 
 #: node counts the scaling study sweeps (the paper's 16 plus the
-#: 128-1024 range the tardis/sparse-representation work targets)
+#: 128-1024 range the tardis/sharded-copyset work targets)
 NODE_COUNTS = (16, 64, 128, 512, 1024)
 
 #: the two granularities spanning the paper's fine/coarse regimes

@@ -409,7 +409,7 @@ def protocol_metadata(machine) -> MetadataStats:
         dense += n * n * _TS_FIELD_BYTES
         ilog = p.ilog
         notices = sum(
-            len(interval) for log in ilog._log for interval in log
+            len(interval) for i in range(n) for interval in ilog.intervals(i)
         )
         components["interval_log"] = notices * _NOTICE_BYTES
         dense += notices * _NOTICE_BYTES

@@ -1,5 +1,5 @@
-"""The scaling redesign: protocol registry, Clock representations,
-sharded copysets, tiered hop distances, the scale sweep, and the
+"""The scaling redesign: protocol registry, the dense vector clock at
+every width, sharded copysets, tiered hop distances, the scale sweep, and the
 bit-identity contract at paper scale (48-cell stats-sha fingerprint)."""
 
 import hashlib
@@ -16,12 +16,8 @@ from repro.core.sc import (
     copyset_bytes,
     make_copyset,
 )
-from repro.core.timestamps import (
-    DENSE_CLOCK_MAX,
-    SparseClock,
-    VectorClock,
-    make_clock,
-)
+from repro.core import timestamps
+from repro.core.timestamps import VectorClock
 from repro.harness.experiment import RunConfig, run_experiment
 
 
@@ -80,63 +76,75 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Clock representations
+# vector clocks at every width
 # ---------------------------------------------------------------------------
+def _simcore_backends():
+    """Every importable simcore kernel module."""
+    from repro.simcore import pycore
+
+    try:
+        from repro.simcore import fastcore
+    except ImportError:  # numpy absent: the python backend alone
+        return [pycore]
+    return [pycore, fastcore]
+
+
 def _random_ops(n, seed, steps=300):
-    """One seeded op trace, applied to both representations in
-    lockstep; any divergence fails immediately."""
+    """One seeded op trace, applied to clocks and to plain-list oracles
+    in lockstep; any divergence fails immediately."""
     rng = random.Random(seed)
-    dense = [VectorClock(n) for _ in range(3)]
-    sparse = [SparseClock(n) for _ in range(3)]
+    clocks = [VectorClock(n) for _ in range(3)]
+    oracle = [[0] * n for _ in range(3)]
     for step in range(steps):
         i = rng.randrange(3)
-        op = rng.randrange(4)
+        j = rng.randrange(3)
+        op = rng.randrange(5)
         if op == 0:
             node = rng.randrange(n)
-            assert dense[i].tick(node) == sparse[i].tick(node)
+            oracle[i][node] += 1
+            assert clocks[i].tick(node) == oracle[i][node]
         elif op == 1:
-            j = rng.randrange(3)
-            dense[i].merge(dense[j])
-            sparse[i].merge(sparse[j])
+            clocks[i].merge(clocks[j])
+            oracle[i] = [max(a, b) for a, b in zip(oracle[i], oracle[j])]
         elif op == 2:
-            j = rng.randrange(3)
-            assert dense[i].dominates(dense[j]) == \
-                sparse[i].dominates(sparse[j]), (step, i, j)
+            # merge the wire form, as a grant or barrier release does
+            clocks[i].merge(clocks[j].as_tuple())
+            oracle[i] = [max(a, b) for a, b in zip(oracle[i], oracle[j])]
+        elif op == 3:
+            want = all(a >= b for a, b in zip(oracle[i], oracle[j]))
+            assert clocks[i].dominates(clocks[j]) == want, (step, i, j)
+            assert clocks[i].dominates(tuple(oracle[j])) == want, (step, i, j)
         else:
             node = rng.randrange(n)
-            assert dense[i][node] == sparse[i][node]
-        assert dense[i].as_tuple() == sparse[i].as_tuple(), step
+            assert clocks[i][node] == oracle[i][node]
+            copy = clocks[i].copy()
+            copy.tick(node)
+            assert copy[node] == clocks[i][node] + 1
+        assert clocks[i].as_tuple() == tuple(oracle[i]), step
+        assert len(clocks[i]) == n
 
 
 class TestClockDifferential:
     @pytest.mark.parametrize("n", [16, 64, 1024])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sparse_matches_dense_op_by_op(self, n, seed):
-        _random_ops(n, seed)
+    def test_matches_list_oracle_op_by_op(self, n, seed, monkeypatch):
+        for core in _simcore_backends():
+            for kernel in ("vc_alloc", "vc_merge_into", "vc_dominates"):
+                monkeypatch.setattr(timestamps, kernel, getattr(core, kernel))
+            _random_ops(n, seed)
 
     def test_cross_representation_merge(self):
-        dense, sparse = VectorClock(8), SparseClock(8)
-        dense.tick(3)
-        sparse.tick(5)
-        sparse.merge(dense)   # sparse absorbs a dense operand
-        dense.merge(sparse)   # and vice versa
-        assert dense.as_tuple() == sparse.as_tuple()
+        """A clock merges another clock or its wire tuple alike."""
+        a, b = VectorClock(8), VectorClock(8)
+        a.tick(3)
+        b.tick(5)
+        b.merge(a)               # clock operand
+        a.merge(b.as_tuple())    # wire-form operand
+        assert a.as_tuple() == b.as_tuple() == (0, 0, 0, 1, 0, 1, 0, 0)
 
-    def test_sparse_sublinear_single_writer(self):
-        """A single-writer clock costs O(1) sparse, O(N) dense."""
-        for n in (64, 1024):
-            dense, sparse = VectorClock(n), SparseClock(n)
-            for _ in range(50):
-                dense.tick(0)
-                sparse.tick(0)
-            assert sparse.bytes_used() < dense.bytes_used() / 8
-        # ...and the footprint does not grow with n at all
-        assert SparseClock(1024).bytes_used() == SparseClock(64).bytes_used()
-
-    def test_make_clock_threshold(self):
-        assert isinstance(make_clock(DENSE_CLOCK_MAX), VectorClock)
-        assert isinstance(make_clock(DENSE_CLOCK_MAX + 1), SparseClock)
-        assert isinstance(make_clock(16), VectorClock)
+    def test_bytes_used_dense_at_every_width(self):
+        for n in (16, 64, 65, 1024):
+            assert VectorClock(n).bytes_used() == 8 * n
 
 
 # ---------------------------------------------------------------------------

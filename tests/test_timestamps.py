@@ -1,5 +1,7 @@
 """Tests for vector clocks, intervals, and write notices."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,11 +83,13 @@ class TestIntervalLog:
         out = log.notices_between((2,), (4,))
         assert sorted(n.block for n in out) == [2, 3]
 
-    def test_notice_count_matches(self):
+    def test_intervals_accessor(self):
         log = IntervalLog(2)
-        log.close_interval(0, [WriteNotice(1, 1, 0), WriteNotice(2, 1, 0)])
-        log.close_interval(1, [WriteNotice(3, 1, 1)])
-        assert log.notice_count_between((0, 0), (1, 1)) == 3
+        wn = WriteNotice(1, 1, 0)
+        log.close_interval(0, [])
+        log.close_interval(0, [wn])
+        assert list(log.intervals(0)) == [[], [wn]]
+        assert list(log.intervals(1)) == []
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -111,6 +115,122 @@ class TestIntervalLog:
             for k in range(seen[node], counts[node])
         )
         assert got == want
+
+
+def _seeded_log(n, seed, writer_frac=0.05, max_intervals=6):
+    """A log where most intervals are empty, as on a wide machine whose
+    barriers close an interval on every node; returns (log, counts)."""
+    rng = random.Random(seed)
+    log = IntervalLog(n)
+    counts = [rng.randrange(max_intervals + 1) for _ in range(n)]
+    closes = [node for node in range(n) for _ in range(counts[node])]
+    rng.shuffle(closes)  # nodes close intervals interleaved, not in id order
+    for tag, node in enumerate(closes):
+        notices = []
+        if rng.random() < writer_frac:
+            for k in range(rng.randrange(1, 4)):
+                notices.append(WriteNotice(4 * tag + k, rng.randrange(1, 9), node))
+        log.close_interval(node, notices)
+    return log, counts
+
+
+def _notices_all_nodes(log, seen, upto):
+    """The reference walk: every node, writer or not."""
+    out = []
+    for i in range(len(seen)):
+        for interval in log.intervals(i)[seen[i]:upto[i]]:
+            out.extend(interval)
+    return out
+
+
+class TestWriterIndex:
+    @pytest.mark.parametrize("n", [16, 65, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_all_nodes_walk(self, n, seed):
+        log, counts = _seeded_log(n, seed)
+        rng = random.Random(seed + 100)
+        for _ in range(20):
+            upto = tuple(rng.randint(0, c) for c in counts)
+            seen = tuple(rng.randint(0, u) for u in upto)
+            want = _notices_all_nodes(log, seen, upto)
+            # same notices in the same order, not just the same set
+            assert log.notices_between(seen, upto) == want
+            # a stale "seen" above "upto" contributes nothing
+            assert log.notices_between(upto, seen) == \
+                _notices_all_nodes(log, upto, seen)
+
+    def test_empty_intervals_never_index_a_writer(self):
+        log = IntervalLog(4)
+        for node in range(4):
+            log.close_interval(node, [])
+        log.close_interval(2, [WriteNotice(7, 1, 2)])
+        log.close_interval(0, [WriteNotice(8, 1, 0)])
+        log.close_interval(2, [WriteNotice(9, 2, 2)])
+        # node 0 became a writer last but is walked first
+        assert [wn.block for wn in log.notices_between((0,) * 4, (2, 1, 3, 1))] \
+            == [8, 7, 9]
+
+
+def _old_barrier_payloads(log, vts, n):
+    """The nested-loop merge ``barrier_payloads`` replaced: the oracle."""
+    merged = [0] * n
+    for vt in vts.values():
+        for i, x in enumerate(vt):
+            if x > merged[i]:
+                merged[i] = x
+    out = {}
+    for node_id, vt in vts.items():
+        notices = _notices_all_nodes(log, vt, merged)
+        out[node_id] = (
+            {"vt": tuple(merged), "notices": notices},
+            log.compressed_count(notices),
+        )
+    return out
+
+
+class TestBarrierPayloads:
+    @staticmethod
+    def _protocol(n, seed, name):
+        from repro import Machine, MachineParams
+
+        proto = Machine(MachineParams(n_nodes=n), protocol=name).protocol
+        proto.ilog, counts = _seeded_log(n, seed, writer_frac=0.3)
+        return proto, counts
+
+    @staticmethod
+    def _arrivals(counts, nodes, rng):
+        return {nid: tuple(rng.randint(0, c) for c in counts) for nid in nodes}
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    @pytest.mark.parametrize("n", [16, 65])
+    def test_all_participants(self, protocol, n):
+        proto, counts = self._protocol(n, n, protocol)
+        rng = random.Random(n)
+        nodes = list(range(n))
+        rng.shuffle(nodes)  # arrival order is insertion order
+        vts = self._arrivals(counts, nodes, rng)
+        got = proto.barrier_payloads(vts)
+        assert got == _old_barrier_payloads(proto.ilog, vts, n)
+        assert list(got) == nodes
+        # one merged timestamp shared by every payload
+        assert len({id(p["vt"]) for p, _ in got.values()}) == 1
+
+    @pytest.mark.parametrize("n", [16, 65])
+    def test_participant_subset(self, n):
+        proto, counts = self._protocol(n, n + 1, "swlrc")
+        rng = random.Random(n + 1)
+        vts = self._arrivals(counts, rng.sample(range(n), n // 3), rng)
+        assert proto.barrier_payloads(vts) == \
+            _old_barrier_payloads(proto.ilog, vts, n)
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_single_participant(self, n):
+        proto, counts = self._protocol(n, 5, "hlrc")
+        rng = random.Random(5)
+        vts = self._arrivals(counts, [n - 1], rng)
+        got = proto.barrier_payloads(vts)
+        assert got == _old_barrier_payloads(proto.ilog, vts, n)
+        assert got[n - 1][0]["notices"] == []  # nothing it has not seen
 
 
 class TestWriteNotice:
