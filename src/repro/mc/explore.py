@@ -38,11 +38,11 @@ from repro.check import install_checkers
 from repro.cluster.config import NotificationMechanism
 from repro.mc.litmus import Litmus, model_of
 from repro.mc.scheduler import (
+    GLOBAL,
     ControlledScheduler,
     ReplayDivergence,
     Step,
     TraceBudgetExceeded,
-    conflict,
     format_trace,
 )
 from repro.runtime.program import run_program
@@ -134,10 +134,11 @@ class ExplorationResult:
 class _Frame:
     """One depth of the DFS: the enabled set seen there, the choices
     already taken (done), the pending alternatives (todo), the sleep
-    set at entry, and footprints of explored choices (done_res) for
-    building child sleep sets."""
+    set at entry, footprints of explored choices (done_res) for
+    building child sleep sets, and the happens-before mask of the
+    step currently chosen here (hb, see :meth:`Explorer._add_backtracks`)."""
 
-    __slots__ = ("enabled", "chosen", "done", "todo", "sleep", "done_res")
+    __slots__ = ("enabled", "chosen", "done", "todo", "sleep", "done_res", "hb")
 
     def __init__(self, enabled: Tuple[int, ...], chosen: int, sleep: dict):
         self.enabled = enabled
@@ -146,6 +147,7 @@ class _Frame:
         self.todo: set = set()
         self.sleep = sleep
         self.done_res: dict = {}
+        self.hb = 0
 
 
 def _flatten(results) -> tuple:
@@ -229,6 +231,7 @@ class Explorer:
         trace: List[Step],
         frames: List[_Frame],
         parent: Dict[int, int],
+        start: int = 0,
     ) -> None:
         """Flanagan-Godefroid style backtrack-point computation.
 
@@ -238,65 +241,72 @@ class Explorer:
         non-adjacent dependent pairs are reached transitively by later
         re-analyses).  For each race, the alternative scheduled at
         ``i`` is ``j``'s earliest pending ancestor at that point.
+
+        Only steps ``j >= start`` are analysed.  The steps before
+        ``start`` replay the previous execution's prefix: that
+        execution already added their backtrack points (re-adding them
+        is a no-op) and left each one's hb mask on its frame.
+
+        ``hb[j]`` is the bitmask of trace indices that happen-before
+        ``j`` through dependence and event-creation edges, transitively
+        closed.  It is built from ``j``'s direct predecessors ``d`` --
+        its creation parent plus the conflicting steps not yet covered,
+        newest first -- and ``cov``, the OR of their ``hb[d]``, is exactly the set of
+        indices ordered before ``j`` *through* an intermediate step.  So
+        the immediate races of ``j`` are its conflicting steps outside
+        ``cov`` and other than its parent; every creation ancestor
+        beyond the parent lies in the parent's hb, hence in ``cov``.
         """
-        n = len(trace)
         index_of = {st.seq: k for k, st in enumerate(trace)}
-        # hb[j]: bitmask of trace indices that happen-before j through
-        # dependence edges and event-creation edges, transitively.
-        hb = [0] * n
-        for j in range(n):
-            m = 0
-            pj = trace[j].parent
-            if pj is not None and pj in index_of:
-                pi = index_of[pj]
-                m |= hb[pi] | (1 << pi)
-            for i in range(j):
-                if not (m >> i) & 1 and conflict(
-                    trace[i].resources, trace[j].resources
-                ):
-                    m |= hb[i] | (1 << i)
-            hb[j] = m
-
-        # creation-ancestor chains (seq -> seq)
-        def ancestors(seq: int):
-            chain = []
-            p = parent.get(seq)
-            while p is not None:
-                chain.append(p)
-                p = parent.get(p)
-            return chain
-
-        for j in range(n):
-            res_j = trace[j].resources
-            anc_j = set(ancestors(trace[j].seq))
-            for i in range(j - 1, -1, -1):
-                if trace[i].seq in anc_j:
-                    continue
-                if not conflict(trace[i].resources, res_j):
-                    continue
-                # immediate race? no k with i ->hb k ->hb j strictly
-                # between them
-                immediate = True
-                for k in range(i + 1, j):
-                    if (hb[k] >> i) & 1 and (hb[j] >> k) & 1:
-                        immediate = False
-                        break
-                if not immediate:
-                    continue
-                frame = frames[i]
-                enabled = set(frame.enabled)
-                # schedule j itself, or its earliest ancestor that was
-                # already pending at point i
-                cand = None
-                for seq in [trace[j].seq] + ancestors(trace[j].seq):
-                    if seq in enabled:
-                        cand = seq
-                        break
-                if cand is None:
-                    # conservative fallback: branch on everything
-                    frame.todo.update(enabled)
-                elif cand != frame.chosen:
-                    frame.todo.add(cand)
+        # resource -> mask of steps whose footprint holds it; glob:
+        # steps with the conflicts-with-everything footprint
+        touch: Dict[tuple, int] = {}
+        glob = 0
+        for j, st in enumerate(trace):
+            res = st.resources
+            bit = 1 << j
+            if j >= start:
+                if GLOBAL in res:
+                    conf = bit - 1
+                else:
+                    conf = glob
+                    for r in res:
+                        conf |= touch.get(r, 0)
+                hb = cov = 0
+                pi = index_of.get(st.parent)
+                if pi is not None:
+                    cov = frames[pi].hb
+                    hb = cov | (1 << pi)
+                rest = conf & ~hb
+                while rest:
+                    d = rest.bit_length() - 1
+                    hd = frames[d].hb
+                    hb |= hd | (1 << d)
+                    cov |= hd
+                    rest &= ~hb
+                frames[j].hb = hb
+                races = conf & ~cov
+                if pi is not None:
+                    races &= ~(1 << pi)
+                while races:
+                    i = races.bit_length() - 1
+                    races ^= 1 << i
+                    frame = frames[i]
+                    enabled = frame.enabled
+                    # schedule j itself, or its earliest ancestor that
+                    # was already pending at point i
+                    cand = st.seq
+                    while cand is not None and cand not in enabled:
+                        cand = parent.get(cand)
+                    if cand is None:
+                        # conservative fallback: branch on everything
+                        frame.todo.update(enabled)
+                    elif cand != frame.chosen:
+                        frame.todo.add(cand)
+            if GLOBAL in res:
+                glob |= bit
+            for r in res:
+                touch[r] = touch.get(r, 0) | bit
 
     # ------------------------------------------------------------------
     # the DFS loop
@@ -345,12 +355,16 @@ class Explorer:
                 frames.append(
                     _Frame(st.enabled, st.seq, sched.sleep_log[k] or {})
                 )
-            for k, st in enumerate(trace):
+            # Steps before sleep_from replay the previous execution's
+            # prefix, whose footprints and races are already recorded.
+            for k in range(sleep_from, len(trace)):
+                st = trace[k]
                 frames[k].done_res[st.seq] = st.resources
             if self.dpor:
-                self._add_backtracks(trace, frames, sched.parent)
+                self._add_backtracks(trace, frames, sched.parent, sleep_from)
             else:
-                for k, st in enumerate(trace):
+                for k in range(sleep_from, len(trace)):
+                    st = trace[k]
                     if len(st.enabled) > 1:
                         frames[k].todo.update(st.enabled)
             # deepest frame with a pending, non-slept alternative

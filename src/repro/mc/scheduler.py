@@ -42,7 +42,6 @@ conflicts-with-everything footprint, which can only over-approximate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.hooks import Hooks
@@ -66,25 +65,64 @@ class TraceBudgetExceeded(SimulationError):
     """One schedule ran more steps than the configured budget."""
 
 
-@dataclass
 class Step:
     """One dispatched event in an explored schedule."""
 
-    #: engine sequence number -- the event's stable identity across
-    #: replays that share a prefix
-    seq: int
-    #: simulation time the event carried (informational; exploration
-    #: ignores it)
-    time: float
-    #: human-readable description (see trace rendering)
-    label: str
-    #: dependency footprint accumulated while the event ran
-    resources: FrozenSet[tuple] = frozenset()
-    #: seqs of every event that was enabled when this one was chosen
-    enabled: Tuple[int, ...] = ()
-    #: seq of the event whose dispatch created this one (None for
-    #: events posted before the run started)
-    parent: Optional[int] = None
+    __slots__ = ("seq", "time", "resources", "enabled", "parent",
+                 "_label", "_what")
+
+    def __init__(
+        self,
+        seq: int,
+        time: float,
+        label: Optional[str] = None,
+        resources: FrozenSet[tuple] = frozenset(),
+        enabled: Tuple[int, ...] = (),
+        parent: Optional[int] = None,
+        what: tuple = (),
+    ):
+        #: engine sequence number -- the event's stable identity across
+        #: replays that share a prefix
+        self.seq = seq
+        #: simulation time the event carried (informational; exploration
+        #: ignores it)
+        self.time = time
+        #: dependency footprint accumulated while the event ran
+        self.resources = resources
+        #: seqs of every event that was enabled when this one was chosen
+        self.enabled = enabled
+        #: seq of the event whose dispatch created this one (None for
+        #: events posted before the run started)
+        self.parent = parent
+        self._label = label
+        #: (kind, detail, fn) the label is rendered from on first access
+        self._what = what
+
+    @property
+    def label(self) -> str:
+        """Human-readable description (see trace rendering).
+
+        Rendered on first access: exploration never reads it, only
+        counterexamples and trace listings do.
+        """
+        if self._label is None:
+            self._label = _render_label(*self._what)
+        return self._label
+
+
+def _render_label(kind, detail, fn) -> str:
+    if kind == "deliver":
+        m = detail
+        return (
+            f"wire  {m.mtype:<14} {m.src}->{m.dst} "
+            f"block={m.block} {m.size_bytes}B"
+        )
+    if kind == "dispatch":
+        node, m = detail
+        return f"node{node.id} {m.mtype:<14} from {m.src} block={m.block}"
+    if kind == "process":
+        return f"{detail.name}: resume"
+    return f"event {getattr(fn, '__name__', repr(fn))}"
 
 
 def conflict(a: FrozenSet[tuple], b: FrozenSet[tuple]) -> bool:
@@ -237,32 +275,17 @@ class ControlledScheduler(SchedulerPolicy):
             return {("node", rank)} | set(self.proc_blocks.get(rank, ()))
         return {GLOBAL}
 
-    def _label(self, kind, detail, entry) -> str:
-        if kind == "deliver":
-            m = detail
-            return (
-                f"wire  {m.mtype:<14} {m.src}->{m.dst} "
-                f"block={m.block} {m.size_bytes}B"
-            )
-        if kind == "dispatch":
-            node, m = detail
-            return (
-                f"node{node.id} {m.mtype:<14} from {m.src} block={m.block}"
-            )
-        if kind == "process":
-            return f"{detail.name}: resume"
-        return f"event {getattr(entry[3], '__name__', repr(entry[3]))}"
-
     # ------------------------------------------------------------------
     # enabled-set computation
     # ------------------------------------------------------------------
-    def enabled_events(self, ready):
-        """Filter the ready set down to wire-feasible choices."""
+    @staticmethod
+    def _blocked(ready, kinds) -> set:
+        """Seqs of ready events the wire's ordering forbids dispatching
+        yet (``kinds`` holds each entry's :meth:`_classify` result)."""
         blocked = set()
         links: Dict[tuple, list] = {}
         node_dispatch: Dict[int, list] = {}
-        for e in ready:
-            kind, detail = self._classify(e)
+        for e, (kind, detail) in zip(ready, kinds):
             if kind == "deliver":
                 m = detail
                 links.setdefault((m.src, m.dst), []).append(
@@ -287,44 +310,52 @@ class ControlledScheduler(SchedulerPolicy):
             if len(seqs) > 1:
                 seqs.sort()
                 blocked.update(seqs[1:])
-        if not blocked:
-            return ready
-        return [e for e in ready if e[1] not in blocked]
+        return blocked
 
     # ------------------------------------------------------------------
     # SchedulerPolicy interface
     # ------------------------------------------------------------------
     def choose(self, ready):
-        enabled = self.enabled_events(ready)
+        # Each ready entry is classified once; the chosen entry's
+        # classification then feeds its footprint and label.  A lone
+        # ready event needs no feasibility filter: nothing can block it.
+        kinds = [self._classify(e) for e in ready]
+        enabled = ready
+        if len(ready) > 1:
+            blocked = self._blocked(ready, kinds)
+            if blocked:
+                keep = [k for k, e in enumerate(ready) if e[1] not in blocked]
+                enabled = [ready[k] for k in keep]
+                kinds = [kinds[k] for k in keep]
         depth = len(self.trace)
+        pick = 0
         if depth < len(self.forced):
             want = self.forced[depth]
-            entry = None
-            for e in enabled:
+            for k, e in enumerate(enabled):
                 if e[1] == want:
-                    entry = e
+                    pick = k
                     break
-            if entry is None:
+            else:
                 have = [e[1] for e in enabled]
                 raise ReplayDivergence(
                     f"forced schedule wants seq {want} at step {depth}, "
                     f"enabled: {have}"
                 )
-        else:
-            entry = enabled[0]
-            if self.sleep:
-                for e in enabled:
-                    if e[1] not in self.sleep:
-                        entry = e
-                        break
-        kind, detail = self._classify(entry)
+        elif self.sleep:
+            for k, e in enumerate(enabled):
+                if e[1] not in self.sleep:
+                    pick = k
+                    break
+        entry = enabled[pick]
+        kind, detail = kinds[pick]
+        seq = entry[1]
         self.fp = self._base_resources(kind, detail)
         self._pending = Step(
-            seq=entry[1],
-            time=entry[0],
-            label=self._label(kind, detail, entry),
-            enabled=tuple(e[1] for e in enabled),
-            parent=self.parent.get(entry[1]),
+            seq,
+            entry[0],
+            enabled=tuple([e[1] for e in enabled]),
+            parent=self.parent.get(seq),
+            what=(kind, detail, entry[3]),
         )
         self._pre_seq = self.engine.next_seq
         return entry
@@ -334,23 +365,24 @@ class ControlledScheduler(SchedulerPolicy):
         for s in range(self._pre_seq, self.engine.next_seq):
             self.parent[s] = chosen
         step = self._pending
-        step.resources = frozenset(self.fp)
+        step.resources = res = frozenset(self.fp)
         self.fp = None
         self._pending = None
-        k = len(self.trace)
-        if k >= self.sleep_from:
-            self.sleep_log.append(dict(self.sleep))
-            if self.sleep:
-                res = step.resources
-                self.sleep = {
-                    t: r
-                    for t, r in self.sleep.items()
-                    if t != step.seq and not conflict(r, res)
-                }
+        trace = self.trace
+        sleep = self.sleep
+        if len(trace) >= self.sleep_from and sleep:
+            self.sleep_log.append(sleep)
+            # The wake rule builds a fresh dict, so the logged one is
+            # never mutated afterwards.
+            self.sleep = {
+                t: r
+                for t, r in sleep.items()
+                if t != step.seq and not conflict(r, res)
+            }
         else:
             self.sleep_log.append(None)
-        self.trace.append(step)
-        if len(self.trace) >= self.max_steps:
+        trace.append(step)
+        if len(trace) >= self.max_steps:
             raise TraceBudgetExceeded(
                 f"schedule exceeded {self.max_steps} steps"
             )

@@ -113,10 +113,6 @@ def _entry_live(entry: _Entry) -> bool:
     return ev is None or not ev.cancelled
 
 
-def _entry_key(entry: _Entry) -> Tuple[float, int]:
-    return (entry[0], entry[1])
-
-
 class SchedulerPolicy:
     """Chooses which ready event the engine dispatches next.
 
@@ -214,7 +210,9 @@ class Engine:
         """
         entries = [e for e in self._fifo if _entry_live(e)]
         entries.extend(e for e in self._queue if _entry_live(e))
-        entries.sort(key=_entry_key)
+        # (time, seq) is unique, so the natural tuple order never
+        # compares the handles or callables behind it.
+        entries.sort()
         return entries
 
     # ------------------------------------------------------------------
@@ -427,15 +425,26 @@ class Engine:
     def _remove_entry(self, entry: _Entry) -> None:
         """Remove one live entry from whichever lane holds it.
 
-        Sequence numbers are unique, so tuple comparison in ``remove``
-        short-circuits at element 1 for every non-matching entry and
-        finds the match by identity -- event args are never compared.
+        Matches by identity.  ``deque.remove`` formats the repr of an
+        entry it does not hold (message, node, process) into its
+        ``ValueError``, so trying the deque first cost that on every
+        heap-resident dispatch.  Raises ``ValueError`` when neither lane
+        holds the entry.
         """
-        try:
-            self._fifo.remove(entry)
-        except ValueError:
-            self._queue.remove(entry)
-            heapq.heapify(self._queue)
+        fifo = self._fifo
+        for i, e in enumerate(fifo):
+            if e is entry:
+                del fifo[i]
+                return
+        queue = self._queue
+        for i, e in enumerate(queue):
+            if e is entry:
+                last = queue.pop()
+                if i < len(queue):
+                    queue[i] = last
+                    heapq.heapify(queue)
+                return
+        raise ValueError("entry is not queued")
 
     def _run_policy(self, until: Optional[float]) -> float:
         """The policy-driven event loop (see :class:`SchedulerPolicy`).
@@ -451,31 +460,38 @@ class Engine:
         prev_active = _ACTIVE
         _ACTIVE = self
         policy = self._policy
+        choose = policy.choose
+        executed = policy.executed
+        ready_events = self.ready_events
+        remove = self._remove_entry
+        events_run = self._events_run
+        max_events = self._max_events
         try:
             while True:
-                ready = self.ready_events()
+                ready = ready_events()
                 if not ready:
                     break
-                entry = policy.choose(ready)
+                entry = choose(ready)
                 if until is not None and entry[0] > until:
                     self._now = until
                     return until
-                self._remove_entry(entry)
+                remove(entry)
                 if entry[0] > self._now:
                     self._now = entry[0]
-                self._events_run += 1
-                if self._events_run > self._max_events:
+                events_run += 1
+                if events_run > max_events:
                     raise SimulationError(
-                        f"event budget exhausted ({self._max_events} events); "
+                        f"event budget exhausted ({max_events} events); "
                         "likely protocol livelock"
                     )
                 entry[3](*entry[4])
-                policy.executed(entry)
+                executed(entry)
             if until is not None and until > self._now:
                 self._now = until
             return self._now
         finally:
             _ACTIVE = prev_active
+            self._events_run = events_run
             self._running = False
 
     def step(self) -> bool:

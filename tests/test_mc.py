@@ -1,5 +1,6 @@
 """repro.mc: controllable scheduler, DPOR exploration, litmus suite."""
 
+import copy
 import hashlib
 import json
 
@@ -17,6 +18,7 @@ from repro.mc import (
     model_of,
     replay,
 )
+from repro.mc.scheduler import conflict
 from repro.sim import DefaultPolicy
 
 
@@ -128,11 +130,16 @@ def test_sb_exhaustive(proto, expect_sc_violation_absent):
 
 
 def test_mp_sc_and_hlrc_exhaustive():
-    for proto in ("sc", "hlrc"):
+    # Exact counts pin the explored schedule set itself, not just the
+    # verdict: a change to the race analysis or the scheduler that
+    # explores different schedules moves them.
+    expect = {"sc": (142, 6314), "hlrc": (278, 11337)}
+    for proto, counts in expect.items():
         r = Explorer(LITMUS["mp"], proto, 64, dpor=True,
                      max_schedules=2000).run()
         assert r.complete and r.ok, proto
         assert set(r.outcomes) <= {(0, 0), (1, 42)}, proto
+        assert (r.schedules, r.transitions) == counts, proto
 
 
 def test_budget_capped_cell_reports_incomplete_not_failed():
@@ -167,6 +174,111 @@ def test_dpor_and_naive_agree_on_reachable_outcomes():
                      max_schedules=20000).run()
     assert dpor.complete and naive.complete
     assert set(dpor.outcomes) == set(naive.outcomes)
+
+
+# ---------------------------------------------------------------------------
+# incremental race analysis against the original O(n^3) one
+# ---------------------------------------------------------------------------
+
+def _oracle_add_backtracks(trace, frames, parent):
+    """The original backtrack-point computation, kept as a reference:
+    hb by pairwise conflict scans, immediate races by scanning every
+    intermediate step, creation ancestors rebuilt per pair."""
+    n = len(trace)
+    index_of = {st.seq: k for k, st in enumerate(trace)}
+    hb = [0] * n
+    for j in range(n):
+        m = 0
+        pj = trace[j].parent
+        if pj is not None and pj in index_of:
+            pi = index_of[pj]
+            m |= hb[pi] | (1 << pi)
+        for i in range(j):
+            if not (m >> i) & 1 and conflict(
+                trace[i].resources, trace[j].resources
+            ):
+                m |= hb[i] | (1 << i)
+        hb[j] = m
+
+    def ancestors(seq):
+        chain = []
+        p = parent.get(seq)
+        while p is not None:
+            chain.append(p)
+            p = parent.get(p)
+        return chain
+
+    for j in range(n):
+        res_j = trace[j].resources
+        anc_j = set(ancestors(trace[j].seq))
+        for i in range(j - 1, -1, -1):
+            if trace[i].seq in anc_j:
+                continue
+            if not conflict(trace[i].resources, res_j):
+                continue
+            immediate = True
+            for k in range(i + 1, j):
+                if (hb[k] >> i) & 1 and (hb[j] >> k) & 1:
+                    immediate = False
+                    break
+            if not immediate:
+                continue
+            frame = frames[i]
+            enabled = set(frame.enabled)
+            cand = None
+            for seq in [trace[j].seq] + ancestors(trace[j].seq):
+                if seq in enabled:
+                    cand = seq
+                    break
+            if cand is None:
+                frame.todo.update(enabled)
+            elif cand != frame.chosen:
+                frame.todo.add(cand)
+
+
+def _clone_frames(frames):
+    out = []
+    for f in frames:
+        g = copy.copy(f)
+        g.done, g.todo = set(f.done), set(f.todo)
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("litmus,proto,cap", [
+    ("mp", "sc", 2000),
+    ("mp", "swlrc", 4000),
+    ("mp", "hlrc", 2000),
+    ("mp", "tardis", 2000),
+    ("sb", "hlrc", 150),
+    ("lock-handoff", "swlrc", 60),
+])
+def test_incremental_backtracks_match_oracle(monkeypatch, litmus, proto, cap):
+    """Every execution's backtrack points, analysed incrementally from
+    ``sleep_from`` and from step 0, equal the original analysis's."""
+    real = Explorer._add_backtracks
+    calls = []
+
+    def checking(self, trace, frames, parent, start=0):
+        oracle = _clone_frames(frames)
+        _oracle_add_backtracks(trace, oracle, parent)
+        full = _clone_frames(frames)
+        real(self, trace, full, parent, 0)
+        real(self, trace, frames, parent, start)
+        want = [f.todo for f in oracle]
+        assert [f.todo for f in full] == want
+        assert [f.todo for f in frames] == want
+        assert [f.hb for f in frames] == [f.hb for f in full]
+        calls.append(start)
+
+    monkeypatch.setattr(Explorer, "_add_backtracks", checking)
+    r = Explorer(LITMUS[litmus], proto, 64, dpor=True,
+                 max_schedules=cap).run()
+    assert calls and len(calls) == r.schedules
+    # the incremental path was really taken
+    assert any(start > 0 for start in calls)
+    if litmus == "mp":
+        assert r.complete
 
 
 # ---------------------------------------------------------------------------

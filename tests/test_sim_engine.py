@@ -412,3 +412,58 @@ def test_policy_run_until_stops_early():
     assert eng.pending == 1
     eng.run()
     assert hits == [1, 2]
+
+
+class _NoRepr:
+    """Event argument whose repr must never be formatted."""
+
+    def __repr__(self):
+        raise AssertionError("repr of an event argument was formatted")
+
+
+def test_remove_heap_entry_never_formats_reprs():
+    eng = Engine()
+    eng.post(0.0, lambda _arg: None, _NoRepr())
+    eng.post(1.0, lambda _arg: None, _NoRepr())
+    heap_entry = eng._queue[0]
+    eng._remove_entry(heap_entry)
+    assert heap_entry not in eng._queue
+    assert len(eng._fifo) == 1 and not eng._queue
+
+
+def test_heap_order_unchanged_after_middle_removal():
+    eng = Engine()
+    order = []
+    delays = [5.0, 1.0, 3.0, 4.0, 2.0, 6.0, 2.5]
+    for i, d in enumerate(delays):
+        eng.post(d, order.append, i)
+    victim = next(e for e in eng._queue if e[4] == (3,))
+    assert victim is not eng._queue[0] and victim is not eng._queue[-1]
+    eng._remove_entry(victim)
+    eng.run()
+    expected = sorted((d, i) for i, d in enumerate(delays) if i != 3)
+    assert order == [i for _, i in expected]
+
+
+def test_remove_unqueued_entry_raises():
+    eng = Engine()
+    eng.post(0.0, lambda: None)
+    eng.post(1.0, lambda: None)
+    with pytest.raises(ValueError):
+        eng._remove_entry((0.0, 99, None, lambda: None, ()))
+    assert eng.pending == 2
+
+
+def test_ready_events_skips_cancelled_in_both_lanes():
+    eng = Engine()
+    live = []
+    for i in range(6):
+        # even i: zero-delay lane, odd i: heap lane
+        ev = eng.schedule(0.0 if i % 2 == 0 else float(i), lambda: None)
+        if i in (2, 3):
+            ev.cancel()
+        else:
+            live.append((ev.time, ev.seq))
+    assert eng._fifo and eng._queue
+    ready = eng.ready_events()
+    assert [(e[0], e[1]) for e in ready] == sorted(live)
