@@ -9,9 +9,8 @@ the programming model excludes (and our tests exercise anyway to pin
 last-applier-wins behavior).
 
 Run extraction is the hot path of the HLRC simulation and lives in
-:mod:`repro.simcore` -- a whole-buffer memcmp plus ``flatnonzero``-style
-splitting under the fast backend, an equivalent word-scan under the
-pure-python fallback.  Both produce identical run boundaries and bytes.
+:mod:`repro.simcore`: a whole-buffer memcmp, then one big-int XOR of
+the two copies and a regex scan for its non-zero runs.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class Diff:
 
     block: int
     #: list of (offset, data) runs, offsets ascending, non-adjacent;
-    #: data is a byte buffer of the active simcore backend
+    #: data is ``bytes`` (tests also build runs from numpy arrays)
     runs: List[Tuple[int, Sequence[int]]]
 
     @property
@@ -69,7 +68,7 @@ def apply_diff(target, diff: Diff) -> int:
             )
         if isinstance(data, (bytes, bytearray)) and not isinstance(target, bytearray):
             # bytes runs applied to a foreign buffer target (a numpy
-            # array in mixed test environments): numpy would *parse*
+            # array the tests hand in): numpy would *parse*
             # digit-looking bytes as an int literal, so route the copy
             # through a byte view instead of slice assignment.
             memoryview(target).cast("B")[off:end] = data

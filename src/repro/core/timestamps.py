@@ -20,8 +20,6 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple, Union
 
-from repro.simcore import vc_alloc, vc_dominates, vc_merge_into
-
 
 @dataclass(frozen=True, slots=True)
 class WriteNotice:
@@ -49,7 +47,7 @@ _COMPONENT_BYTES = 8
 def _components(other: ClockLike) -> Sequence[int]:
     """The component sequence of a clock-or-sequence operand."""
     if isinstance(other, VectorClock):
-        return other.v  # zero-copy: the kernels take any int sequence
+        return other.v  # zero-copy: the loops take any int sequence
     return other
 
 
@@ -67,18 +65,15 @@ class VectorClock:
     * plus ``as_tuple``/``copy``/``__getitem__``/``__len__``.
 
     ``other`` may be any component sequence (the wire form of a clock)
-    or another clock.  The component container comes from
-    ``simcore.vc_alloc``: a plain list for the paper's narrow clocks
-    (fastest to index and loop over), a dense ``array('q')`` for wide
-    clocks so the fast backend's merge/dominates kernels can vectorize
-    over the raw int64 buffer.  Either way ``v`` supports indexing and
-    item assignment; call sites go through the methods, not ``v``.
+    or another clock.  The components are a plain list at every width:
+    lists index faster than any typed container in pure python.  Call
+    sites go through the methods, not ``v``.
     """
 
     __slots__ = ("v",)
 
     def __init__(self, n: int):
-        self.v = vc_alloc(n)
+        self.v: List[int] = [0] * n
 
     def copy(self) -> "VectorClock":
         out = VectorClock.__new__(VectorClock)
@@ -87,7 +82,12 @@ class VectorClock:
 
     def merge(self, other: ClockLike) -> None:
         # Hot path (every grant/barrier application).
-        vc_merge_into(self.v, _components(other))
+        v = self.v
+        i = 0
+        for x in _components(other):
+            if x > v[i]:
+                v[i] = x
+            i += 1
 
     def tick(self, node: int) -> int:
         """Start a new interval for ``node``; returns the new count."""
@@ -108,10 +108,16 @@ class VectorClock:
         return tuple(self.v)
 
     def dominates(self, other: ClockLike) -> bool:
-        return vc_dominates(self.v, _components(other))
+        v = self.v
+        i = 0
+        for x in _components(other):
+            if v[i] < x:
+                return False
+            i += 1
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"VC{list(self.v)}"
+        return f"VC{self.v}"
 
 
 class IntervalLog:

@@ -10,8 +10,7 @@ The table itself is a dense per-node byte array (one tag byte per
 block id) provided by :mod:`repro.simcore`, with a parallel readable
 set so the region hot path keeps its one-C-call membership test
 (``permits_read`` is a bound ``set.__contains__``).  Bulk sweeps over
-tagged blocks are vectorized under the fast backend and iterate in
-ascending block id under both.
+tagged blocks iterate that set in ascending block id.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class AccessControl(simcore.TagArray):
     A thin domain alias for the simcore tag-array kernel; the full API
     (``tag``/``permits``/``set_tag``/``invalidate``/``downgrade``/
     ``blocks_with_access``/``permits_read``/``__len__``) lives on the
-    backend-selected base class.
+    base class.
     """
 
     __slots__ = ()

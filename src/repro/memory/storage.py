@@ -1,11 +1,10 @@
 """Per-node backing stores holding real block contents.
 
 Every node caches blocks of the shared address space in local memory;
-the contents are real byte buffers -- flat ``numpy`` arrays under the
-fast simcore backend, ``bytearray`` under the pure-python fallback --
-so that the HLRC twin/diff machinery operates on actual data and the
-correctness tests can verify that values written on one node are the
-values read on another.
+the contents are real byte buffers (``bytearray``) so that the HLRC
+twin/diff machinery operates on actual data and the correctness tests
+can verify that values written on one node are the values read on
+another.
 
 Blocks materialize lazily, zero-filled -- the DSM's initial contents.
 """

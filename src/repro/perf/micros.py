@@ -49,7 +49,7 @@ FULL_CELL_SCALE = "tiny"
 # engine churn
 # ----------------------------------------------------------------------
 def engine_churn(n_events: int = 40_000, chains: int = 16) -> Tuple[Counts, None]:
-    """Pure event-loop throughput: no protocol, no numpy.
+    """Pure event-loop throughput: no protocol, no block data.
 
     ``chains`` self-rescheduling callbacks hop through simulated time
     with a cheap multiplicative hash choosing, per hop, between the

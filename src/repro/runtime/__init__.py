@@ -3,8 +3,8 @@
 * :class:`~repro.runtime.dsm.Dsm` -- per-node handle offering
   ``compute`` / ``read`` / ``write`` / ``touch`` region operations plus
   ``acquire`` / ``release`` / ``barrier``.
-* :class:`~repro.runtime.shared_array.SharedArray` -- typed numpy-backed
-  view over a shared segment.
+* :class:`~repro.runtime.shared_array.SharedArray` -- typed view over a
+  shared segment.
 * :func:`~repro.runtime.program.run_program` -- spawn one application
   process per node and run the machine to completion.
 """

@@ -7,9 +7,8 @@ read on another.
 
 Element types are described by :func:`repro.simcore.dtype` (which
 accepts numpy dtypes, python ``float``/``int``, and string names), and
-values are packed/viewed through the active simcore backend -- numpy
-views under the fast core, ``memoryview.cast``/``struct`` under the
-pure-python fallback.
+values are packed/viewed through the simcore kernels
+(``memoryview.cast``/``struct``).
 
 All accessors are generators (they may fault) and must be driven with
 ``yield from`` inside an application process.

@@ -1,8 +1,8 @@
-"""Backend-neutral element-type descriptors.
+"""Element-type descriptors for typed shared arrays.
 
 The runtime's typed shared arrays describe their element type with a
-:class:`DType` instead of a ``numpy.dtype`` so the pure-python backend
-can serve the same API through ``memoryview.cast``/``struct``.  The
+:class:`DType` instead of a ``numpy.dtype`` so the simcore kernels can
+serve them through ``memoryview.cast``/``struct``.  The
 :func:`dtype` constructor accepts everything callers historically
 passed: numpy dtypes and scalar types (when numpy is installed), the
 python builtins ``float``/``int``, and string names in either numpy

@@ -1,27 +1,19 @@
-"""The pure-python simcore backend: bytearray/array/memoryview only.
+"""The simcore block-plane kernels: bytearray/memoryview/struct/re only.
 
-No third-party imports -- this module (and everything it pulls in) must
-import on a bare python install, because the CI fallback leg runs the
-whole tier-1 suite with numpy uninstalled.
-
-Every kernel is the observable-state twin of its numpy counterpart in
-:mod:`repro.simcore.fastcore`: same results, same iteration order, same
-run boundaries, down to the byte.  Where the fast backend leans on
-vectorization, this one leans on the C-speed bulk primitives the
-stdlib already has -- ``bytearray`` slice compare (memcmp),
-``memoryview.cast`` word views, ``struct`` packing -- and falls back to
-plain loops only for the residual byte-level work.
+No third-party imports: the simulator runs on a bare python install.
+Each kernel leans on a C-speed bulk primitive of the stdlib --
+``bytearray`` slice copy and compare (memcpy/memcmp), ``memoryview.cast``
+typed views, ``struct`` packing, big-int XOR plus a ``re`` scan for
+diff runs -- so the per-byte work runs in C.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from typing import Any, List, Tuple
 
 from repro.simcore.dtypes import DType
-from repro.simcore.tags import TagArrayBase
-
-BACKEND = "python"
 
 
 # ----------------------------------------------------------------------
@@ -66,8 +58,8 @@ def as_payload(data):
         return data
     if isinstance(data, memoryview):
         return data.cast("B") if data.format != "B" else data
-    # numpy arrays (tests may hand them over even under this backend),
-    # lists of ints, anything buffer-like
+    # numpy arrays (tests hand them over), lists of ints, anything
+    # buffer-like
     try:
         return bytes(memoryview(data).cast("B"))
     except TypeError:
@@ -78,14 +70,12 @@ def as_payload(data):
 # typed views and packing
 # ----------------------------------------------------------------------
 class TypedView:
-    """A typed vector view over a byte buffer -- the pure-python
-    stand-in for the numpy view ``fastcore.typed_view`` returns.
+    """A typed vector view over a byte buffer.
 
     Supports what callers of shared-array slices actually use:
     indexing, item assignment, iteration, ``len``, ``sum``, ``tolist``,
-    ``copy``, equality, and ``__array__`` so numpy consumers in mixed
-    environments (the fallback-parity CI leg runs the full test suite
-    with numpy installed but this backend forced) can convert it.
+    ``copy``, equality, and ``__array__`` so numpy consumers (the test
+    suite's oracles) can convert it.
     """
 
     __slots__ = ("_mv",)
@@ -125,7 +115,7 @@ class TypedView:
         return TypedView(memoryview(bytearray(self._mv.tobytes())).cast(self._mv.format))
 
     def __array__(self, dtype=None, copy=None):
-        import numpy  # only reachable when numpy exists in the env
+        import numpy  # only reachable from a caller that has numpy
 
         a = numpy.asarray(self._mv)
         return a if dtype is None else a.astype(dtype)
@@ -166,91 +156,33 @@ def _flatten_into(values, shape, out: List[Any], full_shape) -> None:
 
 
 # ----------------------------------------------------------------------
-# access-tag tables
-# ----------------------------------------------------------------------
-def nonzero_u8(tags: bytearray) -> List[int]:
-    """Indices of non-zero bytes, ascending."""
-    return [i for i, t in enumerate(tags) if t]
-
-
-class TagArray(TagArrayBase):
-    """Dense tag table; bulk scans are plain byte loops."""
-
-    __slots__ = ()
-    _nonzero = staticmethod(nonzero_u8)
-
-
-# ----------------------------------------------------------------------
-# vector-clock kernels
-# ----------------------------------------------------------------------
-def vc_alloc(n: int) -> List[int]:
-    """A zeroed clock vector.  Plain lists index faster than any typed
-    container in pure python, and this backend never vectorizes."""
-    return [0] * n
-
-
-def vc_merge_into(v, other) -> None:
-    """Elementwise ``v[i] = max(v[i], other[i])`` into ``v``."""
-    i = 0
-    for x in other:
-        if x > v[i]:
-            v[i] = x
-        i += 1
-
-
-def vc_dominates(v, other) -> bool:
-    """True iff ``v[i] >= other[i]`` for every component."""
-    i = 0
-    for x in other:
-        if v[i] < x:
-            return False
-        i += 1
-    return True
-
-
-# ----------------------------------------------------------------------
 # twin/diff run extraction
 # ----------------------------------------------------------------------
+#: one maximal run of non-zero bytes
+_CHANGED_RUN = re.compile(rb"[^\x00]+")
+
+
 def diff_runs(dirty, twin) -> List[Tuple[int, bytes]]:
     """Changed-byte runs of ``dirty`` vs ``twin``: maximal groups of
     consecutive differing byte offsets, as (offset, copied data).
 
-    Strategy: one memcmp rules out the no-change case; then a word scan
-    over 8-byte views locates the changed words and only those words are
-    refined byte-by-byte.  For the sparse-write patterns twin/diff
-    exists to exploit, the python-level loop touches a small fraction
-    of the block.
+    One memcmp rules out the no-change case.  Otherwise the two blocks
+    are XORed as big integers, so every changed byte is a non-zero byte
+    of the XOR at the same offset, and one regex scan over it yields
+    each maximal changed run; all of it runs in C.
     """
-    # Normalize foreign buffer types (tests hand numpy arrays in even
-    # when this backend is forced) to byte-compare cleanly.
+    # Normalize foreign buffer types (numpy arrays, typed memoryviews)
+    # to flat byte views so compares and lengths count bytes.
     if not isinstance(dirty, (bytes, bytearray)):
         dirty = memoryview(dirty).cast("B")
     if not isinstance(twin, (bytes, bytearray)):
         twin = memoryview(twin).cast("B")
     if dirty == twin:
         return []
-    idx: List[int] = []
     n = len(dirty)
-    words = n >> 3
-    if words:
-        end = words << 3
-        dw = memoryview(dirty)[:end].cast("Q")
-        tw = memoryview(twin)[:end].cast("Q")
-        for w in range(words):
-            if dw[w] != tw[w]:
-                base = w << 3
-                for o in range(base, base + 8):
-                    if dirty[o] != twin[o]:
-                        idx.append(o)
-    for o in range(words << 3, n):
-        if dirty[o] != twin[o]:
-            idx.append(o)
+    x = (int.from_bytes(dirty, "big") ^ int.from_bytes(twin, "big")).to_bytes(n, "big")
     runs: List[Tuple[int, bytes]] = []
-    start = prev = idx[0]
-    for o in idx[1:]:
-        if o != prev + 1:
-            runs.append((start, bytes(dirty[start : prev + 1])))
-            start = o
-        prev = o
-    runs.append((start, bytes(dirty[start : prev + 1])))
+    for m in _CHANGED_RUN.finditer(x):
+        start, stop = m.span()
+        runs.append((start, bytes(dirty[start:stop])))
     return runs

@@ -8,9 +8,6 @@ membership, insert and pop with no hashing and no per-entry allocation.
 The ring doubles itself on slot collision, so pathological windows
 (deep reordering under heavy chaos) stay correct -- they just pay one
 rehash.
-
-Both simcore backends share this structure: it holds *objects*
-(messages), so there is nothing for numpy to vectorize.
 """
 
 from __future__ import annotations

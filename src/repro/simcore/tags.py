@@ -1,35 +1,33 @@
-"""Dense per-node access-tag arrays (shared core of both backends).
+"""Dense per-node access-tag arrays.
 
 One flat byte per coherence block, indexed by block id: 0 = INVALID,
 1 = READ-ONLY, 2 = READ-WRITE.  The table grows geometrically on first
 touch of a high block id and never shrinks.  Alongside the dense array
-a plain ``set`` of readable block ids is maintained so the region hot
-path keeps its one-C-call membership test (``set.__contains__``), while
-bulk sweeps (checker audits, ``blocks_with_access``) run over the flat
-array -- vectorized in the fast backend, scanned in the fallback.
+a plain ``set`` of readable block ids -- exactly the blocks with a
+non-zero tag -- is maintained, so the region hot path keeps its
+one-C-call membership test (``set.__contains__``) and bulk sweeps
+(checker audits, ``blocks_with_access``) cost O(k log k) in the k
+tagged blocks rather than O(capacity).
 
-Iteration order over tagged blocks is ascending block id in *both*
-backends (part of the bit-identity contract).
+Iteration order over tagged blocks is ascending block id.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 #: access tags, ordered by permission (mirrors repro.memory.access_control)
 _INV, _RO, _RW = 0, 1, 2
 
 
-class TagArrayBase:
-    """Flat block-tag table; subclassed per backend for bulk scans."""
+class TagArray:
+    """Flat block-tag table plus the set of its readable blocks."""
 
     __slots__ = ("_tags", "_readable", "permits_read")
 
-    #: backend bulk kernel: indices of non-zero bytes, ascending
-    _nonzero: Callable[[bytearray], List[int]]
-
     def __init__(self, capacity: int = 0) -> None:
         self._tags = bytearray(capacity)
+        #: invariant: exactly the block ids whose tag is non-zero
         self._readable: set = set()
         #: bound fast path: a block permits reads iff it has any tag
         self.permits_read = self._readable.__contains__
@@ -85,7 +83,7 @@ class TagArrayBase:
     def blocks_with_access(self) -> Iterator[Tuple[int, int]]:
         """All (block, tag) pairs with non-INVALID tags, ascending."""
         t = self._tags
-        return ((b, t[b]) for b in self._nonzero(t))
+        return ((b, t[b]) for b in sorted(self._readable))
 
     def __len__(self) -> int:
         return len(self._readable)

@@ -16,7 +16,6 @@ from repro.core.sc import (
     copyset_bytes,
     make_copyset,
 )
-from repro.core import timestamps
 from repro.core.timestamps import VectorClock
 from repro.harness.experiment import RunConfig, run_experiment
 
@@ -78,17 +77,6 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # vector clocks at every width
 # ---------------------------------------------------------------------------
-def _simcore_backends():
-    """Every importable simcore kernel module."""
-    from repro.simcore import pycore
-
-    try:
-        from repro.simcore import fastcore
-    except ImportError:  # numpy absent: the python backend alone
-        return [pycore]
-    return [pycore, fastcore]
-
-
 def _random_ops(n, seed, steps=300):
     """One seeded op trace, applied to clocks and to plain-list oracles
     in lockstep; any divergence fails immediately."""
@@ -127,11 +115,8 @@ def _random_ops(n, seed, steps=300):
 class TestClockDifferential:
     @pytest.mark.parametrize("n", [16, 64, 1024])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_list_oracle_op_by_op(self, n, seed, monkeypatch):
-        for core in _simcore_backends():
-            for kernel in ("vc_alloc", "vc_merge_into", "vc_dominates"):
-                monkeypatch.setattr(timestamps, kernel, getattr(core, kernel))
-            _random_ops(n, seed)
+    def test_matches_list_oracle_op_by_op(self, n, seed):
+        _random_ops(n, seed)
 
     def test_cross_representation_merge(self):
         """A clock merges another clock or its wire tuple alike."""

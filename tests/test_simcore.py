@@ -1,36 +1,38 @@
-"""Differential tests for the two simcore backends.
+"""Oracle tests for the simcore kernels.
 
-The fast (numpy) backend and the pure-python fallback must be
-observable-state twins: every kernel returns the same values, iterates
-in the same order, and extracts the same diff runs, down to the byte.
-These tests drive seeded randomized operation sequences through both
-backends side by side and assert identical state after every step --
-the unit-level counterpart of the full-cell stats-sha parity check.
-
-When numpy is not importable (the CI no-numpy leg) the differential
-classes skip and the fallback is instead checked against plain oracle
-models, so the pure-python kernels are still covered on a bare install.
+Each kernel is driven through seeded inputs side by side with a plain
+reference model -- a byte loop, a dense byte scan, a list of ints, or
+numpy -- and must agree with it exactly: same values, same iteration
+order, same diff runs down to the byte.  The unit-level counterpart of
+the stats-sha pins, which hold the same contract for whole cells.
 """
 
-import os
+import json
 import random
 import subprocess
 import sys
 from array import array
+from typing import List, Tuple
 
+import numpy as np
 import pytest
 
-from repro.simcore import BACKEND, dtypes, pycore
-from repro.simcore.ring import SeqRing
-
-try:
-    from repro.simcore import fastcore
-except ImportError:  # numpy absent: fallback-only environment
-    fastcore = None
-
-needs_fast = pytest.mark.skipif(
-    fastcore is None, reason="numpy unavailable; fast backend cannot load"
+from repro.core.timestamps import VectorClock
+from repro.simcore import (
+    TagArray,
+    as_payload,
+    buf_eq,
+    copy_of,
+    diff_runs,
+    dtypes,
+    fill,
+    frombytes,
+    pack_scalar,
+    pack_values,
+    tobytes,
+    typed_view,
 )
+from repro.simcore.ring import SeqRing
 
 SEEDS = [0, 1, 2, 7, 1997]
 
@@ -38,11 +40,22 @@ SEEDS = [0, 1, 2, 7, 1997]
 # ----------------------------------------------------------------------
 # tag arrays
 # ----------------------------------------------------------------------
-def _drive_tags(ta, rng: random.Random, trace: list) -> None:
-    """One seeded op sequence; every observable return lands in trace."""
-    for _ in range(400):
+#: block-id spans: a paper-scale table, and the ids of a 1024-node
+#: machine (64 blocks a node) that grow the table far past its capacity
+TAG_SPANS = [200, 1024 * 64]
+
+
+def _dense_scan(ta):
+    """The reference audit: an ascending scan of the dense byte array."""
+    return [(b, t) for b, t in enumerate(ta._tags) if t]
+
+
+def _drive_tags(ta, rng: random.Random, trace: list, span: int) -> None:
+    """One seeded op sequence; every observable return lands in trace,
+    and every 50 ops the bulk audit is checked against a dense scan."""
+    for step in range(400):
         op = rng.randrange(6)
-        block = rng.randrange(200)
+        block = rng.randrange(span)
         if op == 0:
             ta.set_tag(block, rng.choice([0, 1, 2]))
         elif op == 1:
@@ -55,26 +68,31 @@ def _drive_tags(ta, rng: random.Random, trace: list) -> None:
             trace.append(("perm", ta.permits(block, rng.random() < 0.5)))
         else:
             trace.append(("read", ta.permits_read(block)))
+        if step % 50 == 49:
+            assert list(ta.blocks_with_access()) == _dense_scan(ta), step
     trace.append(("len", len(ta)))
     trace.append(("bulk", list(ta.blocks_with_access())))
 
 
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tag_arrays_identical(seed):
-    fast, slow = fastcore.TagArray(), pycore.TagArray()
-    tf, ts = [], []
-    _drive_tags(fast, random.Random(seed), tf)
-    _drive_tags(slow, random.Random(seed), ts)
-    assert tf == ts
-    assert bytes(fast._tags) == bytes(slow._tags)
-    assert fast._readable == slow._readable
+    """After set_tag/invalidate/downgrade traces that grow the table
+    past its capacity, the audit equals an ascending dense byte scan and
+    the readable set holds exactly the non-zero tags."""
+    for span in TAG_SPANS:
+        ta = TagArray(capacity=16)
+        trace = []
+        _drive_tags(ta, random.Random(seed), trace, span)
+        scan = _dense_scan(ta)
+        assert ta.capacity > 16
+        assert trace[-1] == ("bulk", scan)
+        assert trace[-2] == ("len", len(scan))
+        assert ta._readable == {b for b, _ in scan}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fallback_tags_match_dict_model(seed):
-    """Oracle check that runs even without numpy installed."""
-    ta = pycore.TagArray()
+    ta = TagArray()
     model = {}
     rng = random.Random(seed)
     for _ in range(400):
@@ -92,38 +110,85 @@ def test_fallback_tags_match_dict_model(seed):
 
 
 # ----------------------------------------------------------------------
-# vector clocks -- cross the fastcore vectorization threshold both ways
+# vector clocks -- narrow and wide, against list-of-ints oracles
 # ----------------------------------------------------------------------
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [4, 16, 63, 64, 128])
 def test_vector_clock_kernels_identical(seed, n):
     rng = random.Random(seed * 1000 + n)
-    vf = array("q", (rng.randrange(100) for _ in range(n)))
-    vs = array("q", vf)
+    start = array("q", (rng.randrange(100) for _ in range(n)))
+    vc = VectorClock(n)
+    vc.merge(start)
+    expect = list(start)
     for _ in range(50):
         other = array("q", (rng.randrange(120) for _ in range(n)))
-        fastcore.vc_merge_into(vf, other)
-        pycore.vc_merge_into(vs, other)
-        assert vf == vs
+        vc.merge(other)
+        expect = [max(a, b) for a, b in zip(expect, other)]
+        assert list(vc.v) == expect
         probe = array("q", (rng.randrange(130) for _ in range(n)))
-        assert fastcore.vc_dominates(vf, probe) == pycore.vc_dominates(vs, probe)
+        assert vc.dominates(probe) == all(a >= b for a, b in zip(expect, probe))
 
 
 def test_fallback_vc_matches_builtin_max():
     rng = random.Random(3)
-    v = array("q", (rng.randrange(50) for _ in range(32)))
-    other = array("q", (rng.randrange(50) for _ in range(32)))
-    expect = [max(a, b) for a, b in zip(v, other)]
-    pycore.vc_merge_into(v, other)
-    assert list(v) == expect
-    assert pycore.vc_dominates(v, other)
-    assert pycore.vc_dominates(v, v)
+    v = [rng.randrange(50) for _ in range(32)]
+    other = [rng.randrange(50) for _ in range(32)]
+    vc = VectorClock(32)
+    vc.merge(v)
+    vc.merge(other)
+    assert vc.as_tuple() == tuple(max(a, b) for a, b in zip(v, other))
+    assert vc.dominates(other)
+    assert vc.dominates(vc)
 
 
 # ----------------------------------------------------------------------
 # twin/diff run extraction
 # ----------------------------------------------------------------------
+def _reference_diff_runs(dirty, twin) -> List[Tuple[int, bytes]]:
+    """Changed-byte runs of ``dirty`` vs ``twin``: maximal groups of
+    consecutive differing byte offsets, as (offset, copied data).
+
+    Strategy: one memcmp rules out the no-change case; then a word scan
+    over 8-byte views locates the changed words and only those words are
+    refined byte-by-byte.  For the sparse-write patterns twin/diff
+    exists to exploit, the python-level loop touches a small fraction
+    of the block.
+    """
+    # Normalize foreign buffer types (numpy arrays) to byte-compare
+    # cleanly.
+    if not isinstance(dirty, (bytes, bytearray)):
+        dirty = memoryview(dirty).cast("B")
+    if not isinstance(twin, (bytes, bytearray)):
+        twin = memoryview(twin).cast("B")
+    if dirty == twin:
+        return []
+    idx: List[int] = []
+    n = len(dirty)
+    words = n >> 3
+    if words:
+        end = words << 3
+        dw = memoryview(dirty)[:end].cast("Q")
+        tw = memoryview(twin)[:end].cast("Q")
+        for w in range(words):
+            if dw[w] != tw[w]:
+                base = w << 3
+                for o in range(base, base + 8):
+                    if dirty[o] != twin[o]:
+                        idx.append(o)
+    for o in range(words << 3, n):
+        if dirty[o] != twin[o]:
+            idx.append(o)
+    runs: List[Tuple[int, bytes]] = []
+    start = prev = idx[0]
+    for o in idx[1:]:
+        if o != prev + 1:
+            runs.append((start, bytes(dirty[start : prev + 1])))
+            start = o
+        prev = o
+    runs.append((start, bytes(dirty[start : prev + 1])))
+    return runs
+
+
 def _mutate(rng: random.Random, base: bytearray) -> bytearray:
     """One of the real-world dirty-block shapes, randomized."""
     dirty = bytearray(base)
@@ -148,21 +213,50 @@ def _mutate(rng: random.Random, base: bytearray) -> bytearray:
     return dirty
 
 
+def _patterns(rng: random.Random, twin: bytearray):
+    """The fixed block shapes: all changed, sparse, striped, last byte
+    only, unchanged."""
+    n = len(twin)
+    full = bytearray(b ^ (1 + rng.randrange(255)) for b in twin)
+    sparse = bytearray(twin)
+    for i in rng.sample(range(n), max(1, n // 37)):
+        sparse[i] ^= 0x80
+    striped = bytearray(twin)
+    for i in range(n):
+        if i % 16 < 8:
+            striped[i] ^= 0x11
+    last = bytearray(twin)
+    last[-1] ^= 0x01
+    return [full, sparse, striped, last, bytearray(twin)]
+
+
+#: how a caller may hand a block to the kernel
+_INPUT_TYPES = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda b: memoryview(bytearray(b)),
+    "numpy": lambda b: np.frombuffer(bytes(b), dtype=np.uint8).copy(),
+}
+
+
 def _norm(runs):
     return [(off, bytes(data)) for off, data in runs]
 
 
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("size", [1, 7, 64, 1024, 4096])
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65, 1024, 4096])
 def test_diff_runs_identical(seed, size):
+    """The XOR/regex kernel extracts exactly the byte loop's runs, for
+    every block shape and every input type."""
     rng = random.Random(seed * 10 + size)
     twin = bytearray(rng.randrange(256) for _ in range(size))
-    for _ in range(20):
-        dirty = _mutate(rng, twin)
-        rf = _norm(fastcore.diff_runs(bytes(dirty), bytes(twin)))
-        rs = _norm(pycore.diff_runs(bytes(dirty), bytes(twin)))
-        assert rf == rs
+    dirties = _patterns(rng, twin) + [_mutate(rng, twin) for _ in range(20)]
+    for dirty in dirties:
+        want = _reference_diff_runs(bytes(dirty), bytes(twin))
+        for kind, make in _INPUT_TYPES.items():
+            got = diff_runs(make(dirty), make(twin))
+            assert all(type(data) is bytes for _, data in got), kind
+            assert _norm(got) == want, kind
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -172,7 +266,7 @@ def test_fallback_diff_runs_roundtrip_and_shape(seed):
         twin = bytearray(rng.randrange(256) for _ in range(size))
         for _ in range(10):
             dirty = _mutate(rng, twin)
-            runs = pycore.diff_runs(bytes(dirty), bytes(twin))
+            runs = diff_runs(bytes(dirty), bytes(twin))
             # runs reconstruct the dirty copy from the twin
             rebuilt = bytearray(twin)
             for off, data in runs:
@@ -189,51 +283,47 @@ def test_fallback_diff_runs_roundtrip_and_shape(seed):
 # ----------------------------------------------------------------------
 # block buffers, packing, typed views
 # ----------------------------------------------------------------------
-@needs_fast
 @pytest.mark.parametrize("seed", SEEDS)
 def test_buffer_kernels_identical(seed):
+    """Block-buffer kernels against a bytes model; ``as_payload`` over
+    every buffer type a caller hands in."""
     rng = random.Random(seed)
     for _ in range(50):
         n = rng.randrange(1, 300)
         raw = bytes(rng.randrange(256) for _ in range(n))
-        bf, bs = fastcore.frombytes(raw), pycore.frombytes(raw)
+        buf = frombytes(raw)
         start = rng.randrange(n)
         stop = rng.randrange(start, n + 1)
         value = rng.randrange(256)
-        fastcore.fill(bf, start, stop, value)
-        pycore.fill(bs, start, stop, value)
-        assert fastcore.tobytes(bf) == pycore.tobytes(bs)
-        assert fastcore.buf_eq(bf, fastcore.frombytes(fastcore.tobytes(bf)))
-        assert pycore.buf_eq(bs, pycore.frombytes(pycore.tobytes(bs)))
-        assert fastcore.tobytes(fastcore.copy_of(bf)) == pycore.tobytes(
-            pycore.copy_of(bs)
-        )
-        assert bytes(fastcore.as_payload(raw)) == bytes(pycore.as_payload(raw))
+        fill(buf, start, stop, value)
+        want = raw[:start] + bytes([value]) * (stop - start) + raw[stop:]
+        assert tobytes(buf) == want
+        assert buf_eq(buf, frombytes(want))
+        twin = copy_of(buf)
+        assert tobytes(twin) == want and twin is not buf
+        for payload in (raw, bytearray(raw), memoryview(raw),
+                        np.frombuffer(raw, dtype=np.uint8), list(raw)):
+            assert bytes(as_payload(payload)) == raw
 
 
-@needs_fast
 @pytest.mark.parametrize("spec", ["float64", "int64", "int32", "uint8"])
 def test_pack_and_typed_view_identical(spec):
+    """Packing and typed views agree with numpy's byte layout."""
     dt = dtypes.dtype(spec)
     values = [0, 1, 17, 100]
-    assert bytes(fastcore.pack_values(values, (4,), dt)) == bytes(
-        pycore.pack_values(values, (4,), dt)
-    )
-    assert bytes(fastcore.pack_scalar(42, dt)) == bytes(pycore.pack_scalar(42, dt))
-    raw = pycore.pack_values(values, (4,), dt)
-    vf = fastcore.typed_view(fastcore.frombytes(raw), dt)
-    vs = pycore.typed_view(pycore.frombytes(raw), dt)
-    assert list(vf) == list(vs) == values
-    assert vf.sum() == vs.sum()
+    assert bytes(pack_values(values, (4,), dt)) == np.array(values, dtype=spec).tobytes()
+    assert bytes(pack_scalar(42, dt)) == np.array([42], dtype=spec).tobytes()
+    raw = pack_values(values, (4,), dt)
+    view = typed_view(frombytes(raw), dt)
+    assert list(view) == np.frombuffer(raw, dtype=spec).tolist() == values
+    assert view.sum() == sum(values)
+    assert np.array_equal(np.asarray(view), np.array(values, dtype=spec))
 
 
 def test_pack_values_shape_checked():
     dt = dtypes.dtype("float64")
     with pytest.raises(ValueError):
-        pycore.pack_values([1.0, 2.0], (3,), dt)
-    if fastcore is not None:
-        with pytest.raises(ValueError):
-            fastcore.pack_values([1.0, 2.0], (3,), dt)
+        pack_values([1.0, 2.0], (3,), dt)
 
 
 # ----------------------------------------------------------------------
@@ -278,46 +368,38 @@ def test_seq_ring_grows_past_collisions():
 
 
 # ----------------------------------------------------------------------
-# backend selection and end-to-end parity
+# the runtime without numpy
 # ----------------------------------------------------------------------
-def _spawn(env_value):
-    env = dict(os.environ, REPRO_SIMCORE=env_value)
+_NO_NUMPY_RUN = """
+import hashlib, json, sys
+from repro import simcore
+from repro.harness.experiment import RunConfig, run_experiment
+from repro.mc.explore import explore
+from repro.mc.litmus import get_litmus
+stats = run_experiment(RunConfig(app="lu", protocol="hlrc", granularity=1024,
+                                 nprocs=16, scale="tiny")).stats
+payload = json.dumps(stats.to_dict(), sort_keys=True, default=float)
+mc = explore(get_litmus("mp"), "sc")
+print(json.dumps({
+    "sha": hashlib.sha256(payload.encode()).hexdigest()[:16],
+    "mc": [mc.schedules, mc.transitions, mc.complete, mc.ok],
+    "numpy": "numpy" in sys.modules,
+    "backend": simcore.BACKEND,
+}))
+"""
+
+
+def test_runtime_runs_without_numpy():
+    """A cell and an exploration import and run without numpy, the
+    cell's stats-sha is the lu/hlrc/1024 pin of the 48-cell matrix in
+    test_scaling.py, and ``BACKEND`` (read by the cell benchmark) names
+    the stdlib kernels."""
     out = subprocess.run(
-        [sys.executable, "-c", "import repro.simcore as s; print(s.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+        [sys.executable, "-c", _NO_NUMPY_RUN],
+        capture_output=True, text=True, check=True,
     )
-    return out.stdout.strip()
-
-
-def test_env_var_selects_backend():
-    assert _spawn("python") == "python"
-    if fastcore is not None:
-        assert _spawn("fast") == "fast"
-        assert _spawn("auto") == "fast"
-    assert BACKEND in ("fast", "python")
-
-
-@needs_fast
-def test_full_cell_sha_parity_across_backends():
-    """The end-to-end contract: one tiny LU cell produces bit-identical
-    stats under the fast backend and the pure-python fallback."""
-    code = (
-        "from repro.perf.micros import full_cell_sc;"
-        "print(full_cell_sc()[1])"
-    )
-    shas = {}
-    for backend in ("fast", "python"):
-        env = dict(os.environ, REPRO_SIMCORE=backend)
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        shas[backend] = out.stdout.strip()
-    assert shas["fast"] == shas["python"]
-    assert len(shas["fast"]) == 16
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["numpy"] is False
+    assert got["backend"] == "python"
+    assert got["sha"] == "ff62a23ec4f4666b"
+    assert got["mc"] == [142, 6314, True, True]
