@@ -39,6 +39,9 @@ after ``release_prepare`` for both lock releases and barrier arrivals):
   fresh (one-hop read service correctness).
 * HLRC -- every noticed block is invalidated unless this node is the
   writer or the block's home.
+* both -- clock bound: ``vt[n][i] <= vt[i][i]`` for every ``i`` (no
+  node has seen more of node ``i``'s intervals than ``i`` has closed),
+  the invariant the barrier's diagonal merge rests on.  O(N) per sync.
 * Tardis -- pts advance on acquire: the node's program timestamp is at
   least the granter's shipped ``pts``, and no cached lease older than
   the new ``pts`` survives the expiry scan.
@@ -59,6 +62,7 @@ post-install window through its ``_settling`` set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Dict, List, Optional, Tuple
 
 from repro.hooks import Hooks
@@ -383,7 +387,21 @@ class InvariantChecker(Hooks):
         if self._at_sync is not None and payload:
             self._at_sync(node_id, payload)
 
+    def _clock_bound(self, node_id: int) -> None:
+        vts = self.p.vt
+        diag = [vt[i] for i, vt in enumerate(vts)]
+        mine = vts[node_id].as_tuple()
+        if not any(map(gt, mine, diag)):
+            return
+        i = next(i for i, (x, d) in enumerate(zip(mine, diag)) if x > d)
+        self._report(
+            "clock-bound",
+            f"component {i} is {mine[i]}, above node {i}'s own {diag[i]}",
+            node=node_id,
+        )
+
     def _sync_swlrc(self, node_id: int, payload) -> None:
+        self._clock_bound(node_id)
         p = self.p
         access = self.m.nodes[node_id].access
         for wn in payload.get("notices") or ():
@@ -410,6 +428,7 @@ class InvariantChecker(Hooks):
                 )
 
     def _sync_hlrc(self, node_id: int, payload) -> None:
+        self._clock_bound(node_id)
         p = self.p
         access = self.m.nodes[node_id].access
         for wn in payload.get("notices") or ():

@@ -12,8 +12,11 @@ conflicting access pair it cannot order, in the DJIT+ style:
   advanced at releases and barrier entries;
 * each lock carries a clock merged from every releaser and folded into
   each acquirer (the transitive lock-chain ordering);
-* a barrier episode stashes every participant's entry clock and folds
-  all of them into every participant on exit (all-to-all ordering);
+* a barrier episode stashes every participant's entry clock, folds
+  them into one clock at the first exit, and merges that clock into
+  every participant on exit (all-to-all ordering; max is associative,
+  so this equals merging each entry clock, at O(N^2) instead of
+  O(N^3) per N-way episode);
 * for every *detection unit* (byte / word / coherence block) the last
   read and last write of each node are kept as scalar epochs; an access
   conflicts with a stored epoch the accessor's clock has not seen.
@@ -193,8 +196,9 @@ class RaceDetector(Hooks):
             # from "never synchronized with" (component 0).
             c.tick(i)
         self._lock_clock: Dict[int, VectorClock] = {}
-        #: (barrier_id, episode) -> (entry clocks, exit countdown)
-        self._episodes: Dict[Tuple[int, int], Tuple[List[VectorClock], List[int]]] = {}
+        #: (barrier_id, episode) -> [entry clocks, exits so far, their
+        #: fold (None until the first exit)]
+        self._episodes: Dict[Tuple[int, int], list] = {}
         #: unit -> node -> last write / last read epoch
         self._writes: Dict[int, Dict[int, _Epoch]] = {}
         self._reads: Dict[int, Dict[int, _Epoch]] = {}
@@ -326,7 +330,7 @@ class RaceDetector(Hooks):
         key = (barrier_id, episode)
         rec = self._episodes.get(key)
         if rec is None:
-            rec = self._episodes[key] = ([], [0])
+            rec = self._episodes[key] = [[], 0, None]
         rec[0].append(self._clock[node_id].copy())
 
     def on_barrier_exit(self, node_id: int, barrier_id: int, episode: int) -> None:
@@ -334,16 +338,19 @@ class RaceDetector(Hooks):
         rec = self._episodes.get(key)
         if rec is None:  # pragma: no cover - exit without entry
             return
-        entry_clocks, exits = rec
-        clock = self._clock[node_id]
-        for entry in entry_clocks:
-            clock.merge(entry)
-        clock.tick(node_id)
         # Every participant entered before the first exit (the manager
         # broadcasts only once all arrivals are in), so the entry list
-        # is complete here and the countdown is exact.
-        exits[0] += 1
-        if exits[0] >= len(entry_clocks):
+        # is complete here: fold it once, and the countdown is exact.
+        entry_clocks, exits, folded = rec
+        if folded is None:
+            folded = rec[2] = entry_clocks[0].copy()
+            for entry in entry_clocks[1:]:
+                folded.merge(entry)
+        clock = self._clock[node_id]
+        clock.merge(folded)
+        clock.tick(node_id)
+        rec[1] = exits = exits + 1
+        if exits >= len(entry_clocks):
             del self._episodes[key]
         self._context[node_id] = (
             f"after barrier {barrier_id} (episode {episode}) "

@@ -128,12 +128,27 @@ class Machine:
         """Declarative first-touch placement of a region (see
         HomeTable.place): models the home layout the application's
         initialization phase would establish, including the access tags
-        the init-phase touches would leave behind."""
-        self.home.place_region(addr, size, node)
+        the init-phase touches would leave behind.
+
+        Placement is a setup-time declaration, so it is refused once the
+        engine has run an event.  Before then only a block's previous
+        placed home can hold a tag, ownership or lease on it: that node
+        alone is passed to ``on_place`` to be revoked (``prev``; None
+        when the block was unplaced or is re-placed to the same node)."""
+        if self.engine.events_run:
+            raise RuntimeError(
+                "Machine.place after the engine ran: placement models the "
+                "init phase and must precede the parallel phase"
+            )
         first = addr // self.params.granularity
         last = (addr + size - 1) // self.params.granularity
-        for b in range(first, last + 1):
-            self.protocol.on_place(b, node)
+        blocks = range(first, last + 1)
+        home = self.home.home
+        prevs = [home(b) for b in blocks]
+        self.home.place_region(addr, size, node)
+        on_place = self.protocol.on_place
+        for b, prev in zip(blocks, prevs):
+            on_place(b, node, None if prev == node else prev)
 
     def place_segment(self, seg: Segment, node: int) -> None:
         self.place(seg.base, seg.size, node)

@@ -29,7 +29,7 @@ write is ever lost.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Set
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.core.diff import apply_diff, create_diff
 from repro.core.protocol import CoherenceProtocol, register
@@ -76,10 +76,9 @@ class ERCProtocol(CoherenceProtocol):
     def _is_home(self, node_id: int, block: int) -> bool:
         return self.home.home_or_static(block) == node_id
 
-    def on_place(self, block: int, home_id: int) -> None:
-        for n in self.m.nodes:
-            if n.id != home_id:
-                n.access.invalidate(block)
+    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
+        if prev is not None:
+            self.m.nodes[prev].access.invalidate(block)
         self.m.nodes[home_id].access.set_tag(block, RO)
 
     # ==================================================================

@@ -23,7 +23,7 @@ interval's dirty set so the next release still advertises it.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Optional
 
 from repro.core.diff import apply_diff, create_diff
 from repro.core.lrc_base import LRCBase
@@ -63,13 +63,12 @@ class HLRCProtocol(LRCBase):
     def _is_home(self, node_id: int, block: int) -> bool:
         return self.home.home_or_static(block) == node_id
 
-    def on_place(self, block: int, home_id: int) -> None:
+    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """The home's copy is current by construction, but stays RO so
         the home's own writes are detected (dirty set -> notices).
         Re-placement revokes the previous home's access."""
-        for n in self.m.nodes:
-            if n.id != home_id:
-                n.access.invalidate(block)
+        if prev is not None:
+            self.m.nodes[prev].access.invalidate(block)
         self.m.nodes[home_id].access.set_tag(block, RO)
 
     def read_fault(self, node, block: int) -> Generator:

@@ -82,18 +82,33 @@ class LRCBase(CoherenceProtocol):
     def barrier_payloads(
         self, vts: Dict[int, Any]
     ) -> Dict[int, Tuple[Any, int]]:
-        if len(vts) > 1:
-            # Column-wise max over every arrival, at C level; computed
-            # once and shared by every payload.
-            merged = tuple(map(max, *vts.values()))
-        else:  # max() of a single int raises: nothing to merge
-            merged = tuple(*vts.values())
+        """Tailored release payloads around one merged timestamp.
+
+        Only node ``i`` ticks component ``i``; every other clock learns
+        it through a grant or barrier that copied some earlier value of
+        node ``i``'s own clock.  So ``vt[n][i] <= vt[i][i]`` for every
+        pair of nodes (the checker's ``clock-bound`` rule), and the
+        column max of a participant ``i``'s column is its own arrival's
+        diagonal entry ``vts[i][i]``.  Only a column with no arrival (a
+        partial barrier) needs the max over the arrivals -- one O(N)
+        formula instead of an O(N^2) column max.
+
+        The merged timestamp dominates every arrival, and a node blocked
+        in the barrier can neither tick nor apply a grant, so its clock
+        still equals its arrival: ``apply_sync`` copies a payload marked
+        ``dominates`` instead of merging it.
+        """
+        arrivals = vts.values()
+        merged = tuple(
+            vts[i][i] if i in vts else max(vt[i] for vt in arrivals)
+            for i in range(self.params.n_nodes)
+        )
         ilog = self.ilog
         out: Dict[int, Tuple[Any, int]] = {}
         for node_id, vt in vts.items():
             notices = ilog.notices_between(vt, merged)
             out[node_id] = (
-                {"vt": merged, "notices": notices},
+                {"vt": merged, "notices": notices, "dominates": True},
                 ilog.compressed_count(notices),
             )
         return out
@@ -101,7 +116,10 @@ class LRCBase(CoherenceProtocol):
     def apply_sync(self, node, payload) -> Generator:
         if not payload:
             return
-        self.vt[node.id].merge(payload["vt"])
+        if "dominates" in payload:  # a barrier release, see barrier_payloads
+            self.vt[node.id].assign(payload["vt"])
+        else:  # a lock grant: the granter may lag the acquirer
+            self.vt[node.id].merge(payload["vt"])
         notices = payload["notices"]
         if notices:
             self.stats.write_notices_applied += len(notices)

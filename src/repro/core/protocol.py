@@ -200,10 +200,13 @@ class CoherenceProtocol:
         if self.checker is not None:
             self.checker.after_message(self, node, msg)
 
-    def on_place(self, block: int, home_id: int) -> None:
+    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """Setup-time hook: a block was declaratively placed at a home
         (models the init-phase first touch).  Protocols initialize the
-        home's access tag / directory state here."""
+        home's access tag / directory state here.  ``prev`` is the
+        block's previous placed home when it differs from ``home_id``
+        (else None): the only node whose state for the block they must
+        revoke (see :meth:`Machine.place`)."""
 
     # ------------------------------------------------------------------
     # fault entry points (app context)

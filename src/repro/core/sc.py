@@ -30,10 +30,11 @@ from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import CountdownLatch, Future
 
 #: widest machine the directory keeps plain-set copysets for; above
-#: this :func:`make_copyset` switches to the sharded sparse form.
-#: Matches the clock threshold in ``core/timestamps.py`` so every
-#: paper-scale (16-node) structure keeps its exact seed representation
-#: -- the bit-identity contract.
+#: this :func:`make_copyset` switches to the sharded sparse form.  Every
+#: paper-scale (16-node) directory thus keeps the exact plain set the
+#: seed used -- same iteration and message order, same stats-sha: the
+#: bit-identity contract.  (Vector clocks have one dense form at every
+#: width; this threshold is the copysets' own.)
 PLAIN_COPYSET_MAX = 64
 
 #: nodes per copyset shard (and the shard-index shift)
@@ -177,7 +178,7 @@ class SCProtocol(CoherenceProtocol):
             }
         )
 
-    def on_place(self, block: int, home_id: int) -> None:
+    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """Init-phase touches leave the home owning its placed blocks
         exclusively: home-memory writes never fault (Stache semantics,
         and the reason LU's Table 3 shows zero write faults).
@@ -185,10 +186,9 @@ class SCProtocol(CoherenceProtocol):
         Re-placement (a block spanning two regions placed to different
         nodes -- e.g. an unaligned partition boundary) revokes the
         previous home's access."""
-        for n in self.m.nodes:
-            if n.id != home_id:
-                n.access.invalidate(block)
-                self._owned.discard((n.id, block))
+        if prev is not None:
+            self.m.nodes[prev].access.invalidate(block)
+            self._owned.discard((prev, block))
         e = self._entry(block)
         e.owner = home_id
         e.sharers.clear()

@@ -93,14 +93,13 @@ class SWLRCProtocol(LRCBase):
     # ==================================================================
     # write fault: ownership migration (app context)
     # ==================================================================
-    def on_place(self, block: int, home_id: int) -> None:
+    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """The home's copy is readable; its first write acquires
         ownership through the cheap local path.  Re-placement revokes
-        the previous home's access."""
-        for n in self.m.nodes:
-            if n.id != home_id:
-                n.access.invalidate(block)
-                self.owned[n.id].discard(block)
+        the previous home's access (ownership is only taken at run time,
+        after every placement)."""
+        if prev is not None:
+            self.m.nodes[prev].access.invalidate(block)
         self.m.nodes[home_id].access.set_tag(block, RO)
 
     def write_fault(self, node, block: int) -> Generator:

@@ -131,14 +131,12 @@ class TardisProtocol(CoherenceProtocol):
     # ==================================================================
     # placement
     # ==================================================================
-    def on_place(self, block: int, home_id: int) -> None:
+    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """The home's copy is readable from t=0; re-placement revokes
-        every other node's copy and any stale ownership."""
-        for n in self.m.nodes:
-            if n.id != home_id:
-                n.access.invalidate(block)
-                self.owned[n.id].discard(block)
-                self.lease[n.id].pop(block, None)
+        the previous home's copy (ownership and leases are only taken at
+        run time, after every placement)."""
+        if prev is not None:
+            self.m.nodes[prev].access.invalidate(block)
         self.m.nodes[home_id].access.set_tag(block, RO)
         e = self._entry(block)
         e.owner = None

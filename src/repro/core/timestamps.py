@@ -59,6 +59,7 @@ class VectorClock:
     dense clock is both the smallest and the fastest form.  Contract:
 
     * ``merge(other)`` -- elementwise max into self;
+    * ``assign(other)`` -- ``merge`` for an ``other`` that dominates self;
     * ``dominates(other)`` -- ``self[i] >= other[i]`` for every i;
     * ``tick(node)`` -- bump one component (interval start);
     * ``bytes_used()`` -- modeled storage bytes (8 per component);
@@ -88,6 +89,12 @@ class VectorClock:
             if x > v[i]:
                 v[i] = x
             i += 1
+
+    def assign(self, other: ClockLike) -> None:
+        """Overwrite self with ``other``, a clock known to dominate it:
+        then ``merge`` would leave exactly ``other``, at a slice copy's
+        cost instead of a per-component loop."""
+        self.v[:] = _components(other)
 
     def tick(self, node: int) -> int:
         """Start a new interval for ``node``; returns the new count."""

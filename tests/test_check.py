@@ -3,6 +3,7 @@ protocol-invariant sanitizer, the execution-layer wiring, and the
 simulator lint (tools/lint_sim.py)."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,51 @@ class TestRaceDetector:
 
         report = checked_run(build, protocol="hlrc", nprocs=2)
         assert report.races_total == 0
+
+    def test_barrier_exit_clocks_match_per_entry_merge(self):
+        """The folded episode clock gives every exit the clock that
+        merging each entry clock in turn (the oracle) gives."""
+        from repro.check.race import RaceDetector
+        from repro.sim.engine import Engine
+
+        n = 65
+        rng = random.Random(65)
+        det = RaceDetector(n, 4, Engine())
+        for clock in det._clock:
+            clock.merge([rng.randrange(9) for _ in range(n)])
+        entries = list(range(n))
+        rng.shuffle(entries)
+        before = {nid: det._clock[nid].copy() for nid in entries}
+        for nid in entries:
+            det.on_barrier_enter(nid, 3, 0)
+        exits = list(range(n))
+        rng.shuffle(exits)
+        for nid in exits:
+            det.on_barrier_exit(nid, 3, 0)
+            want = before[nid].copy()
+            for other in entries:
+                want.merge(before[other])
+            want.tick(nid)
+            assert det._clock[nid].as_tuple() == want.as_tuple()
+        assert not det._episodes  # the countdown retired the episode
+
+    def test_post_barrier_race_reports_barrier_context(self, checked_run):
+        def build(machine):
+            seg = machine.alloc(1024, "x")
+
+            def program(dsm, rank, nprocs):
+                yield from dsm.barrier(0, participants=nprocs)
+                if rank < 2:
+                    yield from dsm.touch_write(seg.base, 64, pattern=rank)
+
+            return program
+
+        report = checked_run(build, protocol="swlrc", nprocs=3)
+        assert report.races_total >= 1
+        race = report.races[0]
+        assert {race.earlier.node, race.later.node} == {0, 1}
+        for site in (race.earlier, race.later):
+            assert site.sync_context.startswith("after barrier 0 (episode 0) @t=")
 
     def test_unordered_read_write_flagged(self, checked_run):
         def build(machine):
@@ -290,6 +336,17 @@ class TestInvariantInjection:
         checkers.invariants._release_common(1)
         rules = {v.rule for v in checkers.invariants.violations}
         assert "dirty-survives-release" in rules
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_lrc_clock_bound_violation(self, protocol):
+        m, checkers = self._run_app_cell(protocol)
+        vt = m.protocol.vt
+        # Node 1 claims an interval of node 0 that node 0 never closed.
+        vt[1].merge((vt[0][0] + 1, 0))
+        checkers.invariants.on_sync_applied(1, {"vt": vt[1].as_tuple(), "notices": []})
+        [v] = checkers.invariants.violations
+        assert (v.rule, v.node) == ("clock-bound", 1)
+        assert "component 0" in v.detail
 
     def test_clean_cells_report_nothing(self):
         for protocol in PROTOCOLS:

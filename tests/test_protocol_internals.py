@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Machine, MachineParams, run_program
+from repro.core.registry import available_protocols
 from repro.memory.access_control import INV, RO, RW
 
 
@@ -269,3 +270,72 @@ class TestHLRCInternals:
         run_program(m, program, nprocs=4)
         vts = {m.protocol.vt[i].as_tuple() for i in range(4)}
         assert len(vts) == 1  # everyone merged to the same clock
+
+
+# ----------------------------------------------------------------------
+# setup-time placement
+# ----------------------------------------------------------------------
+#: overlapping placements: a partial re-placement, a re-placement to the
+#: same node and an unaligned region straddling earlier ones
+_PLACEMENTS = ((0, 1024, 1), (512, 1024, 2), (768, 256, 2), (256, 300, 0))
+
+
+def _sweep_place(m, addr, size, node):
+    """The all-node sweep ``Machine.place`` used to run: every node but
+    the new home loses its tag, ownership and lease.  The reference."""
+    p = m.protocol
+    m.home.place_region(addr, size, node)
+    g = m.params.granularity
+    for b in range(addr // g, (addr + size - 1) // g + 1):
+        for n in m.nodes:
+            if n.id == node:
+                continue
+            n.access.invalidate(b)
+            if hasattr(p, "_owned"):
+                p._owned.discard((n.id, b))
+            if hasattr(p, "owned"):
+                p.owned[n.id].discard(b)
+            if hasattr(p, "lease"):
+                p.lease[n.id].pop(b, None)
+        p.on_place(b, node, None)
+
+
+def _placement_state(m):
+    p = m.protocol
+    return {
+        "tags": [list(n.access.blocks_with_access()) for n in m.nodes],
+        "sc_owned": sorted(getattr(p, "_owned", ())),
+        "owned": [sorted(s) for s in getattr(p, "owned", ())],
+        "lease": [sorted(d.items()) for d in getattr(p, "lease", ())],
+        "homes": sorted(m.home._home.items()),
+    }
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_replacement_revokes_like_the_all_node_sweep(self, protocol):
+        fast, ref = make(protocol, g=256), make(protocol, g=256)
+        seg = fast.alloc(2048, "x")
+        assert ref.alloc(2048, "x").base == seg.base
+        for off, size, node in _PLACEMENTS:
+            fast.place(seg.base + off, size, node)
+            _sweep_place(ref, seg.base + off, size, node)
+            assert _placement_state(fast) == _placement_state(ref)
+        # the unaligned last placement moved block 1 away from node 1,
+        # which placed it first, to node 0: only node 0 holds a tag
+        block = seg.base // 256 + 1
+        holders = [n.id for n in fast.nodes
+                   if any(b == block for b, _ in n.access.blocks_with_access())]
+        assert holders == [0]
+
+    def test_place_after_run_raises(self):
+        m = make("hlrc")
+        seg = m.alloc(1024, "x")
+        m.place(seg.base, 1024, 1)
+
+        def program(dsm, rank, nprocs):
+            yield from dsm.barrier(0, participants=nprocs)
+
+        run_program(m, program, nprocs=4)
+        with pytest.raises(RuntimeError, match="place"):
+            m.place(seg.base, 1024, 2)

@@ -26,6 +26,14 @@ class TestVectorClock:
         a.merge((3, 1, 2))
         assert a.as_tuple() == (3, 5, 2)
 
+    def test_assign_equals_merge_of_a_dominating_clock(self):
+        a = VectorClock(3)
+        a.v = [1, 5, 2]
+        merged = a.copy()
+        merged.merge((3, 5, 4))
+        a.assign((3, 5, 4))
+        assert a.as_tuple() == merged.as_tuple() == (3, 5, 4)
+
     def test_copy_is_independent(self):
         a = VectorClock(3)
         b = a.copy()
@@ -172,7 +180,8 @@ class TestWriterIndex:
 
 
 def _old_barrier_payloads(log, vts, n):
-    """The nested-loop merge ``barrier_payloads`` replaced: the oracle."""
+    """The nested-loop column-max merge ``barrier_payloads`` replaced:
+    the oracle."""
     merged = [0] * n
     for vt in vts.values():
         for i, x in enumerate(vt):
@@ -188,6 +197,19 @@ def _old_barrier_payloads(log, vts, n):
     return out
 
 
+def _assert_matches_oracle(got, want):
+    """Field by field: merged vt, notices, compressed count, one shared
+    merged tuple and arrival order."""
+    assert list(got) == list(want)  # arrival order is insertion order
+    for nid, (payload, count) in got.items():
+        want_payload, want_count = want[nid]
+        assert payload["vt"] == want_payload["vt"]
+        assert payload["notices"] == want_payload["notices"]
+        assert count == want_count
+        assert payload["dominates"]  # applied by copy, see apply_sync
+    assert len({id(p["vt"]) for p, _ in got.values()}) == 1
+
+
 class TestBarrierPayloads:
     @staticmethod
     def _protocol(n, seed, name):
@@ -199,7 +221,14 @@ class TestBarrierPayloads:
 
     @staticmethod
     def _arrivals(counts, nodes, rng):
-        return {nid: tuple(rng.randint(0, c) for c in counts) for nid in nodes}
+        """Reachable arrivals: random components, except that arrival
+        ``i``'s own component is its column's max -- only node ``i``
+        ticks component ``i``, so no node has seen more of ``i``'s
+        intervals than ``i`` has closed."""
+        vts = {nid: [rng.randint(0, c) for c in counts] for nid in nodes}
+        for nid, vt in vts.items():
+            vt[nid] = max(other[nid] for other in vts.values())
+        return {nid: tuple(vt) for nid, vt in vts.items()}
 
     @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
     @pytest.mark.parametrize("n", [16, 65])
@@ -210,18 +239,16 @@ class TestBarrierPayloads:
         rng.shuffle(nodes)  # arrival order is insertion order
         vts = self._arrivals(counts, nodes, rng)
         got = proto.barrier_payloads(vts)
-        assert got == _old_barrier_payloads(proto.ilog, vts, n)
+        _assert_matches_oracle(got, _old_barrier_payloads(proto.ilog, vts, n))
         assert list(got) == nodes
-        # one merged timestamp shared by every payload
-        assert len({id(p["vt"]) for p, _ in got.values()}) == 1
 
     @pytest.mark.parametrize("n", [16, 65])
     def test_participant_subset(self, n):
         proto, counts = self._protocol(n, n + 1, "swlrc")
         rng = random.Random(n + 1)
         vts = self._arrivals(counts, rng.sample(range(n), n // 3), rng)
-        assert proto.barrier_payloads(vts) == \
-            _old_barrier_payloads(proto.ilog, vts, n)
+        _assert_matches_oracle(proto.barrier_payloads(vts),
+                               _old_barrier_payloads(proto.ilog, vts, n))
 
     @pytest.mark.parametrize("n", [1, 16])
     def test_single_participant(self, n):
@@ -229,8 +256,57 @@ class TestBarrierPayloads:
         rng = random.Random(5)
         vts = self._arrivals(counts, [n - 1], rng)
         got = proto.barrier_payloads(vts)
-        assert got == _old_barrier_payloads(proto.ilog, vts, n)
+        _assert_matches_oracle(got, _old_barrier_payloads(proto.ilog, vts, n))
         assert got[n - 1][0]["notices"] == []  # nothing it has not seen
+
+    def test_unreachable_arrivals_flagged_by_clock_bound(self):
+        """Arbitrary arrivals break the invariant the diagonal rests on,
+        so the diagonal and the column max differ -- and the checker's
+        clock-bound rule reports such a clock."""
+        from repro import Machine, MachineParams
+        from repro.check import install_checkers
+
+        n = 16
+        m = Machine(MachineParams(n_nodes=n), protocol="swlrc")
+        checkers = install_checkers(m, races=False)
+        proto = m.protocol
+        rng = random.Random(7)
+        vts = {nid: tuple(rng.randint(0, 5) for _ in range(n)) for nid in range(n)}
+        merged = proto.barrier_payloads(vts)[0][0]["vt"]
+        assert merged != _old_barrier_payloads(proto.ilog, vts, n)[0][0]["vt"]
+        for nid, vt in vts.items():
+            proto.vt[nid].assign(vt)
+        bad = next(nid for nid, vt in vts.items()
+                   if any(vt[i] > vts[i][i] for i in range(n)))
+        checkers.invariants.on_sync_applied(bad, {"vt": vts[bad], "notices": []})
+        assert [(v.rule, v.node) for v in checkers.invariants.violations] == \
+            [("clock-bound", bad)]
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_diagonal_equals_column_max_end_to_end(self, protocol):
+        """lu at 65 nodes: at every barrier the arrivals the simulator
+        really produces have the diagonal as their column max."""
+        from repro import Machine, MachineParams, run_program
+        from repro.apps import make_app
+
+        n = 65
+        app = make_app("lu", scale="tiny")
+        m = Machine(MachineParams(n_nodes=n, granularity=1024), protocol=protocol)
+        app.setup(m)
+        proto = m.protocol
+        barrier_payloads = proto.barrier_payloads
+        checked = []
+
+        def wrapped(vts):
+            got = barrier_payloads(vts)
+            column_max = tuple(map(max, *vts.values()))
+            assert all(p["vt"] == column_max for p, _ in got.values())
+            checked.append(len(vts))
+            return got
+
+        proto.barrier_payloads = wrapped
+        run_program(m, app.program, nprocs=n)
+        assert checked and set(checked) == {n}
 
 
 class TestWriteNotice:
