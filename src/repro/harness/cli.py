@@ -15,9 +15,6 @@ Subcommands:
   (:mod:`repro.harness.chaos`): speedup vs drop rate per protocol and
   granularity, with the reliable transport recovering losses; exit 1
   if any cell failed.
-* ``perf`` -- run the simulator-core perf suite (:mod:`repro.perf`);
-  with ``--against BENCH_simcore.json``, exit 2 on a >15% calibrated
-  median regression or a determinism break.
 * ``analyze`` -- static labeling/DRF verification of the app corpus
   (:mod:`repro.analyze`): CFG + lockset/barrier-phase dataflow over a
   small-scope exploration, false-sharing prediction per granularity,
@@ -451,43 +448,6 @@ def cmd_mc(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_perf(args) -> int:
-    """Measure the perf suite; optionally gate against a baseline."""
-    from repro.perf import (
-        compare,
-        format_suite,
-        load_baseline,
-        run_suite,
-        save_baseline,
-    )
-
-    suite = run_suite(reps=args.reps, micros=args.micros.split(",")
-                      if args.micros else None)
-    print(format_suite(suite))
-    if args.out:
-        save_baseline(suite, args.out)
-        print(f"suite written to {args.out}")
-    if not args.against:
-        return 0
-    if args.update:
-        save_baseline(suite, args.against)
-        print(f"baseline updated: {args.against}")
-        return 0
-    try:
-        baseline = load_baseline(args.against)
-    except FileNotFoundError:
-        print(
-            f"baseline {args.against} not found; create one with "
-            f"`repro-dsm perf --against {args.against} --update`",
-            file=sys.stderr,
-        )
-        return 2
-    report = compare(suite.to_dict(), baseline, tolerance=args.tolerance)
-    print()
-    print(report.describe())
-    return 0 if report.ok else 2
-
-
 def cmd_report(args) -> int:
     from repro.harness.report import generate_report
 
@@ -674,24 +634,6 @@ def main(argv=None) -> int:
     _add_common(p)
     _add_exec(p)
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser(
-        "perf",
-        help="simulator-core perf suite (exit 2 on baseline regression)",
-    )
-    p.add_argument("--against", default=None, metavar="FILE",
-                   help="baseline JSON to gate against (e.g. BENCH_simcore.json)")
-    p.add_argument("--update", action="store_true",
-                   help="rewrite the --against baseline from this run")
-    p.add_argument("--reps", type=int, default=5,
-                   help="timed repetitions per micro (default 5)")
-    p.add_argument("--tolerance", type=float, default=0.15,
-                   help="allowed median slowdown vs baseline (default 0.15)")
-    p.add_argument("--micros", default=None,
-                   help="comma-separated micro subset (default: all)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="also write this run's JSON to FILE")
-    p.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser(
         "mc",

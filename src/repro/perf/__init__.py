@@ -1,56 +1,7 @@
-"""Tracked performance suite for the simulator core.
+"""Measurement helpers for the cell benchmark (``benchmarks/cells/``).
 
-The micros (:mod:`repro.perf.micros`) measure the layers every result
-table depends on -- the event loop, vector clocks, twin/diff, and one
-tiny full LU cell per protocol.  The gate (:mod:`repro.perf.gate`)
-compares a fresh run against the committed ``BENCH_simcore.json``
-baseline, normalized by an interpreter-speed calibration so CI runners
-of different speeds share one baseline.
-
-Entry points::
-
-    repro-dsm perf                      # measure and print
-    repro-dsm perf --against BENCH_simcore.json   # gate (exit 2 on fail)
-    repro-dsm perf --against BENCH_simcore.json --update  # re-baseline
-
-See docs/PERFORMANCE.md for how to update the baseline honestly.
+:mod:`repro.perf.micros` holds the stats-sha fingerprint and the
+interpreter-speed calibration probe.  Nothing here runs a simulation or
+changes one, so the package is outside ``code_fingerprint()``.  See
+docs/PERFORMANCE.md for how performance is measured.
 """
-
-from repro.perf.gate import (
-    BASELINE_NAME,
-    DEFAULT_TOLERANCE,
-    SCHEMA_VERSION,
-    GateReport,
-    GateRow,
-    MicroResult,
-    PerfError,
-    SuiteResult,
-    compare,
-    format_suite,
-    load_baseline,
-    measure_calibration,
-    run_suite,
-    save_baseline,
-    subsystem_shares,
-)
-from repro.perf.micros import MICROS, calibration_spin
-
-__all__ = [
-    "BASELINE_NAME",
-    "DEFAULT_TOLERANCE",
-    "SCHEMA_VERSION",
-    "MICROS",
-    "GateReport",
-    "GateRow",
-    "MicroResult",
-    "PerfError",
-    "SuiteResult",
-    "calibration_spin",
-    "compare",
-    "format_suite",
-    "load_baseline",
-    "measure_calibration",
-    "run_suite",
-    "save_baseline",
-    "subsystem_shares",
-]

@@ -10,7 +10,6 @@ fault-free runs must stay byte-identical to pre-chaos builds.
 """
 
 import json
-import hashlib
 
 import pytest
 
@@ -20,6 +19,7 @@ from repro.exec import ResultCache, config_from_dict, config_to_dict, execute
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.net.faultplan import FaultPlan, FaultSpec
 from repro.net.reliable import ACK_MTYPE, TransportError
+from repro.perf.micros import _stats_sha
 from repro.sim.engine import SimulationError
 
 CHAOS = FaultSpec(seed=0, drop_prob=0.05, dup_prob=0.01, reorder_prob=0.02)
@@ -29,11 +29,6 @@ def chaos_cfg(app="lu", protocol="hlrc", granularity=1024, spec=CHAOS, **kw):
     return RunConfig(app=app, protocol=protocol, granularity=granularity,
                      nprocs=kw.pop("nprocs", 4), scale=kw.pop("scale", "tiny"),
                      faults=spec, **kw)
-
-
-def stats_sha(stats) -> str:
-    payload = json.dumps(stats.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestFaultSpec:
@@ -186,7 +181,7 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self):
         a = run_experiment(chaos_cfg())
         b = run_experiment(chaos_cfg())
-        assert stats_sha(a.stats) == stats_sha(b.stats)
+        assert _stats_sha(a) == _stats_sha(b)
 
     def test_different_seed_differs(self):
         a = run_experiment(chaos_cfg())
@@ -194,7 +189,7 @@ class TestDeterminism:
             chaos_cfg(spec=FaultSpec(seed=99, drop_prob=0.05,
                                      dup_prob=0.01, reorder_prob=0.02))
         )
-        assert stats_sha(a.stats) != stats_sha(b.stats)
+        assert _stats_sha(a) != _stats_sha(b)
 
     def test_fault_free_stats_have_no_chaos_keys(self):
         r = run_experiment(chaos_cfg(spec=None))

@@ -292,7 +292,7 @@ class TestFingerprintScoping:
         tree = tmp_path / "repro"
         shutil.copytree(Path(repro.__file__).parent, tree)
         before = _fingerprint_tree(tree)
-        # Editing the perf suite leaves every cache key stable ...
+        # Editing repro.perf leaves every cache key stable ...
         micros = tree / "perf" / "micros.py"
         micros.write_text(micros.read_text() + "\n# tuned threshold\n")
         assert _fingerprint_tree(tree) == before

@@ -1,7 +1,6 @@
 """repro.mc: controllable scheduler, DPOR exploration, litmus suite."""
 
 import copy
-import hashlib
 import json
 
 import pytest
@@ -19,13 +18,8 @@ from repro.mc import (
     replay,
 )
 from repro.mc.scheduler import conflict
+from repro.perf.micros import _stats_sha
 from repro.sim import DefaultPolicy
-
-
-def _stats_sha(result):
-    return hashlib.sha256(
-        json.dumps(result.stats.to_dict(), sort_keys=True).encode()
-    ).hexdigest()
 
 
 # ---------------------------------------------------------------------------

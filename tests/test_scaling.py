@@ -2,7 +2,6 @@
 every width, sharded copysets, tiered hop distances, the scale sweep, and the
 bit-identity contract at paper scale (48-cell stats-sha fingerprint)."""
 
-import hashlib
 import json
 import random
 
@@ -18,6 +17,7 @@ from repro.core.sc import (
 )
 from repro.core.timestamps import VectorClock
 from repro.harness.experiment import RunConfig, run_experiment
+from repro.perf.micros import _stats_sha
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +311,6 @@ BASELINE_SHAS = {
 }
 
 
-def stats_sha(stats) -> str:
-    payload = json.dumps(stats.to_dict(), sort_keys=True, default=float)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 @pytest.mark.parametrize("app", ["lu", "fft", "ocean-rowwise",
                                  "water-nsquared"])
 def test_fingerprint_matrix_bit_identical(app):
@@ -328,7 +323,7 @@ def test_fingerprint_matrix_bit_identical(app):
                 nprocs=16, scale="tiny",
             ))
             key = f"{app}/{protocol}/{granularity}"
-            got = stats_sha(result.stats)
+            got = _stats_sha(result)
             if got != BASELINE_SHAS[key]:
                 mismatches.append(f"{key}: {got} != {BASELINE_SHAS[key]}")
     assert not mismatches, "\n".join(mismatches)

@@ -371,17 +371,17 @@ def test_seq_ring_grows_past_collisions():
 # the runtime without numpy
 # ----------------------------------------------------------------------
 _NO_NUMPY_RUN = """
-import hashlib, json, sys
+import json, sys
 from repro import simcore
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.mc.explore import explore
 from repro.mc.litmus import get_litmus
-stats = run_experiment(RunConfig(app="lu", protocol="hlrc", granularity=1024,
-                                 nprocs=16, scale="tiny")).stats
-payload = json.dumps(stats.to_dict(), sort_keys=True, default=float)
+from repro.perf.micros import _stats_sha, calibration_spin
+result = run_experiment(RunConfig(app="lu", protocol="hlrc", granularity=1024,
+                                  nprocs=16, scale="tiny"))
 mc = explore(get_litmus("mp"), "sc")
 print(json.dumps({
-    "sha": hashlib.sha256(payload.encode()).hexdigest()[:16],
+    "sha": _stats_sha(result),
     "mc": [mc.schedules, mc.transitions, mc.complete, mc.ok],
     "numpy": "numpy" in sys.modules,
     "backend": simcore.BACKEND,
@@ -392,7 +392,8 @@ print(json.dumps({
 def test_runtime_runs_without_numpy():
     """A cell and an exploration import and run without numpy, the
     cell's stats-sha is the lu/hlrc/1024 pin of the 48-cell matrix in
-    test_scaling.py, and ``BACKEND`` (read by the cell benchmark) names
+    test_scaling.py, and what the cell benchmark imports still imports:
+    ``repro.perf.micros``'s two helpers, and ``BACKEND``, which names
     the stdlib kernels."""
     out = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_RUN],
