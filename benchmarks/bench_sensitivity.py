@@ -17,7 +17,7 @@ single best combination.
 """
 
 from conftest import emit
-from repro.analysis import granularity_preference, sweep_parameter
+from repro.harness.sensitivity import granularity_preference, sweep_parameter
 from repro.harness.tables import fmt_table
 
 from bench_faults_common import bench_one_run

@@ -18,7 +18,7 @@ Run::
 
 import argparse
 
-from repro.analysis import granularity_preference, sweep_parameter
+from repro.harness.sensitivity import granularity_preference, sweep_parameter
 
 BAR = 40
 

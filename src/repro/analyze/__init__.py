@@ -8,8 +8,9 @@ consistency (SW-LRC / HLRC) only promises SC results for properly
 labeled programs, so this is the validity precondition for every
 number the simulator produces.
 
-Not to be confused with ``repro.analysis``, which post-processes
-*results* (tables, classification).  ``repro.analyze`` reads *source*.
+``repro.analyze`` reads *source*; everything that post-processes
+*results* (tables, classification, cost-model sensitivity) lives in
+``repro.harness`` and ``repro.stats``.
 
 Layers (see docs/ANALYSIS_STATIC.md):
 

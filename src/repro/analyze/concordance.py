@@ -21,13 +21,17 @@ False sharing gets an informational cross-tab of its own: predicted
 bytes at the cell's coherence granularity vs the block-granularity
 detector's observed false-sharing pair count.
 
-Each cell runs the dynamic checkers twice: once at **word**
+Each cell runs the dynamic checkers twice, both times as an ordinary
+checked cell of :func:`repro.exec.pool.execute_many` (process pool,
+per-cell timeout, disk cache): once at **word**
 detection units for the race verdict (the repo's authoritative gate
 -- block units merge a node's exempt and non-exempt ranges that land
 in one straddling block into a single conservatively-reportable
 epoch, manufacturing "races" ``assume_disjoint`` was written to
 exempt), and once at **block** units, which is the only place false
-sharing is observable.
+sharing is observable.  A cell whose dynamic run fails for any reason
+other than checker findings (timeout, event budget) is judged
+**failed**, which fails the concordance like a static miss.
 """
 
 from __future__ import annotations
@@ -52,16 +56,6 @@ def _static_sites(analysis: AppAnalysis) -> Set[str]:
     return out
 
 
-def _race_sites(races) -> Set[str]:
-    """``basename:line`` of every dynamically raced access site."""
-    out: Set[str] = set()
-    for r in races:
-        for side in (r.earlier, r.later):
-            # location looks like "ocean.py:123 in program"
-            out.add(side.location.split(" in ")[0])
-    return out
-
-
 @dataclass
 class CellConcordance:
     """One app x protocol x granularity cross-tab row."""
@@ -75,8 +69,10 @@ class CellConcordance:
     dynamic_race_sites: Set[str]
     dynamic_false_sharing: int
     predicted_fs_bytes: int
-    verdict: str = "concordant"  # concordant | static_miss | static_extra
+    verdict: str = "concordant"  # concordant | static_miss | static_extra | failed
     missed_sites: Set[str] = field(default_factory=set)
+    #: why the dynamic run failed (verdict "failed"), else None
+    error_type: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -95,6 +91,7 @@ class CellConcordance:
             },
             "verdict": self.verdict,
             "missed_sites": sorted(self.missed_sites),
+            "error_type": self.error_type,
         }
 
 
@@ -104,8 +101,10 @@ class ConcordanceResult:
 
     @property
     def ok(self) -> bool:
-        """No cell where the dynamic detector out-found the analyzer."""
-        return all(c.verdict != "static_miss" for c in self.cells)
+        """Every cell ran, and in none did the dynamic detector
+        out-found the analyzer."""
+        return all(c.verdict in ("concordant", "static_extra")
+                   for c in self.cells)
 
     def to_dict(self) -> dict:
         verdicts = {}
@@ -124,6 +123,8 @@ class ConcordanceResult:
             if c.predicted_fs_bytes or c.dynamic_false_sharing:
                 fs = (f"  fs: predicted {c.predicted_fs_bytes} B / "
                       f"observed {c.dynamic_false_sharing} pair(s)")
+            if c.error_type:
+                fs += f"  dynamic run failed: {c.error_type}"
             lines.append(
                 f"  {c.verdict:12s} {c.app:20s} {c.protocol}-"
                 f"{c.granularity:<5d} static={c.static_findings} "
@@ -132,9 +133,11 @@ class ConcordanceResult:
             for s in sorted(c.missed_sites):
                 lines.append(f"      dynamic race at {s} not statically "
                              "flagged")
-        n_miss = sum(1 for c in self.cells if c.verdict == "static_miss")
-        if n_miss:
-            lines.append(f"{n_miss} cell(s) with static misses")
+        n_bad = sum(1 for c in self.cells
+                    if c.verdict in ("static_miss", "failed"))
+        if n_bad:
+            lines.append(f"{n_bad} cell(s) with static misses or failed "
+                         "dynamic runs")
         else:
             lines.append(
                 "every dynamically race-free cell is statically clean; "
@@ -143,7 +146,9 @@ class ConcordanceResult:
 
 
 def _judge(cell: CellConcordance) -> None:
-    if cell.dynamic_races > 0:
+    if cell.error_type:
+        cell.verdict = "failed"
+    elif cell.dynamic_races > 0:
         uncovered = cell.dynamic_race_sites - cell.static_sites
         if cell.static_findings == 0 or uncovered == cell.dynamic_race_sites:
             cell.verdict = "static_miss"
@@ -165,10 +170,14 @@ def run_concordance(
     nprocs: int = 4,
     scale: str = "tiny",
     progress=None,
+    **run,
 ) -> ConcordanceResult:
-    """Analyze statically and run the dynamic checkers per cell."""
+    """Analyze statically and run the dynamic checkers per cell;
+    ``run`` holds the :func:`~repro.exec.pool.execute_many` knobs
+    (jobs, cache, events, timeout)."""
     from repro.apps import APP_NAMES
-    from repro.harness.experiment import RunConfig, run_experiment
+    from repro.exec.pool import execute_many
+    from repro.harness.experiment import RunConfig
 
     names = list(apps or APP_NAMES)
     static: dict = {}
@@ -177,34 +186,35 @@ def run_concordance(
             progress(f"analyzing {name}")
         static[name] = analyze_app(name, nprocs=nprocs, scale=scale)
 
+    configs = [
+        RunConfig(app=name, protocol=proto, granularity=g,
+                  nprocs=nprocs, scale=scale)
+        for name in names
+        for proto in protocols
+        for g in granularities
+    ]
+    word = execute_many(configs, check="word", progress=progress, **run)
+    block = execute_many(configs, check="block", progress=progress, **run)
+
     cells: List[CellConcordance] = []
-    for name in names:
-        analysis = static[name]
-        sites = _static_sites(analysis)
-        for proto in protocols:
-            for g in granularities:
-                if progress:
-                    progress(f"running {name}/{proto}-{g}")
-                cfg = RunConfig(app=name, protocol=proto, granularity=g,
-                                nprocs=nprocs, scale=scale)
-                word_rep = run_experiment(
-                    cfg, check=True, check_granularity="word").check
-                block_rep = run_experiment(
-                    cfg, check=True, check_granularity="block").check
-                true_races = [r for r in word_rep.races if r.true_race]
-                fs_bytes = int(
-                    analysis.false_sharing.get(g, {}).get("bytes", 0))
-                cell = CellConcordance(
-                    app=name,
-                    protocol=proto,
-                    granularity=g,
-                    static_findings=len(analysis.findings),
-                    static_sites=sites,
-                    dynamic_races=len(true_races),
-                    dynamic_race_sites=_race_sites(true_races),
-                    dynamic_false_sharing=block_rep.false_sharing_total,
-                    predicted_fs_bytes=fs_bytes,
-                )
-                _judge(cell)
-                cells.append(cell)
+    for cfg in configs:
+        analysis = static[cfg.app]
+        races, fs = word[cfg].check or {}, block[cfg].check or {}
+        cell = CellConcordance(
+            app=cfg.app,
+            protocol=cfg.protocol,
+            granularity=cfg.granularity,
+            static_findings=len(analysis.findings),
+            static_sites=_static_sites(analysis),
+            dynamic_races=races.get("races", 0),
+            dynamic_race_sites=set(races.get("race_sites", ())),
+            dynamic_false_sharing=fs.get("false_sharing", 0),
+            predicted_fs_bytes=int(
+                analysis.false_sharing.get(cfg.granularity, {}).get("bytes", 0)),
+            # a run without a checker summary crashed or timed out
+            error_type=next((r.error_type for r in (word[cfg], block[cfg])
+                             if r.check is None), None),
+        )
+        _judge(cell)
+        cells.append(cell)
     return ConcordanceResult(cells=cells)

@@ -15,7 +15,7 @@ Typical use (also what ``run_experiment(cfg, check=True)`` and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.check.race import Race, RaceDetector, resolve_unit
@@ -41,6 +41,22 @@ class CheckReport:
         """No races, no invariant violations (false sharing is a
         performance report, not a correctness failure)."""
         return self.races_total == 0 and self.violations_total == 0
+
+    def summary(self) -> Dict:
+        """The JSON-safe digest a :class:`~repro.exec.RunRecord` keeps:
+        the three totals plus the ``basename:line`` application sites
+        of every reported true race."""
+        return {
+            "races": self.races_total,
+            "false_sharing": self.false_sharing_total,
+            "violations": self.violations_total,
+            # a location reads like "ocean.py:123 in program"
+            "race_sites": sorted({
+                side.location.split(" in ")[0]
+                for race in self.races
+                for side in (race.earlier, race.later)
+            }),
+        }
 
     def describe(self) -> str:
         lines: List[str] = []

@@ -9,7 +9,8 @@ embarrassingly parallel, disk-cached, fault-tolerant batch job:
 * :mod:`repro.exec.cache` -- content-addressed on-disk store keyed by
   ``RunConfig`` + a source/calibration fingerprint, so results survive
   interpreter restarts and auto-invalidate when the simulator changes;
-* :mod:`repro.exec.pool` -- a ``ProcessPoolExecutor`` scheduler with
+* :mod:`repro.exec.pool` -- ``execute_many``, the one path every sweep
+  runs its cells through: a ``ProcessPoolExecutor`` scheduler with
   per-run timeouts, bounded retry of transient failures, and per-cell
   error capture;
 * :mod:`repro.exec.events` -- a structured JSONL event log of every
@@ -20,7 +21,7 @@ See ``docs/EXECUTION.md`` for the full story.
 
 from repro.exec.cache import ResultCache, code_fingerprint, default_cache_dir
 from repro.exec.events import EventLog, read_events
-from repro.exec.pool import CellTimeout, execute, execute_many
+from repro.exec.pool import CellTimeout, execute_many
 from repro.exec.serialize import RunRecord, config_from_dict, config_to_dict
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "ResultCache",
     "EventLog",
     "CellTimeout",
-    "execute",
     "execute_many",
     "code_fingerprint",
     "default_cache_dir",

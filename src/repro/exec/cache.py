@@ -35,22 +35,25 @@ _FINGERPRINT: Optional[str] = None
 _CACHEABLE_FAILURES = ("SimulationError", "TransportError")
 
 #: Sub-packages that can never change a simulation outcome: they only
-#: *measure* (perf regression harness), *post-process* (analysis), or
-#: inspect source without running it (the analyze static checker) --
-#: editing them must not invalidate the result cache.
-_FINGERPRINT_EXCLUDE_DIRS = ("perf", "analysis", "analyze")
+#: *measure* (``perf``: the stats-sha and calibration helpers the cell
+#: benchmark imports) or inspect source without running it (the
+#: ``analyze`` static checker) -- editing them must not invalidate the
+#: result cache.
+_FINGERPRINT_EXCLUDE_DIRS = ("perf", "analyze")
 
 #: Presentation/orchestration modules inside otherwise-semantic
 #: packages: report/table/figure renderers and the CLI read finished
-#: Stats, they never touch the simulation.  harness/experiment.py and
-#: harness/matrix.py stay IN the fingerprint (they build the Machine
-#: and define cell parameters).
+#: Stats, they never touch the simulation, and the cost-model
+#: sensitivity sweep builds its own machines outside the cached cell
+#: path.  harness/experiment.py and harness/matrix.py stay IN the
+#: fingerprint (they build the Machine and define cell parameters).
 _FINGERPRINT_EXCLUDE_FILES = frozenset(
     {
         "harness/report.py",
         "harness/tables.py",
         "harness/figures.py",
         "harness/cli.py",
+        "harness/sensitivity.py",
     }
 )
 
@@ -75,8 +78,8 @@ def code_fingerprint() -> str:
     the default machine cost constants.  Memoized per process.
 
     Scoped deliberately: measurement, presentation, and static-analysis
-    code (``repro/perf``, ``repro/analysis``, ``repro/analyze``, the
-    harness report/table/figure/CLI modules -- see
+    code (``repro/perf``, ``repro/analyze``, the harness
+    report/table/figure/CLI/sensitivity modules -- see
     ``_FINGERPRINT_EXCLUDE_*``) is hashed
     *out*, so tuning a benchmark threshold or a table format does not
     stampede-invalidate every cached simulation result.  Everything

@@ -27,15 +27,21 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.events import EventLog
 from repro.exec.serialize import RunRecord, config_to_dict
 from repro.sim import engine as sim_engine
+from repro.stats.counters import protocol_metadata
 
 if TYPE_CHECKING:  # imported lazily at runtime: harness imports exec
     from repro.harness.experiment import RunConfig
+
+
+#: the ``check`` knob: False (unchecked), True (word units) or a
+#: race-detection unit ("byte" | "word" | "block" | byte count)
+Check = Union[bool, str, int]
 
 
 class CellTimeout(Exception):
@@ -106,7 +112,7 @@ def _simulate_cell(
     max_events: Optional[int] = None,
     timeout_s: Optional[float] = None,
     attempt: int = 1,
-    check: bool = False,
+    check: Check = False,
 ) -> RunRecord:
     """Run one cell to a RunRecord; never raises.
 
@@ -115,10 +121,17 @@ def _simulate_cell(
     execute jobs on their main thread) but is skipped when called from
     a non-main thread.
 
-    ``check`` runs the cell under the :mod:`repro.check` race detector
-    and invariant sanitizer: a cell with findings becomes a *failed*
-    record (error_type ``CheckFailure``), a clean cell carries the
-    checker counters in ``record.check``.
+    A successful record carries the run's coherence-metadata accounting
+    (:func:`~repro.stats.counters.protocol_metadata`) in
+    ``record.metadata``: the live machine is gone once the record
+    leaves this function.
+
+    ``check`` (True, or a race-detection unit: ``"byte"``, ``"word"``,
+    ``"block"`` or a byte count; True means ``"word"``) runs the cell
+    under the :mod:`repro.check` race detector and invariant sanitizer:
+    a cell with findings becomes a *failed* record (error_type
+    ``CheckFailure``).  Clean or not, a checked record carries the
+    checker summary in ``record.check``.
     """
     global _TIMED_OUT
     start = time.monotonic()
@@ -144,20 +157,18 @@ def _simulate_cell(
             # Every fire landed outside the event loop and the run
             # still completed; over budget is over budget.
             raise CellTimeout("per-run timeout expired")
-        if check and result.check is not None and not result.check.ok:
+        report = result.check
+        if report is not None and not report.ok:
             from repro.check import CheckFailure
 
-            raise CheckFailure(result.check, cfg.label())
-        rec = RunRecord.from_stats(
-            cfg, result.stats, duration_s=time.monotonic() - start, attempts=attempt
-        )
-        if check and result.check is not None:
-            rep = result.check
-            rec.check = {
-                "races": rep.races_total,
-                "false_sharing": rep.false_sharing_total,
-                "violations": rep.violations_total,
-            }
+            rec = RunRecord.from_failure(cfg, CheckFailure(report, cfg.label()))
+        else:
+            rec = RunRecord.from_stats(cfg, result.stats)
+            rec.metadata = protocol_metadata(result.machine).to_dict()
+        if report is not None:
+            rec.check = report.summary()
+        rec.duration_s = time.monotonic() - start
+        rec.attempts = attempt
         return rec
     except Exception as exc:
         if isinstance(exc, CellTimeout):
@@ -174,40 +185,18 @@ def _simulate_cell(
             _TIMED_OUT = False
 
 
-def execute(
-    cfg: "RunConfig",
-    *,
-    cache: Optional[ResultCache] = None,
-    events: Optional[EventLog] = None,
-    max_events: Optional[int] = None,
-    timeout: Optional[float] = None,
-    check: bool = False,
-) -> RunRecord:
-    """Run (or fetch) a single cell through the engine."""
-    log = events if events is not None else EventLog()
-    extra = _cache_extra(max_events, check)
-    if cache is not None:
-        hit = cache.get(cfg, extra)
-        if hit is not None:
-            log.emit("cache_hit", config=config_to_dict(cfg))
-            return hit
-    log.emit("run_started", config=config_to_dict(cfg), attempt=1)
-    rec = _simulate_cell(cfg, max_events=max_events, timeout_s=timeout, check=check)
-    _finish(rec, cache, log, extra)
-    return rec
-
-
-def _cache_extra(max_events, check: bool = False):
+def _cache_extra(max_events, check: Check = False):
     """Non-default execution knobs that must partition the cache.
 
     An unchecked sweep's extra dict (and hence its cache keys) is
-    byte-for-byte what it was before checking existed; ``check=True``
-    gains a key so checked records never shadow unchecked ones."""
+    byte-for-byte what it was before checking existed; a checked one
+    gains its detection unit (``True`` for the default word unit), so
+    checked records never shadow unchecked ones or each other."""
     extra = {}
     if max_events is not None:
         extra["max_events"] = max_events
     if check:
-        extra["check"] = True
+        extra["check"] = True if check == "word" else check
     return extra or None
 
 
@@ -248,7 +237,7 @@ def execute_many(
     timeout: Optional[float] = None,
     retries: int = 1,
     progress=None,
-    check: bool = False,
+    check: Check = False,
 ) -> Dict["RunConfig", RunRecord]:
     """Execute a batch of cells, ``jobs`` at a time.
 
@@ -318,7 +307,7 @@ def _execute_pool(
     max_events: Optional[int],
     timeout: Optional[float],
     retries: int,
-    check: bool = False,
+    check: Check = False,
 ) -> None:
     """Fan ``pending`` out over worker processes, retrying cells whose
     worker died (broken pool) up to ``retries`` extra attempts."""

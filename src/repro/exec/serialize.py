@@ -62,10 +62,15 @@ class RunRecord:
     attempts: int = 1
     #: True when this record came from the on-disk cache
     cached: bool = False
-    #: checker summary counters for runs executed with ``check=True``
-    #: ({"races": .., "false_sharing": .., "violations": ..,
-    #: "exempted": ..}); None for unchecked runs
+    #: checker summary of a checked run, clean or failed
+    #: (:meth:`~repro.check.api.CheckReport.summary`: race, false-sharing
+    #: and violation counts plus the ``basename:line`` sites of true
+    #: races); None for unchecked runs
     check: Optional[Dict] = None
+    #: the run's coherence-metadata accounting
+    #: (:meth:`~repro.stats.counters.MetadataStats.to_dict`); None for
+    #: failed runs.  Kept off ``stats`` so stats-shas never move.
+    metadata: Optional[Dict] = None
 
     @property
     def speedup(self) -> float:
@@ -118,6 +123,7 @@ class RunRecord:
             "duration_s": self.duration_s,
             "attempts": self.attempts,
             "check": self.check,
+            "metadata": self.metadata,
         }
 
     @classmethod
@@ -131,4 +137,5 @@ class RunRecord:
             duration_s=d.get("duration_s", 0.0),
             attempts=d.get("attempts", 1),
             check=d.get("check"),
+            metadata=d.get("metadata"),
         )

@@ -100,27 +100,16 @@ def chaos_sweep(
     mechanism: str = "polling",
     scale: str = "default",
     nprocs: int = 16,
-    jobs: int = 1,
-    cache=None,
-    events=None,
-    timeout: Optional[float] = None,
-    check: bool = False,
-    progress=None,
+    **run,
 ) -> Dict[RunConfig, "object"]:
-    """Run (or fetch) every cell of the chaos matrix."""
+    """Run (or fetch) every cell of the chaos matrix; ``run`` holds the
+    :func:`~repro.exec.pool.execute_many` knobs (jobs, cache, events,
+    timeout, check, progress)."""
     configs = chaos_configs(
         apps, protocols, granularities, rates, seed, dup_prob, reorder_prob,
         mechanism, scale, nprocs,
     )
-    return execute_many(
-        configs,
-        jobs=jobs,
-        cache=cache,
-        events=events,
-        timeout=timeout,
-        check=check,
-        progress=progress,
-    )
+    return execute_many(configs, **run)
 
 
 def _rate_of(cfg: RunConfig) -> float:

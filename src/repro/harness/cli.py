@@ -29,10 +29,14 @@ Subcommands:
 * ``scale`` -- node-count scaling sweep (:mod:`repro.harness.scale`):
   speedup and per-block coherence-metadata bytes vs N for every
   registered protocol, the measured curve behind the O(N)-vs-O(1)
-  metadata separation; exit 1 on checker findings with ``--check``.
+  metadata separation; exit 1 if any cell failed.
 
-The sweeping subcommands also accept ``--check`` to run every matrix
-cell under the checkers (cells with findings are recorded as failed).
+Every subcommand that runs cells (figure1, faults, hm, report, check,
+chaos, scale, analyze --concordance) runs them through
+:func:`repro.exec.pool.execute_many` and takes the same execution
+options: ``-j/--jobs``, ``--cache-dir``, ``--no-cache``, ``--events``,
+``--timeout`` and ``--check`` (run every cell under the checkers;
+cells with findings are recorded as failed).
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ from repro.harness.figures import figure1
 from repro.harness.matrix import PROTOCOLS, SpeedupMatrix, sweep
 from repro.harness.tables import fault_table, fmt_table, hm_table_text, speedup_table
 from repro.stats.relative_efficiency import best_version_speedups, hm_table
+
+
+def _csv(text, default, conv=str) -> list:
+    """A comma-separated option as a list, or ``default`` when unset."""
+    return [conv(x) for x in text.split(",")] if text else list(default)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -83,17 +92,43 @@ def _add_exec(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--check", action="store_true",
         help="run every cell under the race detector and invariant "
-             "sanitizer; cells with findings are recorded as failed",
+             "sanitizer; cells with findings are recorded as failed "
+             "(always on for check and analyze --concordance)",
     )
 
 
-def _exec_options(args):
-    """(jobs, cache, events) from the _add_exec flags."""
-    from repro.exec import EventLog, ResultCache
+def _event_log(args):
+    from repro.exec import EventLog
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    events = EventLog(args.events) if args.events else None
-    return args.jobs, cache, events
+    return EventLog(args.events) if args.events else None
+
+
+def _exec_options(args, events=None) -> dict:
+    """The execute_many knobs (jobs, cache, events, timeout, check)
+    from the _add_exec flags; ``events`` reuses an open log."""
+    from repro.exec import ResultCache
+
+    return dict(
+        jobs=args.jobs,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        events=events or _event_log(args),
+        timeout=args.timeout,
+        check=args.check,
+    )
+
+
+def _progress(s: str) -> None:
+    print(f"  running {s}", file=sys.stderr)
+
+
+def _output(text: str, path, what: str) -> None:
+    """Print ``text``, or write it to ``path`` and note that on stderr."""
+    if not path:
+        print(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text.rstrip("\n") + "\n")
+    print(f"{what} written to {path}", file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -113,20 +148,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    apps = args.apps.split(",") if args.apps else APP_NAMES
-    jobs, cache, events = _exec_options(args)
-    results = sweep(
-        apps,
-        mechanism=args.mechanism,
-        scale=args.scale,
-        nprocs=args.nprocs,
-        progress=lambda s: print(f"  running {s}", file=sys.stderr),
-        jobs=jobs,
-        cache=cache,
-        events=events,
-        timeout=args.timeout,
-        check=args.check,
-    )
+    apps = _csv(args.apps, APP_NAMES)
+    results = sweep(apps, mechanism=args.mechanism, scale=args.scale,
+                    nprocs=args.nprocs, progress=_progress,
+                    **_exec_options(args))
     print(speedup_table(results, apps, "Figure 1: speedups on 16 nodes"))
     print()
     print(figure1(results, apps))
@@ -134,20 +159,16 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    jobs, cache, events = _exec_options(args)
     results = sweep([args.app], mechanism=args.mechanism, scale=args.scale,
-                    nprocs=args.nprocs, jobs=jobs, cache=cache, events=events,
-                    timeout=args.timeout, check=args.check)
+                    nprocs=args.nprocs, **_exec_options(args))
     print(fault_table(results, args.app, f"Fault counts: {args.app}"))
     return 0
 
 
 def cmd_hm(args) -> int:
     apps = ORIGINAL_8 if args.which == "original" else APP_NAMES
-    jobs, cache, events = _exec_options(args)
     results = sweep(apps, mechanism=args.mechanism, scale=args.scale,
-                    nprocs=args.nprocs, jobs=jobs, cache=cache, events=events,
-                    timeout=args.timeout, check=args.check)
+                    nprocs=args.nprocs, **_exec_options(args))
     matrix = SpeedupMatrix(results)
     speedups = matrix.speedups()
     if args.which == "best":
@@ -225,37 +246,30 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Run cells under the checkers in-process; exit 1 on any finding."""
-    apps = args.apps.split(",") if args.apps else list(ORIGINAL_8)
-    protocols = (args.protocols.split(",") if args.protocols
-                 else list(scaling_protocols()))
-    findings = 0
-    for app in apps:
-        for proto in protocols:
-            cfg = RunConfig(
-                app=app,
-                protocol=proto,
-                granularity=args.granularity,
-                mechanism=args.mechanism,
-                nprocs=args.nprocs,
-                scale=args.scale,
-            )
-            result = run_experiment(
-                cfg, check=True, check_granularity=args.race_granularity
-            )
-            rep = result.check
-            if rep.ok:
-                extras = ""
-                if rep.false_sharing_total:
-                    extras = f"  ({rep.false_sharing_total} false-sharing pair(s))"
-                print(f"ok   {cfg.label()}{extras}")
-            else:
-                findings += 1
-                print(f"FAIL {cfg.label()}")
-                for line in rep.describe().splitlines():
-                    print(f"     {line}")
-    if findings:
-        print(f"{findings} cell(s) with findings", file=sys.stderr)
+    """Run cells under the checkers; exit 1 on any finding."""
+    from repro.exec import execute_many
+
+    configs = [
+        RunConfig(app=app, protocol=proto, granularity=args.granularity,
+                  mechanism=args.mechanism, nprocs=args.nprocs,
+                  scale=args.scale)
+        for app in _csv(args.apps, ORIGINAL_8)
+        for proto in _csv(args.protocols, scaling_protocols())
+    ]
+    options = {**_exec_options(args), "check": args.race_granularity}
+    failed = 0
+    for cfg, rec in execute_many(configs, **options).items():
+        if rec.ok:
+            fs = rec.check["false_sharing"]
+            extras = f"  ({fs} false-sharing pair(s))" if fs else ""
+            print(f"ok   {cfg.label()}{extras}")
+        else:
+            failed += 1
+            print(f"FAIL {cfg.label()} ({rec.error_type})")
+            for line in rec.error.splitlines():
+                print(f"     {line}")
+    if failed:
+        print(f"{failed} cell(s) with findings or failures", file=sys.stderr)
         return 1
     print("all cells clean")
     return 0
@@ -265,9 +279,8 @@ def cmd_analyze(args) -> int:
     """Static labeling / DRF verification; exit 1 on findings."""
     from repro.analyze.api import analyze_corpus
     from repro.analyze.report import render
-    from repro.exec import EventLog
 
-    events = EventLog(args.events) if args.events else None
+    events = _event_log(args)
     try:
         if args.canary:
             from repro.analyze.api import CorpusAnalysis
@@ -275,13 +288,10 @@ def cmd_analyze(args) -> int:
 
             corpus = CorpusAnalysis(apps=[canary_analysis(args.nprocs)])
         else:
-            apps = args.apps.split(",") if args.apps else None
-            grans = ([int(g) for g in args.granularities.split(",")]
-                     if args.granularities else None)
             kwargs = {"nprocs": args.nprocs, "scale": args.scale}
-            if grans:
-                kwargs["granularities"] = grans
-            corpus = analyze_corpus(apps, **kwargs)
+            if args.granularities:
+                kwargs["granularities"] = _csv(args.granularities, (), int)
+            corpus = analyze_corpus(_csv(args.apps, ()) or None, **kwargs)
         print(render(corpus, json_path=args.json, events=events,
                      fs_top=args.fs_top))
 
@@ -290,23 +300,22 @@ def cmd_analyze(args) -> int:
 
             from repro.analyze.concordance import run_concordance
 
+            options = _exec_options(args, events)
+            del options["check"]  # the concordance checks at its own units
             conc = run_concordance(
-                args.apps.split(",") if args.apps else None,
-                protocols=(args.protocol.split(",")
-                           if args.protocol else ["hlrc"]),
+                _csv(args.apps, ()) or None,
+                protocols=_csv(args.protocol, ["hlrc"]),
                 granularities=[args.granularity],
                 nprocs=args.nprocs,
                 scale=args.scale,
                 progress=lambda s: print(f"  {s}", file=sys.stderr),
+                **options,
             )
             print()
             print(conc.describe())
             if args.concordance_json:
-                with open(args.concordance_json, "w") as fh:
-                    _json.dump(conc.to_dict(), fh, sort_keys=True, indent=1)
-                    fh.write("\n")
-                print(f"concordance written to {args.concordance_json}",
-                      file=sys.stderr)
+                _output(_json.dumps(conc.to_dict(), sort_keys=True, indent=1),
+                        args.concordance_json, "concordance")
             if events is not None:
                 events.emit("analyze_concordance", ok=conc.ok,
                             cells=len(conc.cells))
@@ -322,19 +331,10 @@ def cmd_chaos(args) -> int:
     """Chaos degradation sweep; exit 1 if any cell failed."""
     from repro.harness.chaos import DEFAULT_RATES, chaos_section, chaos_sweep
 
-    apps = args.apps.split(",") if args.apps else ["lu", "ocean-rowwise"]
-    protocols = args.protocols.split(",") if args.protocols else list(PROTOCOLS)
-    grans = (
-        [int(g) for g in args.granularities.split(",")]
-        if args.granularities
-        else list(GRANULARITIES)
-    )
-    rates = (
-        [float(r) for r in args.rates.split(",")]
-        if args.rates
-        else list(DEFAULT_RATES)
-    )
-    jobs, cache, events = _exec_options(args)
+    apps = _csv(args.apps, ["lu", "ocean-rowwise"])
+    protocols = _csv(args.protocols, PROTOCOLS)
+    grans = _csv(args.granularities, GRANULARITIES, int)
+    rates = _csv(args.rates, DEFAULT_RATES, float)
     results = chaos_sweep(
         apps,
         protocols=protocols,
@@ -346,20 +346,11 @@ def cmd_chaos(args) -> int:
         mechanism=args.mechanism,
         scale=args.scale,
         nprocs=args.nprocs,
-        jobs=jobs,
-        cache=cache,
-        events=events,
-        timeout=args.timeout,
-        check=args.check,
-        progress=lambda s: print(f"  running {s}", file=sys.stderr),
+        progress=_progress,
+        **_exec_options(args),
     )
-    text = chaos_section(results, apps, protocols, grans, rates)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"chaos report written to {args.out}")
-    else:
-        print(text)
+    _output(chaos_section(results, apps, protocols, grans, rates), args.out,
+            "chaos report")
     failed = sum(1 for r in results.values() if not r.ok)
     if failed:
         print(f"{failed} cell(s) failed", file=sys.stderr)
@@ -369,7 +360,6 @@ def cmd_chaos(args) -> int:
 
 def cmd_mc(args) -> int:
     """Model-check litmus programs; exit 1 on verified findings."""
-    from repro.exec import EventLog
     from repro.mc import Explorer, get_litmus, litmus_names
     from repro.mc.report import (
         describe_failures,
@@ -379,19 +369,16 @@ def cmd_mc(args) -> int:
         write_json,
     )
 
-    names = litmus_names() if args.litmus == "all" else args.litmus.split(",")
+    names = litmus_names() if args.litmus == "all" else _csv(args.litmus, ())
     try:
         for name in names:
             get_litmus(name)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    protocols = (
-        args.protocols.split(",") if args.protocols
-        else list(scaling_protocols())
-    )
-    grans = [int(g) for g in args.granularity.split(",")]
-    events = EventLog(args.events) if args.events else None
+    protocols = _csv(args.protocols, scaling_protocols())
+    grans = _csv(args.granularity, (), int)
+    events = _event_log(args)
 
     results = []
     naive = []
@@ -451,30 +438,19 @@ def cmd_mc(args) -> int:
 def cmd_report(args) -> int:
     from repro.harness.report import generate_report
 
-    apps = args.apps.split(",") if args.apps else None
-    jobs, cache, events = _exec_options(args)
     text = generate_report(
         scale=args.scale,
         nprocs=args.nprocs,
-        apps=apps,
-        progress=lambda s: print(f"  running {s}", file=sys.stderr),
-        jobs=jobs,
-        cache=cache,
-        events=events,
-        timeout=args.timeout,
-        check=args.check,
+        apps=_csv(args.apps, ()) or None,
+        progress=_progress,
+        **_exec_options(args),
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"report written to {args.out}")
-    else:
-        print(text)
+    _output(text, args.out, "report")
     return 0
 
 
 def cmd_scale(args) -> int:
-    """Node-count scaling sweep; exit 1 on checker findings."""
+    """Node-count scaling sweep; exit 1 if any cell failed."""
     from repro.harness.scale import (
         NODE_COUNTS,
         SCALE_APPS,
@@ -483,37 +459,21 @@ def cmd_scale(args) -> int:
         scale_sweep,
     )
 
-    apps = args.apps.split(",") if args.apps else list(SCALE_APPS)
-    protocols = (args.protocols.split(",") if args.protocols
-                 else list(scaling_protocols()))
-    grans = ([int(g) for g in args.granularities.split(",")]
-             if args.granularities else list(SCALE_GRANULARITIES))
-    nodes = ([int(n) for n in args.nodes.split(",")]
-             if args.nodes else list(NODE_COUNTS))
     report = scale_sweep(
-        apps,
-        protocols=protocols,
-        granularities=grans,
-        node_counts=nodes,
+        _csv(args.apps, SCALE_APPS),
+        protocols=_csv(args.protocols, scaling_protocols()),
+        granularities=_csv(args.granularities, SCALE_GRANULARITIES, int),
+        node_counts=_csv(args.nodes, NODE_COUNTS, int),
         scale=args.scale,
         mechanism=args.mechanism,
-        check=args.check,
-        progress=lambda s: print(f"  running {s}", file=sys.stderr),
+        progress=_progress,
+        **_exec_options(args),
     )
-    text = render_scale_report(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"scaling report written to {args.out}")
-    else:
-        print(text)
+    _output(render_scale_report(report), args.out, "scaling report")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"scaling data written to {args.json}", file=sys.stderr)
-    if not report.ok:
-        bad = sum(1 for c in report.cells if c.check_ok is False)
-        print(f"{bad} cell(s) with checker findings", file=sys.stderr)
+        _output(report.to_json(), args.json, "scaling data")
+    if report.failed:
+        print(f"{len(report.failed)} cell(s) failed", file=sys.stderr)
         return 1
     return 0
 
@@ -569,6 +529,7 @@ def main(argv=None) -> int:
                    help='race-detection unit: "byte", "word", "block" '
                         "or a byte count (default word)")
     _add_common(p)
+    _add_exec(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
@@ -588,8 +549,6 @@ def main(argv=None) -> int:
                         "false-sharing prediction (default 64..8192)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the full analysis as JSON to FILE")
-    p.add_argument("--events", default=None, metavar="FILE",
-                   help="append analyze_* events to the JSONL log FILE")
     p.add_argument("--fs-top", type=int, default=10,
                    help="rows in the false-sharing ranking (default 10)")
     p.add_argument("--canary", action="store_true",
@@ -607,6 +566,7 @@ def main(argv=None) -> int:
                         "(default 1024)")
     p.add_argument("--concordance-json", default=None, metavar="FILE",
                    help="write the concordance cross-tab as JSON to FILE")
+    _add_exec(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser(
@@ -678,7 +638,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "scale",
         help="node-count scaling sweep: speedup and per-block metadata "
-             "bytes vs N (exit 1 on checker findings)",
+             "bytes vs N (exit 1 on failed cells)",
     )
     p.add_argument("--apps", default=None,
                    help="comma-separated app subset (default: lu,ocean-rowwise)")
@@ -697,13 +657,11 @@ def main(argv=None) -> int:
                         "trend curves are insensitive to problem size)")
     p.add_argument("--mechanism", default="polling",
                    choices=["polling", "interrupt"])
-    p.add_argument("--check", action="store_true",
-                   help="run every cell under the race detector and "
-                        "invariant sanitizer")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the markdown report to FILE instead of stdout")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="also write the raw sweep data as JSON to FILE")
+    _add_exec(p)
     p.set_defaults(fn=cmd_scale)
 
     args = ap.parse_args(argv)

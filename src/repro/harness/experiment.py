@@ -4,7 +4,7 @@ mechanism) run of the simulated cluster."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.apps import make_app
 from repro.apps.base import Application
@@ -61,21 +61,19 @@ class RunResult:
 def run_experiment(
     cfg: RunConfig,
     max_events: Optional[int] = None,
-    check: bool = False,
-    check_granularity="word",
-    **app_overrides,
+    check: Union[bool, str, int] = False,
 ) -> RunResult:
     """Build the machine, set the application up, run it, return stats.
 
     ``check`` installs the :mod:`repro.check` race detector and
     protocol-invariant sanitizer for this run and attaches their
-    findings as ``result.check``.  The checkers only observe, so a
-    checked run produces bit-identical stats; ``check`` is an execution
-    knob, *not* part of :class:`RunConfig` (and thus never part of a
-    result-cache key).  ``check_granularity`` is the race-detection
-    unit ("byte" | "word" | "block" | byte count).
+    findings as ``result.check``.  It is True (word detection units)
+    or the race-detection unit itself ("byte" | "word" | "block" |
+    byte count).  The checkers only observe, so a checked run produces
+    bit-identical stats; ``check`` is an execution knob, *not* part of
+    :class:`RunConfig` (the exec layer keys checked records apart).
     """
-    app = make_app(cfg.app, scale=cfg.scale, **app_overrides)
+    app = make_app(cfg.app, scale=cfg.scale)
     params = MachineParams(
         n_nodes=cfg.nprocs,
         granularity=cfg.granularity,
@@ -93,7 +91,7 @@ def run_experiment(
         from repro.check import install_checkers
 
         checkers = install_checkers(
-            machine, race_granularity=check_granularity
+            machine, race_granularity="word" if check is True else check
         )
     app.setup(machine)
     result = run_program(

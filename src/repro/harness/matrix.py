@@ -17,9 +17,9 @@ from repro.cluster.config import GRANULARITIES
 from repro.core.registry import evaluated_protocols
 from repro.exec.cache import ResultCache
 from repro.exec.events import EventLog
-from repro.exec.pool import execute, execute_many
+from repro.exec.pool import Check, execute_many
 from repro.exec.serialize import RunRecord
-from repro.harness.experiment import RunConfig, run_experiment
+from repro.harness.experiment import RunConfig
 
 #: the paper's evaluated trio, in paper order (from the registry -- the
 #: single source of truth for which protocols exist)
@@ -43,19 +43,11 @@ def configure(jobs: Optional[int] = None, cache: Optional[ResultCache] = None) -
     _DEFAULT_DISK_CACHE = cache
 
 
-def cached_run(cfg: RunConfig, **overrides) -> RunRecord:
-    """One cell through the in-process memo.
-
-    Runs with ``**overrides`` (application parameter tweaks) bypass the
-    memo -- an overridden run is not the matrix cell -- but the
-    overrides are forwarded to the experiment.
-    """
-    if overrides:
-        result = run_experiment(cfg, **overrides)
-        return RunRecord.from_stats(cfg, result.stats)
+def cached_run(cfg: RunConfig) -> RunRecord:
+    """One cell through the in-process memo."""
     hit = _CACHE.get(cfg)
     if hit is None:
-        hit = execute(cfg, cache=_DEFAULT_DISK_CACHE)
+        hit = execute_many([cfg], cache=_DEFAULT_DISK_CACHE)[cfg]
         _CACHE[cfg] = hit
     return hit
 
@@ -103,7 +95,7 @@ def sweep(
     events: Optional[EventLog] = None,
     timeout: Optional[float] = None,
     max_events: Optional[int] = None,
-    check: bool = False,
+    check: Check = False,
 ) -> Dict[RunConfig, RunRecord]:
     """Run the full matrix; returns config -> record.
 
@@ -120,32 +112,19 @@ def sweep(
     unchecked matrix cells -- and carry their own disk-cache key.
     """
     configs = matrix_configs(apps, protocols, granularities, mechanism, scale, nprocs)
-    jobs = _DEFAULT_JOBS if jobs is None else jobs
-    cache = _DEFAULT_DISK_CACHE if cache is None else cache
-
+    run = dict(
+        jobs=_DEFAULT_JOBS if jobs is None else jobs,
+        cache=_DEFAULT_DISK_CACHE if cache is None else cache,
+        events=events,
+        timeout=timeout,
+        max_events=max_events,
+        progress=progress,
+    )
     if check:
-        return execute_many(
-            configs,
-            jobs=jobs,
-            cache=cache,
-            events=events,
-            timeout=timeout,
-            max_events=max_events,
-            progress=progress,
-            check=True,
-        )
+        return execute_many(configs, check=check, **run)
     fresh = [c for c in configs if c not in _CACHE]
     if fresh:
-        records = execute_many(
-            fresh,
-            jobs=jobs,
-            cache=cache,
-            events=events,
-            timeout=timeout,
-            max_events=max_events,
-            progress=progress,
-        )
-        _CACHE.update(records)
+        _CACHE.update(execute_many(fresh, **run))
     return {c: _CACHE[c] for c in configs}
 
 

@@ -30,15 +30,11 @@ def generate_report(
     apps: Optional[Sequence[str]] = None,
     fault_apps: Sequence[str] = ("lu", "ocean-rowwise", "volrend-original"),
     progress=None,
-    jobs: Optional[int] = None,
-    cache=None,
-    events=None,
-    timeout: Optional[float] = None,
-    check: bool = False,
+    **run,
 ) -> str:
     """Run the matrix and return the report as markdown text.
 
-    ``jobs``/``cache``/``events`` go straight to
+    ``run`` (jobs, cache, events, timeout, check) goes straight to
     :func:`repro.harness.matrix.sweep`: the matrix fans out over worker
     processes and previously computed cells come from the disk cache.
     """
@@ -63,17 +59,7 @@ def generate_report(
     w("\n```\n\n")
 
     # ---- the matrix ----------------------------------------------------
-    results = sweep(
-        apps,
-        scale=scale,
-        nprocs=nprocs,
-        progress=progress,
-        jobs=jobs,
-        cache=cache,
-        events=events,
-        timeout=timeout,
-        check=check,
-    )
+    results = sweep(apps, scale=scale, nprocs=nprocs, progress=progress, **run)
     failed = [r for r in results.values() if r.stats is None]
     if failed:
         w("## Failed cells\n\n")

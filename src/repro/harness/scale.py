@@ -12,10 +12,13 @@ protocols do on bigger machines.  Two things change with N:
   the LRC protocols keep dense vector clocks, which barriers fill.
   This sweep turns the O(N)-vs-O(1) separation into a measured curve.
 
-Cells run in-process (not through :mod:`repro.exec`) because the
-metadata counter needs the live :class:`~repro.cluster.machine.Machine`
-after the run -- a serialized :class:`~repro.exec.serialize.RunRecord`
-has no protocol state left to measure.
+Cells run like every other sweep's, through
+:func:`repro.exec.pool.execute_many` (process pool, per-cell timeout,
+failed-cell capture, disk cache).  The metadata counter needs the live
+:class:`~repro.cluster.machine.Machine`, so the exec layer measures it
+before the machine is dropped and keeps it on
+:attr:`RunRecord.metadata <repro.exec.serialize.RunRecord.metadata>`.
+A failed cell is a ``FAIL`` in the report, not the end of the sweep.
 
 ``repro-dsm scale`` is the CLI face; :func:`scale_sweep` +
 :func:`render_scale_report` are the library face used by CI's
@@ -25,12 +28,13 @@ scale-smoke job and the nightly artifact upload.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import scaling_protocols
-from repro.harness.experiment import RunConfig, run_experiment
-from repro.stats.counters import MetadataStats, protocol_metadata
+from repro.exec.pool import execute_many
+from repro.exec.serialize import RunRecord
+from repro.harness.experiment import RunConfig
 
 #: node counts the scaling study sweeps (the paper's 16 plus the
 #: 128-1024 range the tardis/sharded-copyset work targets)
@@ -45,75 +49,57 @@ SCALE_APPS = ("lu", "ocean-rowwise")
 
 
 @dataclass
-class ScaleCell:
-    """One (app, protocol, granularity, n_nodes) point of the sweep."""
-
-    app: str
-    protocol: str
-    granularity: int
-    n_nodes: int
-    speedup: float
-    parallel_time_us: float
-    metadata: MetadataStats
-    #: checker verdict when run with check=True; None = not checked
-    check_ok: Optional[bool] = None
-    check_findings: int = 0
-
-    def to_dict(self) -> Dict:
-        return {
-            "app": self.app,
-            "protocol": self.protocol,
-            "granularity": self.granularity,
-            "n_nodes": self.n_nodes,
-            "speedup": self.speedup,
-            "parallel_time_us": self.parallel_time_us,
-            "metadata": self.metadata.to_dict(),
-            "check_ok": self.check_ok,
-            "check_findings": self.check_findings,
-        }
-
-
-@dataclass
 class ScaleReport:
-    """Everything one scaling sweep produced."""
+    """Everything one scaling sweep produced: config -> record, in
+    sweep order."""
 
-    cells: List[ScaleCell] = field(default_factory=list)
+    records: Dict[RunConfig, RunRecord]
 
     def cell(
         self, app: str, protocol: str, granularity: int, n_nodes: int
-    ) -> ScaleCell:
-        for c in self.cells:
-            if (c.app, c.protocol, c.granularity, c.n_nodes) == (
+    ) -> RunRecord:
+        for cfg, rec in self.records.items():
+            if (cfg.app, cfg.protocol, cfg.granularity, cfg.nprocs) == (
                 app, protocol, granularity, n_nodes
             ):
-                return c
+                return rec
         raise KeyError((app, protocol, granularity, n_nodes))
 
     @property
-    def ok(self) -> bool:
-        """True when no checked cell produced findings."""
-        return all(c.check_ok is not False for c in self.cells)
+    def failed(self) -> List[RunRecord]:
+        """Cells that produced no result (checker findings included)."""
+        return [r for r in self.records.values() if not r.ok]
 
     def axes(self) -> Tuple[List[str], List[str], List[int], List[int]]:
         """(apps, protocols, granularities, node counts) actually swept,
         in first-seen order."""
-        apps: List[str] = []
-        protos: List[str] = []
-        grans: List[int] = []
-        nodes: List[int] = []
-        for c in self.cells:
-            if c.app not in apps:
-                apps.append(c.app)
-            if c.protocol not in protos:
-                protos.append(c.protocol)
-            if c.granularity not in grans:
-                grans.append(c.granularity)
-            if c.n_nodes not in nodes:
-                nodes.append(c.n_nodes)
-        return apps, protos, grans, nodes
+        axes: Tuple[List, List, List, List] = ([], [], [], [])
+        for c in self.records:
+            for axis, v in zip(axes, (c.app, c.protocol, c.granularity, c.nprocs)):
+                if v not in axis:
+                    axis.append(v)
+        return axes
 
     def to_dict(self) -> Dict:
-        return {"cells": [c.to_dict() for c in self.cells]}
+        return {
+            "cells": [
+                {
+                    "app": c.app,
+                    "protocol": c.protocol,
+                    "granularity": c.granularity,
+                    "n_nodes": c.nprocs,
+                    "status": "ok" if r.ok else "FAIL",
+                    "error_type": r.error_type,
+                    "speedup": r.speedup if r.ok else None,
+                    "parallel_time_us": (
+                        r.stats.parallel_time_us if r.ok else None
+                    ),
+                    "metadata": r.metadata,
+                    "check": r.check,
+                }
+                for c, r in self.records.items()
+            ]
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -126,61 +112,27 @@ def scale_sweep(
     node_counts: Sequence[int] = NODE_COUNTS,
     scale: str = "tiny",
     mechanism: str = "polling",
-    check: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
+    **run,
 ) -> ScaleReport:
-    """Run the scaling matrix and measure each cell's metadata.
+    """Run the scaling matrix; every successful record carries its
+    metadata.
 
     ``protocols`` defaults to the registry's scaling set -- the paper
     trio plus tardis when registered.  ``scale='tiny'`` keeps the
     1024-node cells tractable; the curves of interest (metadata bytes,
-    relative speedup trend) are insensitive to problem size.
-
-    ``check`` installs the race/invariant checkers per cell; findings
-    are recorded on the cell (``check_ok``/``check_findings``) rather
-    than raising, so one bad cell does not vaporize the sweep.
+    relative speedup trend) are insensitive to problem size.  ``run``
+    holds the :func:`~repro.exec.pool.execute_many` knobs (jobs, cache,
+    events, timeout, check, progress).
     """
-    if protocols is None:
-        protocols = scaling_protocols()
-    report = ScaleReport()
-    for app in apps:
-        for proto in protocols:
-            for g in granularities:
-                for n in node_counts:
-                    cfg = RunConfig(
-                        app=app,
-                        protocol=proto,
-                        granularity=g,
-                        mechanism=mechanism,
-                        nprocs=n,
-                        scale=scale,
-                    )
-                    if progress:
-                        progress(f"scale {cfg.label()}")
-                    result = run_experiment(cfg, check=check)
-                    meta = protocol_metadata(result.machine)
-                    findings = 0
-                    ok: Optional[bool] = None
-                    if result.check is not None:
-                        ok = result.check.ok
-                        findings = (
-                            result.check.violations_total
-                            + result.check.races_total
-                        )
-                    report.cells.append(
-                        ScaleCell(
-                            app=app,
-                            protocol=proto,
-                            granularity=g,
-                            n_nodes=n,
-                            speedup=result.stats.speedup,
-                            parallel_time_us=result.stats.parallel_time_us,
-                            metadata=meta,
-                            check_ok=ok,
-                            check_findings=findings,
-                        )
-                    )
-    return report
+    configs = [
+        RunConfig(app=app, protocol=proto, granularity=g,
+                  mechanism=mechanism, nprocs=n, scale=scale)
+        for app in apps
+        for proto in (scaling_protocols() if protocols is None else protocols)
+        for g in granularities
+        for n in node_counts
+    ]
+    return ScaleReport(execute_many(configs, **run))
 
 
 def _fmt_bytes(v: float) -> str:
@@ -203,60 +155,45 @@ def render_scale_report(report: ScaleReport) -> str:
         "copysets, 8-byte-per-component vector clocks)."
     )
     lines.append("")
-    checked = any(c.check_ok is not None for c in report.cells)
-    if checked:
-        bad = [c for c in report.cells if c.check_ok is False]
-        if bad:
-            lines.append(
-                f"**CHECK FAILURES: {len(bad)} cell(s)** -- "
-                + ", ".join(
-                    f"{c.app}/{c.protocol}/{c.granularity}@N={c.n_nodes}"
-                    f" ({c.check_findings})"
-                    for c in bad
-                )
-            )
-        else:
-            lines.append(
-                "All cells ran under the race/invariant checkers with "
-                "zero findings."
-            )
+    failed = report.failed
+    if failed:
+        lines.append(
+            f"**FAILED: {len(failed)} cell(s)** -- "
+            + ", ".join(f"{r.label()} ({r.error_type})" for r in failed)
+        )
+        lines.append("")
+    elif any(r.check is not None for r in report.records.values()):
+        lines.append(
+            "All cells ran under the race/invariant checkers with "
+            "zero findings."
+        )
         lines.append("")
 
+    def row(app: str, g: int, n: int, fmt) -> str:
+        out = [str(n)]
+        for proto in protos:
+            try:
+                r = report.cell(app, proto, g, n)
+            except KeyError:
+                out.append("-")
+                continue
+            out.append(fmt(r) if r.ok else f"FAIL ({r.error_type})")
+        return "| " + " | ".join(out) + " |"
+
+    def meta(r: RunRecord) -> str:
+        m = r.metadata
+        return f"{_fmt_bytes(m['per_block'])} / {_fmt_bytes(m['per_block_dense'])}"
+
+    header = "| N | " + " | ".join(protos) + " |"
+    rule = "|" + "---|" * (len(protos) + 1)
     for app in apps:
         for g in grans:
-            lines.append(f"## {app} @ {g} B blocks")
-            lines.append("")
-            lines.append("### Speedup")
-            lines.append("")
-            header = "| N | " + " | ".join(protos) + " |"
-            lines.append(header)
-            lines.append("|" + "---|" * (len(protos) + 1))
-            for n in nodes:
-                row = [str(n)]
-                for proto in protos:
-                    try:
-                        c = report.cell(app, proto, g, n)
-                        row.append(f"{c.speedup:.2f}")
-                    except KeyError:
-                        row.append("-")
-                lines.append("| " + " | ".join(row) + " |")
-            lines.append("")
-            lines.append("### Metadata bytes per block (meta / dense)")
-            lines.append("")
-            lines.append(header)
-            lines.append("|" + "---|" * (len(protos) + 1))
-            for n in nodes:
-                row = [str(n)]
-                for proto in protos:
-                    try:
-                        c = report.cell(app, proto, g, n)
-                        m = c.metadata
-                        row.append(
-                            f"{_fmt_bytes(m.per_block)} / "
-                            f"{_fmt_bytes(m.per_block_dense)}"
-                        )
-                    except KeyError:
-                        row.append("-")
-                lines.append("| " + " | ".join(row) + " |")
+            lines += [f"## {app} @ {g} B blocks", "", "### Speedup", "",
+                      header, rule]
+            lines += [row(app, g, n, lambda r: f"{r.speedup:.2f}")
+                      for n in nodes]
+            lines += ["", "### Metadata bytes per block (meta / dense)", "",
+                      header, rule]
+            lines += [row(app, g, n, meta) for n in nodes]
             lines.append("")
     return "\n".join(lines)

@@ -10,7 +10,7 @@ performance differences would be larger on real SVM systems".
 
 Example::
 
-    from repro.analysis import sweep_parameter
+    from repro.harness.sensitivity import sweep_parameter
 
     points = sweep_parameter(
         app="ocean-original", field="fault_exception_us",

@@ -4,9 +4,9 @@
 moving them means changing that import in the same change.
 
 * :func:`_stats_sha` -- the stats fingerprint the cell pins are
-  written in: the 48 shas of ``tests/test_scaling.py``, the cell pins
-  of ``benchmarks/cells/expected.json``, and the determinism checks of
-  the mc and chaos tests.
+  written in: ``tests/golden_shas.json`` (``tools/golden_shas.py``),
+  the cell pins of ``benchmarks/cells/expected.json``, and the
+  determinism checks of the chaos tests.
 * :func:`calibration_spin` -- a fixed interpreter-speed probe;
   ``compare.py`` reads its timing to tell a host that changed speed
   between two sides from a slower change.

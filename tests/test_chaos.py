@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.config import MachineParams
 from repro.cluster.machine import Machine
-from repro.exec import ResultCache, config_from_dict, config_to_dict, execute
+from repro.exec import ResultCache, config_from_dict, config_to_dict, execute_many
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.net.faultplan import FaultPlan, FaultSpec
 from repro.net.reliable import ACK_MTYPE, TransportError
@@ -171,7 +171,7 @@ class TestReliableTransport:
                          rto_us=100.0)
         cfg = chaos_cfg(spec=spec)
         cache = ResultCache(tmp_path)
-        rec = execute(cfg, cache=cache)
+        rec = execute_many([cfg], cache=cache)[cfg]
         assert not rec.ok and rec.error_type == "TransportError"
         hit = cache.get(cfg)
         assert hit is not None and hit.error_type == "TransportError"
@@ -236,7 +236,7 @@ class TestChaosHarness:
 
         ok_cfg = chaos_cfg(spec=None)
         bad_cfg = chaos_cfg()
-        ok = execute(ok_cfg)
+        ok = execute_many([ok_cfg])[ok_cfg]
         bad = RunRecord.from_failure(bad_cfg, TransportError("budget"))
         results = {ok_cfg: ok, bad_cfg: bad}
         text = degradation_table(

@@ -398,19 +398,43 @@ class TestExecWiring:
     def test_cache_extra_partitions_checked_runs(self):
         assert _cache_extra(None, True) == {"check": True}
         assert _cache_extra(5000, True) == {"max_events": 5000, "check": True}
+        # the unit is part of the key; True is the word unit
+        assert _cache_extra(None, "word") == {"check": True}
+        assert _cache_extra(None, "block") == {"check": "block"}
 
     def test_execute_attaches_check_counters(self):
-        from repro.exec.pool import execute
+        from repro.exec.pool import execute_many
 
         cfg = RunConfig(app="lu", protocol="sc", granularity=1024,
                         nprocs=2, scale="tiny")
-        rec = execute(cfg, check=True)
+        rec = execute_many([cfg], check=True)[cfg]
         assert rec.ok
         assert rec.check == {
             "races": 0, "false_sharing": 0, "violations": 0,
+            "race_sites": [],
         }
-        plain = execute(cfg)
+        plain = execute_many([cfg])[cfg]
         assert plain.check is None
+
+    def test_failed_checked_record_keeps_its_summary(self, tmp_path):
+        # Block units merge a rank's exempt and non-exempt ranges into
+        # one reportable epoch: water-nsquared "races" there and not at
+        # word units.  Both records are cached apart.
+        from repro.exec import ResultCache
+        from repro.exec.pool import execute_many
+
+        cfg = RunConfig(app="water-nsquared", protocol="hlrc",
+                        granularity=1024, nprocs=4, scale="tiny")
+        cache = ResultCache(tmp_path)
+        word = execute_many([cfg], check="word", cache=cache)[cfg]
+        block = execute_many([cfg], check="block", cache=cache)[cfg]
+        assert word.ok and word.check["races"] == 0
+        assert not block.ok and block.error_type == "CheckFailure"
+        assert block.check["races"] > 0
+        assert block.check["race_sites"]
+        assert all(site.startswith("water_nsquared.py:")
+                   for site in block.check["race_sites"])
+        assert execute_many([cfg], check="word", cache=cache)[cfg].cached
 
     def test_run_record_check_roundtrip(self):
         cfg = RunConfig(app="lu", protocol="sc", granularity=1024,

@@ -13,13 +13,12 @@ from repro.exec import (
     RunRecord,
     config_from_dict,
     config_to_dict,
-    execute,
     execute_many,
     read_events,
 )
 from repro.exec.events import RUN_EVENT_TYPES
 from repro.harness.experiment import RunConfig, run_experiment
-from repro.harness.matrix import SpeedupMatrix, cached_run, clear_cache, sweep
+from repro.harness.matrix import SpeedupMatrix, clear_cache, sweep
 from repro.sim.engine import SimulationError
 from repro.stats.counters import NodeStats, Stats
 
@@ -75,6 +74,18 @@ class TestRunRecord:
         assert clone.ok and clone.summary() == rec.summary()
         assert clone.speedup == rec.speedup
         assert clone.duration_s == 1.25
+
+    def test_executed_record_carries_metadata(self):
+        from repro.stats.counters import protocol_metadata
+
+        cfg = tiny_cfg()
+        rec = execute_many([cfg])[cfg]
+        want = protocol_metadata(run_experiment(cfg).machine).to_dict()
+        assert rec.metadata == want and want["blocks"] > 0
+        clone = RunRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
+        assert clone.metadata == want
+        failed = execute_many([cfg], max_events=50)[cfg]
+        assert not failed.ok and failed.metadata is None
 
     def test_failed_record_round_trip(self):
         rec = RunRecord.from_failure(tiny_cfg(), SimulationError("boom"))
@@ -169,7 +180,7 @@ class TestExecuteMany:
 
     def test_timeout_reported_as_failed_record(self):
         cfg = tiny_cfg(app="water-nsquared", granularity=64)
-        rec = execute(cfg, timeout=1e-4)
+        rec = execute_many([cfg], timeout=1e-4)[cfg]
         assert not rec.ok and rec.error_type == "CellTimeout"
 
     def test_parallel_matches_serial_bit_identical(self):
@@ -235,20 +246,11 @@ class TestSweepIntegration:
         assert all(r.cached for r in out.values())
         assert "cache_hit" in log.types()
 
-    def test_cached_run_forwards_overrides(self):
-        clear_cache()
-        cfg = tiny_cfg()
-        base = cached_run(cfg)
-        bigger = cached_run(cfg, n=128)
-        clear_cache()
-        # the override grows the problem, so the counters must differ
-        assert bigger.summary() != base.summary()
-
     def test_speedup_matrix_skips_failed_records(self):
         cfg_ok = tiny_cfg()
-        ok = execute(cfg_ok)
+        ok = execute_many([cfg_ok])[cfg_ok]
         cfg_bad = tiny_cfg(granularity=64)
-        bad = execute(cfg_bad, max_events=50)
+        bad = execute_many([cfg_bad], max_events=50)[cfg_bad]
         m = SpeedupMatrix({cfg_ok: ok, cfg_bad: bad})
         assert m.speedup("lu", "sc", 1024) > 0
         with pytest.raises(KeyError):
@@ -273,7 +275,7 @@ class TestFingerprintScoping:
         assert _fingerprint_relevant("exec/serialize.py")
         # measurement/presentation/static analysis: out
         assert not _fingerprint_relevant("perf/micros.py")
-        assert not _fingerprint_relevant("analysis/sensitivity.py")
+        assert not _fingerprint_relevant("harness/sensitivity.py")
         assert not _fingerprint_relevant("analyze/drf.py")
         assert not _fingerprint_relevant("analyze/cfg.py")
         assert not _fingerprint_relevant("harness/report.py")
@@ -444,11 +446,11 @@ class TestTimeoutWorkerReset:
         # record (and cache entry) a fresh process would.
         cache = ResultCache(tmp_path)
         cfg = tiny_cfg()
-        fresh = execute(cfg, cache=cache)
+        fresh = execute_many([cfg], cache=cache)[cfg]
         assert fresh.ok
         key_fresh = cache.key(cfg)
         self._timeout_cell()
-        again = execute(cfg, cache=ResultCache(tmp_path))
+        again = execute_many([cfg], cache=ResultCache(tmp_path))[cfg]
         assert again.cached  # same key -> served from disk
         assert ResultCache(tmp_path).key(cfg) == key_fresh
         assert again.summary() == fresh.summary()

@@ -5,8 +5,6 @@ import json
 
 import pytest
 
-from repro.cluster.machine import Machine
-from repro.harness.experiment import RunConfig, run_experiment
 from repro.mc import (
     LITMUS,
     Explorer,
@@ -18,47 +16,6 @@ from repro.mc import (
     replay,
 )
 from repro.mc.scheduler import conflict
-from repro.perf.micros import _stats_sha
-from repro.sim import DefaultPolicy
-
-
-# ---------------------------------------------------------------------------
-# the controllable scheduler does not perturb production runs
-# ---------------------------------------------------------------------------
-
-def test_default_policy_fingerprint_matrix():
-    """48 cells: DefaultPolicy runs must be bit-identical to native runs.
-
-    The policy-driven loop re-sorts the ready set per dispatch; if its
-    merge order ever diverged from the two-lane fast path, every stats
-    fingerprint downstream would silently shift.  This is the contract
-    that makes mc exploration results transferable to production runs.
-    """
-    orig = Machine.__init__
-
-    def with_policy(self, *a, **k):
-        orig(self, *a, **k)
-        self.engine.set_policy(DefaultPolicy())
-
-    mismatches = []
-    try:
-        for app in ("lu", "ocean-rowwise"):
-            for proto in ("sc", "swlrc", "hlrc"):
-                for g in (64, 256, 1024, 4096):
-                    for mech in ("polling", "interrupt"):
-                        cfg = RunConfig(
-                            app=app, protocol=proto, granularity=g,
-                            mechanism=mech, nprocs=4, scale="tiny",
-                        )
-                        Machine.__init__ = orig
-                        native = _stats_sha(run_experiment(cfg))
-                        Machine.__init__ = with_policy
-                        policy = _stats_sha(run_experiment(cfg))
-                        if native != policy:
-                            mismatches.append(cfg.label())
-    finally:
-        Machine.__init__ = orig
-    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------

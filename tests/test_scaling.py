@@ -1,6 +1,7 @@
 """The scaling redesign: protocol registry, the dense vector clock at
 every width, sharded copysets, tiered hop distances, the scale sweep, and the
-bit-identity contract at paper scale (48-cell stats-sha fingerprint)."""
+bit-identity contract at paper scale (the 16-node pins of
+tests/golden_shas.json; the other golden cells are in tests/test_golden.py)."""
 
 import json
 import random
@@ -16,8 +17,7 @@ from repro.core.sc import (
     make_copyset,
 )
 from repro.core.timestamps import VectorClock
-from repro.harness.experiment import RunConfig, run_experiment
-from repro.perf.micros import _stats_sha
+from tests.test_golden import assert_golden, golden
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +231,11 @@ class TestScaleSweep:
             node_counts=(16, 64),
             check=True,
         )
-        assert len(report.cells) == 4
-        assert report.ok
-        assert all(c.check_ok for c in report.cells)
-        assert all(c.speedup > 0 for c in report.cells)
+        assert len(report.records) == 4
+        assert not report.failed
+        assert all(r.check["races"] == r.check["violations"] == 0
+                   for r in report.records.values())
+        assert all(r.speedup > 0 for r in report.records.values())
 
         text = render_scale_report(report)
         assert "### Speedup" in text
@@ -243,7 +244,42 @@ class TestScaleSweep:
 
         data = json.loads(report.to_json())
         assert len(data["cells"]) == 4
+        assert {c["status"] for c in data["cells"]} == {"ok"}
         assert data["cells"][0]["metadata"]["per_block"] > 0
+
+    def test_failed_cell_does_not_abort_the_sweep(self, monkeypatch, tmp_path):
+        """One crashing cell is a FAIL in the markdown, the JSON and the
+        exit code of ``repro-dsm scale``; every other cell still runs."""
+        import repro.harness.experiment as exp
+        from repro.harness.cli import main
+
+        real = exp.run_experiment
+
+        def crash_tardis_64(cfg, **kw):
+            if (cfg.protocol, cfg.nprocs) == ("tardis", 64):
+                raise RuntimeError("planted crash")
+            return real(cfg, **kw)
+
+        monkeypatch.setattr(exp, "run_experiment", crash_tardis_64)
+        md, js = tmp_path / "scale.md", tmp_path / "scale.json"
+        rc = main(["scale", "--apps", "lu", "--protocols", "sc,tardis",
+                   "--granularities", "1024", "--nodes", "16,64",
+                   "--no-cache", "--out", str(md), "--json", str(js)])
+        assert rc == 1
+
+        text = md.read_text()
+        assert ("**FAILED: 1 cell(s)** -- lu/tardis-1024/polling/p64 "
+                "(RuntimeError)") in text
+        assert "| 64 | 1.10 | FAIL (RuntimeError) |" in text
+        assert "| 16 | 19 / 7 | 20 / 20 |" in text  # the rest ran
+        cells = json.loads(js.read_text())["cells"]
+        assert [(c["protocol"], c["n_nodes"], c["status"]) for c in cells] == [
+            ("sc", 16, "ok"), ("sc", 64, "ok"),
+            ("tardis", 16, "ok"), ("tardis", 64, "FAIL"),
+        ]
+        assert cells[3]["error_type"] == "RuntimeError"
+        assert cells[3]["metadata"] is None
+        assert cells[2]["metadata"]["per_block"] > 0
 
     def test_metadata_growth_separation(self):
         """The acceptance curve: per-block metadata flat in N for
@@ -258,72 +294,23 @@ class TestScaleSweep:
         for proto in ("sc", "swlrc", "hlrc"):
             small = report.cell("lu", proto, 1024, 16).metadata
             big = report.cell("lu", proto, 1024, 128).metadata
-            assert big.per_block_dense > small.per_block_dense, proto
+            assert big["per_block_dense"] > small["per_block_dense"], proto
         t16 = report.cell("lu", "tardis", 1024, 16).metadata
         t128 = report.cell("lu", "tardis", 1024, 128).metadata
-        assert t16.per_block == t128.per_block
+        assert t16["per_block"] == t128["per_block"]
 
 
 # ---------------------------------------------------------------------------
 # bit-identity at paper scale
 # ---------------------------------------------------------------------------
-#: stats-shas of the 48-cell (4 apps x 3 protocols x 4 granularities)
-#: matrix at 16 nodes, captured on the pre-refactor seed.  The registry,
-#: Clock, copyset, and hop-table redesigns are representation-only at
-#: paper scale: these must never change.
-BASELINE_SHAS = {
-    "fft/hlrc/1024": "bfa73a016739de33", "fft/hlrc/256": "afaab7ccdac0037c",
-    "fft/hlrc/4096": "40f5a5f2bfcbe470", "fft/hlrc/64": "ae0421e381d49e38",
-    "fft/sc/1024": "ae98e16d12d5c2d5", "fft/sc/256": "c9d25a9b3cdeabe0",
-    "fft/sc/4096": "b4b0908ea93b1c2f", "fft/sc/64": "08aeb2f585b70a34",
-    "fft/swlrc/1024": "2ed52ce486c4b291", "fft/swlrc/256": "f5f6f62372d170a5",
-    "fft/swlrc/4096": "bee09c65904a468f", "fft/swlrc/64": "734c45eca22c5d72",
-    "lu/hlrc/1024": "ff62a23ec4f4666b", "lu/hlrc/256": "3d08460a328e6d50",
-    "lu/hlrc/4096": "d739a26b340774a1", "lu/hlrc/64": "1a0390d3a1b1caa1",
-    "lu/sc/1024": "b1f41edd822f5fdd", "lu/sc/256": "1cc04aef7ec9a2cb",
-    "lu/sc/4096": "e4d1c3f3ab57afcf", "lu/sc/64": "c38a74cf30777a19",
-    "lu/swlrc/1024": "3e59b93ac9c851bf", "lu/swlrc/256": "3f3383ea9916086b",
-    "lu/swlrc/4096": "1c82e637b9acac7d", "lu/swlrc/64": "915dcc79e1fb4b1a",
-    "ocean-rowwise/hlrc/1024": "6aca90442c59080c",
-    "ocean-rowwise/hlrc/256": "ebc31e1bac8cf603",
-    "ocean-rowwise/hlrc/4096": "70b627cc85638d3b",
-    "ocean-rowwise/hlrc/64": "e293a75e5a4b1a2d",
-    "ocean-rowwise/sc/1024": "927fc00aa228d850",
-    "ocean-rowwise/sc/256": "68113f1760d6b147",
-    "ocean-rowwise/sc/4096": "eaefbff107dfd997",
-    "ocean-rowwise/sc/64": "99f5756e956de678",
-    "ocean-rowwise/swlrc/1024": "35eb4d4f1d03bb70",
-    "ocean-rowwise/swlrc/256": "c6b25949ab1a1fb0",
-    "ocean-rowwise/swlrc/4096": "477a53fb80fbc901",
-    "ocean-rowwise/swlrc/64": "ba01a12bbe052897",
-    "water-nsquared/hlrc/1024": "b8cd20d7af7d2489",
-    "water-nsquared/hlrc/256": "cf5f54127d855031",
-    "water-nsquared/hlrc/4096": "e30e4dfb98b2b0b5",
-    "water-nsquared/hlrc/64": "fa806468c9f2e019",
-    "water-nsquared/sc/1024": "482eeb9f8f4908fd",
-    "water-nsquared/sc/256": "22cbaabe444346cb",
-    "water-nsquared/sc/4096": "4b948cc642c4a5ed",
-    "water-nsquared/sc/64": "8511414547e7b8b2",
-    "water-nsquared/swlrc/1024": "0f256a70218bc6b4",
-    "water-nsquared/swlrc/256": "5e7039329e4b45bf",
-    "water-nsquared/swlrc/4096": "10cfcb7b3e9d8bc8",
-    "water-nsquared/swlrc/64": "71e6d2f41dddcf85",
-}
-
-
 @pytest.mark.parametrize("app", ["lu", "fft", "ocean-rowwise",
                                  "water-nsquared"])
 def test_fingerprint_matrix_bit_identical(app):
-    """12 cells per app (3 protocols x 4 granularities), 16 nodes."""
-    mismatches = []
-    for protocol in ("sc", "swlrc", "hlrc"):
-        for granularity in (64, 256, 1024, 4096):
-            result = run_experiment(RunConfig(
-                app=app, protocol=protocol, granularity=granularity,
-                nprocs=16, scale="tiny",
-            ))
-            key = f"{app}/{protocol}/{granularity}"
-            got = _stats_sha(result)
-            if got != BASELINE_SHAS[key]:
-                mismatches.append(f"{key}: {got} != {BASELINE_SHAS[key]}")
-    assert not mismatches, "\n".join(mismatches)
+    """16 cells per app (4 scaling protocols x 4 granularities), 16 nodes,
+    against their pins in tests/golden_shas.json.  The registry, Clock,
+    copyset and hop-table redesigns are representation-only at paper
+    scale: these must never change."""
+    configs = [c for c in golden.golden_configs()
+               if c.app == app and c.nprocs == 16]
+    assert len(configs) == 16
+    assert_golden(configs)

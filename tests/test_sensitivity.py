@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import SweepPoint, granularity_preference, sweep_parameter
+from repro.harness.sensitivity import SweepPoint, granularity_preference, sweep_parameter
 
 
 class TestSweepPoint:

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from array import array
+from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
@@ -391,10 +392,9 @@ print(json.dumps({
 
 def test_runtime_runs_without_numpy():
     """A cell and an exploration import and run without numpy, the
-    cell's stats-sha is the lu/hlrc/1024 pin of the 48-cell matrix in
-    test_scaling.py, and what the cell benchmark imports still imports:
-    ``repro.perf.micros``'s two helpers, and ``BACKEND``, which names
-    the stdlib kernels."""
+    cell's stats-sha is its pin in tests/golden_shas.json, and what the
+    cell benchmark imports still imports: ``repro.perf.micros``'s two
+    helpers, and ``BACKEND``, which names the stdlib kernels."""
     out = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_RUN],
         capture_output=True, text=True, check=True,
@@ -402,5 +402,6 @@ def test_runtime_runs_without_numpy():
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got["numpy"] is False
     assert got["backend"] == "python"
-    assert got["sha"] == "ff62a23ec4f4666b"
+    golden = json.loads((Path(__file__).parent / "golden_shas.json").read_text())
+    assert got["sha"] == golden["lu/hlrc-1024/polling/p16"]
     assert got["mc"] == [142, 6314, True, True]
