@@ -42,6 +42,9 @@ after ``release_prepare`` for both lock releases and barrier arrivals):
 * both -- clock bound: ``vt[n][i] <= vt[i][i]`` for every ``i`` (no
   node has seen more of node ``i``'s intervals than ``i`` has closed),
   the invariant the barrier's diagonal merge rests on.  O(N) per sync.
+* both -- no barrier release carries a notice authored by its
+  receiver (the receiver's own component is the merged diagonal), the
+  invariant that lets every node of one view share one notice plan.
 * Tardis -- pts advance on acquire: the node's program timestamp is at
   least the granter's shipped ``pts``, and no cached lease older than
   the new ``pts`` survives the expiry scan.
@@ -400,8 +403,23 @@ class InvariantChecker(Hooks):
             node=node_id,
         )
 
+    def _barrier_own_notice(self, node_id: int, payload) -> None:
+        if "dominates" not in payload:  # a lock grant
+            return
+        for wn in payload["notices"]:
+            if wn.owner == node_id:
+                self._report(
+                    "barrier-own-notice",
+                    f"barrier release carries the receiver's own notice "
+                    f"(version {wn.version})",
+                    node=node_id,
+                    block=wn.block,
+                )
+                return
+
     def _sync_swlrc(self, node_id: int, payload) -> None:
         self._clock_bound(node_id)
+        self._barrier_own_notice(node_id, payload)
         p = self.p
         access = self.m.nodes[node_id].access
         for wn in payload.get("notices") or ():
@@ -429,6 +447,7 @@ class InvariantChecker(Hooks):
 
     def _sync_hlrc(self, node_id: int, payload) -> None:
         self._clock_bound(node_id)
+        self._barrier_own_notice(node_id, payload)
         p = self.p
         access = self.m.nodes[node_id].access
         for wn in payload.get("notices") or ():

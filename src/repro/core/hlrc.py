@@ -180,39 +180,18 @@ class HLRCProtocol(LRCBase):
     # ==================================================================
     # notice application (app context, from apply_sync)
     # ==================================================================
-    def _apply_notice(self, node, wn: WriteNotice) -> Generator:
-        if wn.owner == node.id:
-            return
-        if self._is_home(node.id, wn.block):
-            # The home's copy absorbed the writer's diff eagerly; it is
-            # current by construction.
-            return
-        if wn.block in self.twins[node.id]:
-            # Concurrent writer under a different lock: preserve our own
-            # modifications by flushing them before invalidating.
-            yield from self._flush_one(node, wn.block)
-        if node.access.invalidate(wn.block):
-            self.stats.invalidations += 1
-
-    def _apply_notices(self, node, notices) -> Generator:
-        # Flat-loop batch form of _apply_notice (see LRCBase).  A block
-        # repeated across the payload's intervals is invalidated (and
-        # its twin flushed) by its first foreign notice; later repeats
-        # find no twin and an already-invalid tag, so they are skipped
-        # outright.
+    def _apply_notices(self, node, plan) -> Generator:
+        # One notice per block (see LRCBase).  The home's copy absorbed
+        # the writer's diff eagerly and is current by construction; a
+        # twin means we are a concurrent writer under a different lock,
+        # whose modifications are flushed before the invalidation.
         nid = node.id
         twins = self.twins[nid]
         is_home = self._is_home
         invalidate = node.access.invalidate
         stats = self.stats
-        seen = set()
-        for wn in notices:
-            if wn.owner == nid:
-                continue
+        for wn in plan:
             block = wn.block
-            if block in seen:
-                continue
-            seen.add(block)
             if is_home(nid, block):
                 continue
             if block in twins:

@@ -8,17 +8,22 @@ acquire time.  The subclasses differ in
 
 * what happens at a release (:meth:`_release_flush`): HLRC eagerly
   diffs and flushes to homes, SW-LRC only bumps versions;
-* how a write notice is applied (:meth:`_apply_notice`): HLRC
+* how a notice plan is applied (:meth:`_apply_notices`): HLRC
   invalidates unless home/writer, SW-LRC compares versions;
 * how misses are serviced.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Set, Tuple
+from typing import Any, Dict, Generator, List, Sequence, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol
-from repro.core.timestamps import IntervalLog, VectorClock, WriteNotice
+from repro.core.timestamps import (
+    IntervalLog,
+    VectorClock,
+    WriteNotice,
+    notice_plan,
+)
 
 
 class LRCBase(CoherenceProtocol):
@@ -43,25 +48,23 @@ class LRCBase(CoherenceProtocol):
         """Flush pending modifications; returns the interval's notices."""
         raise NotImplementedError
 
-    def _apply_notice(self, node, wn: WriteNotice) -> Generator:
-        """Apply one write notice at acquire time (app context)."""
+    def _apply_notices(self, node, plan: List[WriteNotice]) -> Generator:
+        """Apply a notice plan (:func:`notice_plan`) at acquire time, in
+        app context: one notice per block, the block's first
+        max-version notice, blocks in first-occurrence order, none
+        authored by ``node``.  Applying the plan must leave the same
+        state as applying every notice of its batch in order."""
         raise NotImplementedError
-
-    def _apply_notices(self, node, notices: List[WriteNotice]) -> Generator:
-        """Apply a notice batch; semantically ``_apply_notice`` in a loop.
-
-        Subclasses override this with a single flat loop because
-        creating one generator per notice (barrier releases carry
-        thousands) shows up in profiles.  An override must stay
-        behavior-identical to iterating :meth:`_apply_notice`."""
-        for wn in notices:
-            yield from self._apply_notice(node, wn)
 
     # ------------------------------------------------------------------
     # synchronization hooks (called by the lock/barrier services)
     # ------------------------------------------------------------------
     def current_vt(self, node_id: int) -> Tuple[int, ...]:
         return self.vt[node_id].as_tuple()
+
+    def arrival_vt(self, node_id: int) -> Sequence[int]:
+        """The live components, not a copy: see :meth:`barrier_payloads`."""
+        return self.vt[node_id].v
 
     def release_prepare(self, node) -> Generator:
         """Close the current interval (and flush, for HLRC)."""
@@ -80,7 +83,7 @@ class LRCBase(CoherenceProtocol):
         return payload, self.ilog.compressed_count(notices)
 
     def barrier_payloads(
-        self, vts: Dict[int, Any]
+        self, vts: Dict[int, Sequence[int]]
     ) -> Dict[int, Tuple[Any, int]]:
         """Tailored release payloads around one merged timestamp.
 
@@ -93,10 +96,19 @@ class LRCBase(CoherenceProtocol):
         partial barrier) needs the max over the arrivals -- one O(N)
         formula instead of an O(N^2) column max.
 
-        The merged timestamp dominates every arrival, and a node blocked
-        in the barrier can neither tick nor apply a grant, so its clock
-        still equals its arrival: ``apply_sync`` copies a payload marked
-        ``dominates`` instead of merging it.
+        A node blocked in the barrier can neither tick nor apply a
+        grant, so its clock still equals its arrival: the arrivals are
+        the nodes' live components (:meth:`arrival_vt`), and
+        ``apply_sync`` copies a payload marked ``dominates`` instead of
+        merging it, since the merged timestamp dominates every arrival.
+
+        An arrival's notices depend only on its components at the
+        interval log's writers, so arrivals agreeing there share one
+        read-only payload: its notices, their run count and the notice
+        plan ``apply_sync`` applies are built once per distinct view.
+        The plan drops no receiver's own notices because none occur: a
+        participant's own component equals the merged diagonal (the
+        checker's ``barrier-own-notice`` rule asserts it).
         """
         arrivals = vts.values()
         merged = tuple(
@@ -104,13 +116,24 @@ class LRCBase(CoherenceProtocol):
             for i in range(self.params.n_nodes)
         )
         ilog = self.ilog
+        writers = ilog.writers
+        by_view: Dict[Tuple[int, ...], Tuple[Any, int]] = {}
         out: Dict[int, Tuple[Any, int]] = {}
         for node_id, vt in vts.items():
-            notices = ilog.notices_between(vt, merged)
-            out[node_id] = (
-                {"vt": merged, "notices": notices, "dominates": True},
-                ilog.compressed_count(notices),
-            )
+            key = tuple(map(vt.__getitem__, writers))
+            shared = by_view.get(key)
+            if shared is None:
+                notices = ilog.notices_between(vt, merged)
+                shared = by_view[key] = (
+                    {
+                        "vt": merged,
+                        "notices": notices,
+                        "plan": notice_plan(notices),
+                        "dominates": True,
+                    },
+                    ilog.compressed_count(notices),
+                )
+            out[node_id] = shared
         return out
 
     def apply_sync(self, node, payload) -> Generator:
@@ -125,4 +148,7 @@ class LRCBase(CoherenceProtocol):
             self.stats.write_notices_applied += len(notices)
             # Bookkeeping cost of walking the notice list.
             yield self.params.write_notice_us * len(notices)
-            yield from self._apply_notices(node, notices)
+            plan = payload.get("plan")
+            if plan is None:  # a lock grant may carry our own notices
+                plan = notice_plan(notices, node.id)
+            yield from self._apply_notices(node, plan)

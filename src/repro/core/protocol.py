@@ -232,14 +232,22 @@ class CoherenceProtocol:
     def barrier_payloads(self, vts: Dict[int, Any]) -> Dict[int, Tuple[Any, int]]:
         """Per-node tailored release payloads for a barrier.
 
-        ``vts`` maps node -> the vector timestamp it sent at arrival
-        (None under SC).  Returns node -> (payload, notice_count).
+        ``vts`` maps node -> the timestamp it sent at arrival
+        (:meth:`arrival_vt`; None under SC).  Returns node ->
+        (payload, notice_count).
         """
         return {n: (None, 0) for n in vts}
 
     def current_vt(self, node_id: int):
         """The node's vector timestamp (None for SC)."""
         return None
+
+    def arrival_vt(self, node_id: int):
+        """The timestamp a barrier arrival carries.  Unlike a lock
+        request's, it may be the node's live clock: the node is blocked
+        until the release, so the clock cannot change under the
+        manager."""
+        return self.current_vt(node_id)
 
     def apply_sync(self, node, payload) -> Generator:
         """Run in app context after a grant/barrier-release delivered

@@ -375,48 +375,19 @@ class SWLRCProtocol(LRCBase):
             yield self.params.handler_base_us
         return notices
 
-    def _apply_notice(self, node, wn: WriteNotice) -> Generator:
-        if wn.owner == node.id:
-            return
-        # Remember the freshest writer for one-hop read service.
-        cur = self.hint[node.id].get(wn.block)
-        if cur is None or wn.version > cur[0]:
-            self.hint[node.id][wn.block] = (wn.version, wn.owner)
-        my_version = self.version[node.id].get(wn.block)
-        if my_version is not None and my_version >= wn.version:
-            # Copy already covers this notice: skip the invalidation
-            # ("avoid unnecessary invalidations", Section 2.2).
-            return
-        self.owned[node.id].discard(wn.block)
-        if node.access.invalidate(wn.block):
-            self.stats.invalidations += 1
-            self.version[node.id].pop(wn.block, None)
-        return
-        yield  # pragma: no cover - generator protocol
-
-    def _apply_notices(self, node, notices) -> Generator:
-        # Flat-loop batch form of _apply_notice (see LRCBase).  Barrier
-        # payloads repeat blocks across many intervals; per block only
-        # the highest-version notice has any effect (the hint keeps the
-        # max version, and one invalidation covers every lower version),
-        # so aggregate first and touch each block once.  The first
-        # notice reaching the max version wins, matching the sequential
-        # loop's strict-greater hint update.
+    def _apply_notices(self, node, plan) -> Generator:
+        # One notice per block (see LRCBase): keep the freshest writer
+        # as the one-hop read hint, and invalidate unless the local copy
+        # already covers the notice ("avoid unnecessary invalidations",
+        # Section 2.2).
         nid = node.id
-        best: dict = {}
-        for wn in notices:
-            if wn.owner == nid:
-                continue
-            block = wn.block
-            cur = best.get(block)
-            if cur is None or wn.version > cur.version:
-                best[block] = wn
         hint = self.hint[nid]
         version = self.version[nid]
         owned = self.owned[nid]
         invalidate = node.access.invalidate
         stats = self.stats
-        for block, wn in best.items():
+        for wn in plan:
+            block = wn.block
             wv = wn.version
             cur = hint.get(block)
             if cur is None or wv > cur[0]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple, Union
+from operator import attrgetter
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +35,32 @@ class WriteNotice:
     block: int
     version: int
     owner: int
+
+
+_block_of = attrgetter("block")
+_successor = (1).__add__
+
+
+def notice_plan(
+    notices: Sequence[WriteNotice], receiver: int = -1
+) -> List[WriteNotice]:
+    """The notices of a batch that have any effect at ``receiver``.
+
+    Per block only the highest-version notice matters (a version hint
+    keeps the max, and one invalidation covers every lower version), so
+    the plan holds each block's first max-version notice, blocks in
+    first-occurrence order -- the order a per-notice loop would first
+    touch them.  Notices authored by ``receiver`` itself are dropped;
+    the default matches no node."""
+    best: Dict[int, WriteNotice] = {}
+    for wn in notices:
+        if wn.owner == receiver:
+            continue
+        block = wn.block
+        cur = best.get(block)
+        if cur is None or wn.version > cur.version:
+            best[block] = wn
+    return list(best.values())
 
 
 #: anything a clock method accepts as "the other side": a component
@@ -160,6 +187,11 @@ class IntervalLog:
         """``node``'s closed intervals in order (read-only view)."""
         return self._log[node]
 
+    @property
+    def writers(self) -> Sequence[int]:
+        """Sorted nodes that closed at least one non-empty interval."""
+        return self._writers
+
     def intervals_of(self, node: int) -> int:
         return len(self._log[node])
 
@@ -185,12 +217,9 @@ class IntervalLog:
         Write notices for consecutive blocks (a processor's contiguous
         partition) are run-length encoded on the wire, so a sweep that
         dirties 100 adjacent blocks costs one notice record, while
-        scattered tree-cell notices (Barnes) compress not at all."""
-        if not notices:
-            return 0
-        blocks = sorted({wn.block for wn in notices})
-        runs = 1
-        for a, b in zip(blocks, blocks[1:]):
-            if b != a + 1:
-                runs += 1
-        return runs
+        scattered tree-cell notices (Barnes) compress not at all.
+
+        A run starts at every block whose predecessor is not noticed, so
+        the count is one set difference, with no sort."""
+        blocks = set(map(_block_of, notices))
+        return len(blocks.difference(map(_successor, blocks)))

@@ -175,9 +175,8 @@ class _FootprintHooks(Hooks):
         fp = self._s.fp
         if fp is None:
             return
-        notices = getattr(payload, "notices", None)
-        if notices:
-            for wn in notices:
+        if payload and payload.get("notices"):
+            for wn in payload["notices"]:
                 fp.add(("blk", wn.block))
 
 

@@ -17,7 +17,7 @@ barrier object can be reused across iterations, like SPLASH-2's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.net.message import Message, notice_size
 from repro.sim.process import Future
@@ -27,7 +27,7 @@ from repro.sim.process import Future
 class Episode:
     """Manager-side state of one barrier episode."""
 
-    arrivals: Dict[int, tuple] = field(default_factory=dict)  # node -> vt
+    arrivals: Dict[int, Any] = field(default_factory=dict)  # node -> vt
     futures: Dict[int, Future] = field(default_factory=dict)
 
 
@@ -71,7 +71,7 @@ class BarrierService:
             hooks.on_release_done(node.id)
             hooks.on_barrier_enter(node.id, barrier_id, episode)
         fut = Future(self.engine)
-        vt = protocol.current_vt(node.id)
+        vt = protocol.arrival_vt(node.id)
         vec_bytes = 4 * self.params.n_nodes if protocol.uses_notices else 0
         msg = Message(
             src=node.id,
@@ -116,7 +116,8 @@ class BarrierService:
         if len(ep.arrivals) < p["participants"]:
             return
         # Everyone is here: compute tailored release payloads and
-        # broadcast.  The merge cost scales with total notices.
+        # broadcast.  The merge cost scales with total notices; nodes
+        # with one view share one payload object.
         del self._episodes[key]
         payloads = self.m.protocol.barrier_payloads(ep.arrivals)
         # Insertion order == arrival order, which is deterministic and

@@ -342,3 +342,22 @@ def test_broken_protocol_registration_is_mc_scoped():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_sync_footprint_names_noticed_blocks():
+    """A grant's write notices invalidate blocks, so the sync step's
+    footprint must name them; payloads without notices add nothing."""
+    from types import SimpleNamespace
+
+    from repro.core.timestamps import WriteNotice
+    from repro.mc.scheduler import _FootprintHooks
+
+    sched = SimpleNamespace(fp=set())
+    hooks = _FootprintHooks(sched)
+    grant = {"vt": (1, 2), "notices": [WriteNotice(3, 1, 1), WriteNotice(5, 2, 1)]}
+    hooks.on_sync_applied(0, grant)
+    assert sched.fp == {("blk", 3), ("blk", 5)}
+    for payload in (None, {"pts": 4}, {"vt": (1, 2), "notices": []}):
+        sched.fp = set()
+        hooks.on_sync_applied(0, payload)
+        assert sched.fp == set()

@@ -2,11 +2,14 @@
 runtime first-touch migration, the SC recall/poison machinery, and the
 HLRC/SW-LRC state tables."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro import Machine, MachineParams, run_program
 from repro.core.registry import available_protocols
+from repro.core.timestamps import WriteNotice, notice_plan
 from repro.memory.access_control import INV, RO, RW
 
 
@@ -339,3 +342,131 @@ class TestPlacement:
         run_program(m, program, nprocs=4)
         with pytest.raises(RuntimeError, match="place"):
             m.place(seg.base, 1024, 2)
+
+
+# ----------------------------------------------------------------------
+# notice plans: one notice per block instead of the per-notice loop
+# ----------------------------------------------------------------------
+def _swlrc_notice_loop(proto, node, notices):
+    """The per-notice SW-LRC loop the notice plan replaced: the oracle."""
+    nid = node.id
+    for wn in notices:
+        if wn.owner == nid:
+            continue
+        cur = proto.hint[nid].get(wn.block)
+        if cur is None or wn.version > cur[0]:
+            proto.hint[nid][wn.block] = (wn.version, wn.owner)
+        my_version = proto.version[nid].get(wn.block)
+        if my_version is not None and my_version >= wn.version:
+            continue
+        proto.owned[nid].discard(wn.block)
+        if node.access.invalidate(wn.block):
+            proto.stats.invalidations += 1
+            proto.version[nid].pop(wn.block, None)
+    return
+    yield  # pragma: no cover - generator protocol
+
+
+def _hlrc_notice_loop(proto, node, notices):
+    """The per-notice HLRC loop the notice plan replaced: the oracle."""
+    nid = node.id
+    for wn in notices:
+        if wn.owner == nid or proto._is_home(nid, wn.block):
+            continue
+        if wn.block in proto.twins[nid]:
+            yield from proto._flush_one(node, wn.block)
+        if node.access.invalidate(wn.block):
+            proto.stats.invalidations += 1
+
+
+_NOTICE_LOOPS = {"swlrc": _swlrc_notice_loop, "hlrc": _hlrc_notice_loop}
+
+
+class TestNoticePlan:
+    N, G, BLOCKS, RECEIVER = 4, 64, 24, 1
+
+    def _machine(self, protocol, seed):
+        """A machine whose receiver holds a random mix of tags, versions,
+        hints, ownership and twins; flushes are recorded, not sent."""
+        m = make(protocol, g=self.G, n=self.N)
+        seg = m.alloc(self.BLOCKS * self.G, "x")
+        p, nid = m.protocol, self.RECEIVER
+        node = m.nodes[nid]
+        rng = random.Random(seed)
+        blocks = [seg.base // self.G + k for k in range(self.BLOCKS)]
+        for b in blocks:
+            tag = rng.choice((INV, RO, RW))
+            if tag != INV:
+                node.access.set_tag(b, tag)
+            if protocol == "swlrc":
+                if rng.random() < 0.6:
+                    p.version[nid][b] = rng.randint(1, 6)
+                if rng.random() < 0.5:
+                    p.hint[nid][b] = (rng.randint(1, 6), rng.randrange(self.N))
+                if tag == RW:
+                    p.owned[nid].add(b)
+            elif tag == RW:
+                p.twins[nid][b] = None
+        flushed = []
+
+        def record_flush(node, block):
+            flushed.append(block)
+            del p.twins[node.id][block]
+            return
+            yield  # pragma: no cover - generator protocol
+
+        p._flush_one = record_flush
+        return m, blocks, flushed
+
+    def _notices(self, blocks, seed, own):
+        """A batch with repeated blocks and several writers (the
+        receiver among them only if ``own``)."""
+        rng = random.Random(seed + 1000)
+        owners = [o for o in range(self.N) if own or o != self.RECEIVER]
+        return [
+            WriteNotice(rng.choice(blocks[: self.BLOCKS // 2] + blocks),
+                        rng.randint(1, 7), rng.choice(owners))
+            for _ in range(40)
+        ]
+
+    @staticmethod
+    def _state(m, blocks, flushed):
+        p, nid = m.protocol, TestNoticePlan.RECEIVER
+        state = {
+            "tags": [m.nodes[nid].access.tag(b) for b in blocks],
+            "invalidations": p.stats.invalidations,
+        }
+        if p.name == "swlrc":
+            state.update(hint=dict(p.hint[nid]), version=dict(p.version[nid]),
+                         owned=set(p.owned[nid]))
+        else:
+            state.update(flushed=list(flushed), twins=sorted(p.twins[nid]))
+        return state
+
+    @staticmethod
+    def _drain(gen):
+        for _ in gen:
+            pass
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("path", ["grant", "barrier"])
+    def test_plan_matches_per_notice_loop(self, protocol, seed, path):
+        plan_m, blocks, plan_flushed = self._machine(protocol, seed)
+        loop_m, _, loop_flushed = self._machine(protocol, seed)
+        notices = self._notices(blocks, seed, own=path == "grant")
+        nid = self.RECEIVER
+        vt = plan_m.protocol.current_vt(nid)
+        if path == "grant":  # apply_sync builds the receiver's plan
+            payload = {"vt": vt, "notices": notices}
+        else:  # barrier_payloads built one plan for every receiver
+            payload = {"vt": vt, "notices": notices,
+                       "plan": notice_plan(notices), "dominates": True}
+        self._drain(plan_m.protocol.apply_sync(plan_m.nodes[nid], payload))
+        self._drain(_NOTICE_LOOPS[protocol](
+            loop_m.protocol, loop_m.nodes[nid], notices))
+        want = self._state(loop_m, blocks, loop_flushed)
+        assert self._state(plan_m, blocks, plan_flushed) == want
+        assert want["invalidations"] > 0
+        if protocol == "hlrc":
+            assert want["flushed"]

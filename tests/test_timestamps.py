@@ -192,19 +192,40 @@ def _old_barrier_payloads(log, vts, n):
         notices = _notices_all_nodes(log, vt, merged)
         out[node_id] = (
             {"vt": tuple(merged), "notices": notices},
-            log.compressed_count(notices),
+            _sorted_runs(notices),
         )
     return out
 
 
+def _plan_oracle(notices):
+    """Each block's first max-version notice, blocks in first-occurrence
+    order, stated without the one-pass aggregation."""
+    order = dict.fromkeys(wn.block for wn in notices)
+    return [max((wn for wn in notices if wn.block == b),
+                key=lambda wn: wn.version) for b in order]
+
+
+def _sorted_runs(notices):
+    """The sorted-runs loop ``compressed_count`` replaced: the oracle."""
+    if not notices:
+        return 0
+    blocks = sorted({wn.block for wn in notices})
+    runs = 1
+    for a, b in zip(blocks, blocks[1:]):
+        if b != a + 1:
+            runs += 1
+    return runs
+
+
 def _assert_matches_oracle(got, want):
-    """Field by field: merged vt, notices, compressed count, one shared
-    merged tuple and arrival order."""
+    """Field by field: merged vt, notices, compressed count, notice
+    plan, one shared merged tuple and arrival order."""
     assert list(got) == list(want)  # arrival order is insertion order
     for nid, (payload, count) in got.items():
         want_payload, want_count = want[nid]
         assert payload["vt"] == want_payload["vt"]
         assert payload["notices"] == want_payload["notices"]
+        assert payload["plan"] == _plan_oracle(want_payload["notices"])
         assert count == want_count
         assert payload["dominates"]  # applied by copy, see apply_sync
     assert len({id(p["vt"]) for p, _ in got.values()}) == 1
@@ -212,23 +233,29 @@ def _assert_matches_oracle(got, want):
 
 class TestBarrierPayloads:
     @staticmethod
-    def _protocol(n, seed, name):
+    def _protocol(n, seed, name, writer_frac=0.3):
         from repro import Machine, MachineParams
 
         proto = Machine(MachineParams(n_nodes=n), protocol=name).protocol
-        proto.ilog, counts = _seeded_log(n, seed, writer_frac=0.3)
+        proto.ilog, counts = _seeded_log(n, seed, writer_frac=writer_frac)
         return proto, counts
 
     @staticmethod
-    def _arrivals(counts, nodes, rng):
+    def _arrivals(counts, nodes, rng, views=0):
         """Reachable arrivals: random components, except that arrival
         ``i``'s own component is its column's max -- only node ``i``
         ticks component ``i``, so no node has seen more of ``i``'s
-        intervals than ``i`` has closed."""
-        vts = {nid: [rng.randint(0, c) for c in counts] for nid in nodes}
+        intervals than ``i`` has closed.  With ``views``, every node
+        first copies one of that many random clocks, so non-writers
+        copying the same one share a view."""
+        if views:
+            bases = [[rng.randint(0, c) for c in counts] for _ in range(views)]
+            vts = {nid: list(rng.choice(bases)) for nid in nodes}
+        else:
+            vts = {nid: [rng.randint(0, c) for c in counts] for nid in nodes}
         for nid, vt in vts.items():
             vt[nid] = max(other[nid] for other in vts.values())
-        return {nid: tuple(vt) for nid, vt in vts.items()}
+        return vts  # live lists, as barrier arrivals carry them
 
     @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
     @pytest.mark.parametrize("n", [16, 65])
@@ -241,6 +268,27 @@ class TestBarrierPayloads:
         got = proto.barrier_payloads(vts)
         _assert_matches_oracle(got, _old_barrier_payloads(proto.ilog, vts, n))
         assert list(got) == nodes
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    @pytest.mark.parametrize("n", [16, 65, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_views_share_one_payload(self, protocol, n, seed):
+        proto, counts = self._protocol(n, seed, protocol, writer_frac=0.02)
+        writers = proto.ilog.writers
+        rng = random.Random(seed)
+        nodes = rng.sample(range(n), n - seed)  # full and partial barriers
+        vts = self._arrivals(counts, nodes, rng, views=3)
+        got = proto.barrier_payloads(vts)
+        _assert_matches_oracle(
+            got, _old_barrier_payloads(proto.ilog, vts, n))
+        views = {}
+        for nid, vt in vts.items():
+            views.setdefault(tuple(vt[w] for w in writers), set()).add(
+                id(got[nid][0]))
+        # one payload object per view, a different one for each view
+        assert all(len(ids) == 1 for ids in views.values())
+        assert len({id(p) for p, _ in got.values()}) == len(views)
+        assert len(views) < len(nodes)  # some receivers did share
 
     @pytest.mark.parametrize("n", [16, 65])
     def test_participant_subset(self, n):
@@ -307,6 +355,57 @@ class TestBarrierPayloads:
         proto.barrier_payloads = wrapped
         run_program(m, app.program, nprocs=n)
         assert checked and set(checked) == {n}
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_payloads_per_episode_bounded_by_writers(self, protocol):
+        """lu at 65 nodes: an episode builds at most one payload per
+        writer plus one that every other participant shares."""
+        from repro import Machine, MachineParams, run_program
+        from repro.apps import make_app
+
+        n = 65
+        app = make_app("lu", scale="tiny")
+        m = Machine(MachineParams(n_nodes=n, granularity=1024), protocol=protocol)
+        app.setup(m)
+        proto = m.protocol
+        barrier_payloads = proto.barrier_payloads
+        built = []
+
+        def wrapped(vts):
+            got = barrier_payloads(vts)
+            distinct = len({id(p) for p, _ in got.values()})
+            assert distinct <= len(proto.ilog.writers) + 1
+            built.append(distinct)
+            return got
+
+        proto.barrier_payloads = wrapped
+        run_program(m, app.program, nprocs=n)
+        assert built and max(built) < n  # non-writers shared a payload
+
+
+class TestCompressedCount:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sorted_runs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            span = rng.randint(1, 60)
+            notices = [WriteNotice(rng.randrange(span), 1, 0)
+                       for _ in range(rng.randint(0, 40))]
+            assert IntervalLog.compressed_count(notices) == \
+                _sorted_runs(notices)
+
+    @pytest.mark.parametrize("blocks, runs", [
+        ([], 0),
+        ([5], 1),
+        ([5, 5, 5], 1),
+        ([3, 1, 2, 2], 1),
+        ([0, 2, 4], 3),
+        ([9, 7, 8, 1, 0], 2),
+    ])
+    def test_edge_cases(self, blocks, runs):
+        notices = [WriteNotice(b, 1, 0) for b in blocks]
+        assert IntervalLog.compressed_count(notices) == runs == \
+            _sorted_runs(notices)
 
 
 class TestWriteNotice:
