@@ -113,20 +113,23 @@ class InvariantChecker(Hooks):
         self._last_ts: Dict[int, Tuple[int, int]] = {}
         #: per-node last observed program timestamp (tardis)
         self._last_pts = [0] * self.n
+        # Per-protocol checks, as plain functions called with self: bound
+        # methods stored on the instance would make every checker a
+        # reference cycle that holds its whole machine.
         name = self.p.name
         self._per_message = {
-            "sc": self._msg_sc,
-            "swlrc": self._msg_swlrc,
-            "tardis": self._msg_tardis,
+            "sc": InvariantChecker._msg_sc,
+            "swlrc": InvariantChecker._msg_swlrc,
+            "tardis": InvariantChecker._msg_tardis,
         }.get(name)
         self._at_release = {
-            "swlrc": self._release_swlrc,
-            "hlrc": self._release_hlrc,
+            "swlrc": InvariantChecker._release_swlrc,
+            "hlrc": InvariantChecker._release_hlrc,
         }.get(name)
         self._at_sync = {
-            "swlrc": self._sync_swlrc,
-            "hlrc": self._sync_hlrc,
-            "tardis": self._sync_tardis,
+            "swlrc": InvariantChecker._sync_swlrc,
+            "hlrc": InvariantChecker._sync_hlrc,
+            "tardis": InvariantChecker._sync_tardis,
         }.get(name)
 
     # ------------------------------------------------------------------
@@ -164,7 +167,7 @@ class InvariantChecker(Hooks):
     # ------------------------------------------------------------------
     def after_message(self, protocol, node, msg) -> None:
         if self._per_message is not None and msg.block >= 0:
-            self._per_message(msg.block)
+            self._per_message(self, msg.block)
 
     def _sc_in_flight(self, block: int) -> bool:
         p = self.p
@@ -310,7 +313,7 @@ class InvariantChecker(Hooks):
     # ------------------------------------------------------------------
     def on_release_done(self, node_id: int) -> None:
         if self._at_release is not None:
-            self._at_release(node_id)
+            self._at_release(self, node_id)
 
     def _writable_blocks(self, node_id: int) -> List[int]:
         return [
@@ -388,7 +391,7 @@ class InvariantChecker(Hooks):
     # ------------------------------------------------------------------
     def on_sync_applied(self, node_id: int, payload) -> None:
         if self._at_sync is not None and payload:
-            self._at_sync(node_id, payload)
+            self._at_sync(self, node_id, payload)
 
     def _clock_bound(self, node_id: int) -> None:
         vts = self.p.vt

@@ -168,3 +168,31 @@ class Machine:
 
     def run(self, until: Optional[float] = None) -> float:
         return self.engine.run(until=until)
+
+    def close(self) -> None:
+        """Break the back-references that make a machine a reference
+        cycle, so a finished machine is freed by reference counting the
+        moment its last outside reference goes, not by a later pass of
+        the cyclic collector.
+
+        Call it once the run is over and everything wanted from the live
+        machine (stats, protocol metadata, checker reports) has been
+        read.  Stats, node stores and protocol state stay readable, as
+        do the nodes, messages and processes an mc trace's labels name;
+        the machine can no longer dispatch a message.  Calling it again
+        is harmless; calling it while the engine runs raises.
+        """
+        # engine -> policy and machine -> hooks/checkers, which hold
+        # the machine
+        self.engine.set_policy(None)
+        self.hooks = None
+        self.protocol.checker = None
+        # the wiring callbacks bound to this machine or its services
+        for node in self.nodes:
+            node._handle_message = None
+        self.network.set_deliver(None)
+        self._route = {}
+        self.protocol._handlers = {}
+        for service in (self.protocol, self.locks, self.barriers, self.transport):
+            if service is not None:
+                service.m = None

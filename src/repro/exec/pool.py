@@ -123,7 +123,8 @@ def _simulate_cell(
 
     A successful record carries the run's coherence-metadata accounting
     (:func:`~repro.stats.counters.protocol_metadata`) in
-    ``record.metadata``: the live machine is gone once the record
+    ``record.metadata``: the live machine is closed (see
+    :meth:`~repro.cluster.machine.Machine.close`) before the record
     leaves this function.
 
     ``check`` (True, or a race-detection unit: ``"byte"``, ``"word"``,
@@ -167,6 +168,10 @@ def _simulate_cell(
             rec.metadata = protocol_metadata(result.machine).to_dict()
         if report is not None:
             rec.check = report.summary()
+        # Everything the record needs is on it: free the machine now,
+        # by reference counting, not in a collector pass inside the
+        # next cell's run.
+        result.machine.close()
         rec.duration_s = time.monotonic() - start
         rec.attempts = attempt
         return rec

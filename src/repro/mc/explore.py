@@ -32,7 +32,7 @@ protocol's memory model.  The first failing schedule is kept as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check import install_checkers
 from repro.cluster.config import NotificationMechanism
@@ -180,8 +180,22 @@ class Explorer:
     # ------------------------------------------------------------------
     # executing one schedule
     # ------------------------------------------------------------------
-    def _execute(self, prefix: List[int], sleep=None, sleep_from: int = 0):
-        """Run one schedule; returns (scheduler, outcome, report, error)."""
+    def _execute(
+        self,
+        prefix: List[int],
+        sleep=None,
+        sleep_from: int = 0,
+        reuse: Sequence[Step] = (),
+    ):
+        """Run one schedule; returns (scheduler, outcome, report, error).
+
+        ``reuse`` holds an earlier execution's first steps under the
+        same forced prefix; the scheduler replays them without
+        recomputing their enabled sets and footprints.  The machine is
+        closed before returning (see :meth:`Machine.close
+        <repro.cluster.machine.Machine.close>`), so it is freed as soon
+        as the caller drops the scheduler and trace.
+        """
         inst = self.litmus.instantiate(
             self.protocol, self.granularity, mechanism=self.mechanism
         )
@@ -191,6 +205,7 @@ class Explorer:
             max_steps=self.max_steps,
             initial_sleep=sleep,
             sleep_from=sleep_from,
+            reuse=reuse,
         )
         checkers = install_checkers(
             inst.machine,
@@ -211,6 +226,7 @@ class Explorer:
         except (SimulationError, RuntimeError) as exc:
             error = exc
         report = checkers.report()
+        inst.machine.close()
         return sched, outcome, report, error
 
     def _judge(self, outcome, report, error) -> Optional[str]:
@@ -322,9 +338,10 @@ class Explorer:
         frames: List[_Frame] = []
         sleep: dict = {}
         sleep_from = 0
+        reuse: List[Step] = []
         while True:
             sched, outcome, report, error = self._execute(
-                prefix, sleep=sleep, sleep_from=sleep_from
+                prefix, sleep=sleep, sleep_from=sleep_from, reuse=reuse
             )
             trace = sched.trace
             res.schedules += 1
@@ -405,6 +422,8 @@ class Explorer:
             f.chosen = choice
             del frames[depth + 1:]
             prefix = [fr.chosen for fr in frames]
+            # the next execution replays this one's first depth steps
+            reuse = trace[:depth]
         return res
 
 

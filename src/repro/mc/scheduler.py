@@ -14,6 +14,10 @@ the exploration driver installs on a machine under test.  Per dispatch it
   deterministically given identical dispatch choices, so a forced
   prefix replays the exact same partial execution on a fresh machine --
   the basis of stateless DFS backtracking;
+* replays a **reused prefix** -- the steps an earlier execution
+  recorded under the same forced prefix -- by checking only that each
+  forced event is still ready and not held back by the wire order,
+  and taking its enabled set, footprint and parent from the record;
 * records a :class:`Step` per dispatch: the chosen event, the enabled
   alternatives, the event's **dependency footprint** (which node,
   blocks, locks and barriers it touched), and its creation parent.
@@ -190,12 +194,16 @@ class ControlledScheduler(SchedulerPolicy):
         max_steps: int = 20_000,
         initial_sleep: Optional[Dict[int, FrozenSet[tuple]]] = None,
         sleep_from: int = 0,
+        reuse: Sequence[Step] = (),
     ):
         self.machine = machine
         self.engine = machine.engine
         self.blockspace = machine.blockspace
         self.forced = list(forced)
         self.max_steps = max_steps
+        #: recorded steps of an earlier execution of the same forced
+        #: prefix (see :meth:`_choose_reused`); dropped once replayed
+        self.reuse = reuse
         #: sleep set (seq -> footprint): events whose subtrees an
         #: earlier exploration already covered.  ``initial_sleep`` is
         #: the set at entry to step index ``sleep_from``; from there it
@@ -217,6 +225,8 @@ class ControlledScheduler(SchedulerPolicy):
         self.proc_blocks: Dict[int, FrozenSet[tuple]] = {}
         self._pending: Optional[Step] = None
         self._pre_seq = 0
+        self._deliver_fn = machine._deliver
+        self._dispatch_fn = machine._dispatch
         machine.add_hooks(_FootprintHooks(self))
         machine.engine.set_policy(self)
 
@@ -277,53 +287,48 @@ class ControlledScheduler(SchedulerPolicy):
     # ------------------------------------------------------------------
     # enabled-set computation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _blocked(ready, kinds) -> set:
-        """Seqs of ready events the wire's ordering forbids dispatching
-        yet (``kinds`` holds each entry's :meth:`_classify` result)."""
-        blocked = set()
-        links: Dict[tuple, list] = {}
-        node_dispatch: Dict[int, list] = {}
-        for e, (kind, detail) in zip(ready, kinds):
-            if kind == "deliver":
-                m = detail
-                links.setdefault((m.src, m.dst), []).append(
-                    (e[1], m.size_bytes)
-                )
-            elif kind == "dispatch":
-                node_dispatch.setdefault(detail[0].id, []).append(e[1])
-        for (src, dst), pend in links.items():
-            if len(pend) < 2:
-                continue
-            pend.sort()
-            for i in range(1, len(pend)):
-                seq_i, size_i = pend[i]
-                for seq_j, size_j in pend[:i]:
+    def _held_back(self, ready, seq, kind, detail) -> bool:
+        """Does the wire's ordering forbid dispatching ready event
+        ``seq`` (classified as ``kind, detail``) yet?"""
+        if kind == "deliver":
+            m = detail
+            deliver = self._deliver_fn
+            for e in ready:
+                if e[1] < seq and e[3] == deliver:
+                    mj = e[4][0]
                     # A message overtakes an earlier one on the same
                     # link only by being strictly smaller; local
                     # deliveries are FIFO unconditionally.
-                    if src == dst or size_j <= size_i:
-                        blocked.add(seq_i)
-                        break
-        for seqs in node_dispatch.values():
-            if len(seqs) > 1:
-                seqs.sort()
-                blocked.update(seqs[1:])
-        return blocked
+                    if (mj.src == m.src and mj.dst == m.dst
+                            and (m.src == m.dst or mj.size_bytes <= m.size_bytes)):
+                        return True
+        elif kind == "dispatch":
+            # handler completions at one node retire in delivery order
+            node_id = detail[0].id
+            dispatch = self._dispatch_fn
+            for e in ready:
+                if e[1] < seq and e[3] == dispatch and e[4][0].id == node_id:
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # SchedulerPolicy interface
     # ------------------------------------------------------------------
     def choose(self, ready):
+        if len(self.trace) < len(self.reuse):
+            return self._choose_reused(ready)
         # Each ready entry is classified once; the chosen entry's
         # classification then feeds its footprint and label.  A lone
         # ready event needs no feasibility filter: nothing can block it.
         kinds = [self._classify(e) for e in ready]
         enabled = ready
         if len(ready) > 1:
-            blocked = self._blocked(ready, kinds)
-            if blocked:
-                keep = [k for k, e in enumerate(ready) if e[1] not in blocked]
+            held_back = self._held_back
+            keep = [
+                k for k, e in enumerate(ready)
+                if not held_back(ready, e[1], *kinds[k])
+            ]
+            if len(keep) < len(ready):
                 enabled = [ready[k] for k in keep]
                 kinds = [kinds[k] for k in keep]
         depth = len(self.trace)
@@ -359,27 +364,70 @@ class ControlledScheduler(SchedulerPolicy):
         self._pre_seq = self.engine.next_seq
         return entry
 
+    def _choose_reused(self, ready):
+        """Replay one step of the reused prefix.
+
+        The recorded step's enabled set, footprint and parent were
+        computed when an earlier execution first ran this prefix, and
+        replay is deterministic, so only the forced event's feasibility
+        is checked -- the wire-order rules of :meth:`_held_back`, applied
+        to that one entry.  The hooks still run (they keep
+        :attr:`proc_blocks` current for the steps after the prefix)
+        but collect no footprint.
+        """
+        depth = len(self.trace)
+        rec = self.reuse[depth]
+        want = rec.seq
+        entry = next((e for e in ready if e[1] == want), None)
+        what = None if entry is None else self._classify(entry)
+        if what is None or self._held_back(ready, want, *what):
+            raise ReplayDivergence(
+                f"forced schedule wants seq {want} at step {depth}, "
+                f"ready: {[e[1] for e in ready]}"
+            )
+        kind, detail = what
+        self._pending = Step(
+            want,
+            entry[0],
+            resources=rec.resources,
+            enabled=rec.enabled,
+            parent=rec.parent,
+            what=(kind, detail, entry[3]),
+        )
+        if depth + 1 == len(self.reuse):
+            # the last reused step: no reference to the earlier
+            # execution (or its machine) outlives the prefix
+            self.reuse = ()
+        self._pre_seq = self.engine.next_seq
+        return entry
+
     def executed(self, entry):
         chosen = entry[1]
         for s in range(self._pre_seq, self.engine.next_seq):
             self.parent[s] = chosen
         step = self._pending
-        step.resources = res = frozenset(self.fp)
-        self.fp = None
         self._pending = None
         trace = self.trace
-        sleep = self.sleep
-        if len(trace) >= self.sleep_from and sleep:
-            self.sleep_log.append(sleep)
-            # The wake rule builds a fresh dict, so the logged one is
-            # never mutated afterwards.
-            self.sleep = {
-                t: r
-                for t, r in sleep.items()
-                if t != step.seq and not conflict(r, res)
-            }
-        else:
+        fp = self.fp
+        if fp is None:
+            # a reused step: its footprint is already on the record,
+            # and the sleep set only evolves from sleep_from on
             self.sleep_log.append(None)
+        else:
+            step.resources = res = frozenset(fp)
+            self.fp = None
+            sleep = self.sleep
+            if len(trace) >= self.sleep_from and sleep:
+                self.sleep_log.append(sleep)
+                # The wake rule builds a fresh dict, so the logged one
+                # is never mutated afterwards.
+                self.sleep = {
+                    t: r
+                    for t, r in sleep.items()
+                    if t != step.seq and not conflict(r, res)
+                }
+            else:
+                self.sleep_log.append(None)
         trace.append(step)
         if len(trace) >= self.max_steps:
             raise TraceBudgetExceeded(

@@ -290,6 +290,127 @@ def test_trace_budget_enforced():
 
 
 # ---------------------------------------------------------------------------
+# replaying the shared prefix from the previous schedule's steps
+# ---------------------------------------------------------------------------
+
+def _step_view(trace):
+    return [(s.seq, s.enabled, s.resources, s.parent, s.label, s.time)
+            for s in trace]
+
+
+#: mp explorations measured before prefix reuse existed:
+#: (schedules, transitions, complete, outcome counts)
+MP_PINS = {
+    ("sc", True): (142, 6314, True, {(0, 0): 66, (1, 42): 76}),
+    ("swlrc", True): (2626, 126176, True, {(0, 0): 732, (1, 42): 1894}),
+    ("hlrc", True): (278, 11337, True, {(0, 0): 61, (1, 42): 217}),
+    ("tardis", True): (1079, 48880, True, {(0, 0): 58, (1, 42): 1021}),
+    ("sc", False): (300, 13200, False, {(1, 42): 300}),
+    ("swlrc", False): (300, 15000, False, {(1, 42): 300}),
+    ("hlrc", False): (300, 12300, False, {(1, 42): 300}),
+    ("tardis", False): (300, 13800, False, {(1, 42): 300}),
+}
+
+
+@pytest.mark.parametrize("dpor", [True, False], ids=["dpor", "naive"])
+@pytest.mark.parametrize("proto", ["sc", "swlrc", "hlrc", "tardis"])
+def test_reused_prefix_matches_full_path(monkeypatch, proto, dpor):
+    """Every schedule run with the previous schedule's steps reused
+    records exactly what the same forced prefix records when every step
+    takes the full choose path (as :func:`replay` runs it)."""
+    real = Explorer._execute
+    reused = []
+
+    def checking(self, prefix, sleep=None, sleep_from=0, reuse=()):
+        sched, outcome, report, error = real(
+            self, prefix, sleep, sleep_from, reuse)
+        full, f_outcome, f_report, f_error = real(
+            self, prefix, sleep, sleep_from)
+        assert _step_view(sched.trace) == _step_view(full.trace)
+        assert sched.sleep_log == full.sleep_log
+        assert sched.parent == full.parent
+        assert outcome == f_outcome
+        assert report.describe() == f_report.describe()
+        assert repr(error) == repr(f_error)
+        reused.append(len(reuse))
+        return sched, outcome, report, error
+
+    monkeypatch.setattr(Explorer, "_execute", checking)
+    r = Explorer(LITMUS["mp"], proto, 64, dpor=dpor,
+                 max_schedules=4000 if dpor else 300).run()
+    assert len(reused) == r.schedules and max(reused) > 0
+    assert (r.schedules, r.transitions, r.complete, r.outcomes) == \
+        MP_PINS[proto, dpor]
+    assert r.check_failures == 0 and r.counterexample is None
+
+
+def test_reused_prefix_keeps_counterexample(monkeypatch):
+    """A failing cell's verdict and counterexample text are the same
+    with and without reused steps."""
+    lit = LITMUS["lock-handoff"]
+    with_reuse = Explorer(lit, "swlrc-broken", 64, max_schedules=50).run()
+    real = Explorer._execute
+    monkeypatch.setattr(
+        Explorer, "_execute",
+        lambda self, prefix, sleep=None, sleep_from=0, reuse=():
+            real(self, prefix, sleep, sleep_from),
+    )
+    without = Explorer(lit, "swlrc-broken", 64, max_schedules=50).run()
+    assert with_reuse.counterexample is not None
+    assert with_reuse.to_dict() == without.to_dict()
+    assert with_reuse.counterexample.trace_text == \
+        without.counterexample.trace_text
+
+
+@pytest.mark.parametrize("case,held_back", [
+    ("absent", True),
+    ("behind-not-larger-on-link", True),
+    ("behind-earlier-dispatch-at-node", True),
+    ("overtakes-larger-on-link", False),
+    ("other-link", False),
+    ("other-node", False),
+])
+def test_reused_prefix_divergence(case, held_back):
+    """A forced seq inside the reused prefix must be ready and not held
+    back by the wire order, exactly as on the full path; what the wire
+    allows replays."""
+    from repro.mc.scheduler import ControlledScheduler, Step
+    from repro.net.message import Message
+
+    machine = LITMUS["mp"].instantiate("sc", 64).machine
+    node0, node1 = machine.nodes[0], machine.nodes[1]
+
+    def msg(size, src=0):
+        return Message(src=src, dst=1, mtype="read_req", size_bytes=size,
+                       block=0)
+
+    def deliver(seq, m):
+        return (0.0, seq, None, machine._deliver, (m,))
+
+    def dispatch(seq, node):
+        return (0.0, seq, None, machine._dispatch, (node, msg(64)))
+
+    ready = {
+        "absent": [deliver(3, msg(64)), deliver(5, msg(64, src=2))],
+        "behind-not-larger-on-link": [deliver(3, msg(64)), deliver(4, msg(64))],
+        "behind-earlier-dispatch-at-node": [dispatch(3, node1),
+                                            dispatch(4, node1)],
+        "overtakes-larger-on-link": [deliver(3, msg(1024)), deliver(4, msg(64))],
+        "other-link": [deliver(3, msg(64, src=2)), deliver(4, msg(64))],
+        "other-node": [dispatch(3, node0), dispatch(4, node1)],
+    }[case]
+    for reuse in ([Step(4, 0.0)], ()):
+        sched = ControlledScheduler(machine, forced=[4], reuse=reuse,
+                                    sleep_from=len(reuse))
+        if held_back:
+            with pytest.raises(ReplayDivergence):
+                sched.choose(ready)
+        else:
+            assert sched.choose(ready)[1] == 4
+        machine.engine.set_policy(None)
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
