@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.memory.address_space import AddressSpace
-from repro.simcore import alloc_block
 
 #: files whose frames are skipped when attributing an access to app
 #: source (this module and the stdlib contextmanager plumbing)
@@ -355,7 +354,7 @@ class StaticDsm:
     def read(self, addr: int, size: int):
         self._rec.access(self.rank, _app_site(), False, addr, size)
         yield ("step",)
-        return alloc_block(size)
+        return bytearray(size)
 
     def write(self, addr: int, data):
         self._rec.access(self.rank, _app_site(), True, addr, len(data))

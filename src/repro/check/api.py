@@ -156,12 +156,12 @@ def install_checkers(
             machine.engine,
             max_reports=max_reports,
         )
-        machine.add_hooks(detector)
     sanitizer = None
     if invariants:
-        sanitizer = InvariantChecker(machine, max_reports=max_reports)
-        machine.add_hooks(sanitizer)
         if machine.protocol.checker is not None:
             raise RuntimeError("an invariant checker is already installed")
+        sanitizer = InvariantChecker(machine, max_reports=max_reports)
         machine.protocol.checker = sanitizer
+    # One call, so an existing composite collapses once for both.
+    machine.add_hooks(*(h for h in (detector, sanitizer) if h is not None))
     return Checkers(machine, detector, sanitizer)

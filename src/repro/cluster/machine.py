@@ -11,6 +11,7 @@ from repro.cluster.node import Node
 from repro.memory.address_space import AddressSpace, Segment
 from repro.memory.blocks import BlockSpace
 from repro.memory.home import HomeTable
+from repro.memory.storage import as_payload
 from repro.net.faultplan import FaultPlan, FaultSpec
 from repro.net.message import Message
 from repro.net.myrinet import Network
@@ -85,11 +86,11 @@ class Machine:
         #: message-type -> bound service handler, filled lazily
         self._route: dict = {}
 
-    def add_hooks(self, hook) -> None:
-        """Install an instrumentation hook (composes with existing ones)."""
+    def add_hooks(self, *hooks) -> None:
+        """Install instrumentation hooks (composes with existing ones)."""
         from repro.hooks import add_hooks
 
-        add_hooks(self, hook)
+        add_hooks(self, *hooks)
 
     # ------------------------------------------------------------------
     # message plumbing
@@ -156,8 +157,6 @@ class Machine:
     def init_data(self, addr: int, data) -> None:
         """Write initial contents into the (current or static) home
         copies, pre-parallel-phase (no simulated cost)."""
-        from repro.simcore import as_payload
-
         data = as_payload(data)
         bs = self.blockspace
         for block, off, roff, length in bs.block_slices(addr, len(data)):

@@ -8,20 +8,48 @@ disjoint words compose; overlapping concurrent writes are a data race
 the programming model excludes (and our tests exercise anyway to pin
 last-applier-wins behavior).
 
-Run extraction is the hot path of the HLRC simulation and lives in
-:mod:`repro.simcore`: a whole-buffer memcmp, then one big-int XOR of
-the two copies and a regex scan for its non-zero runs.
+Run extraction (:func:`diff_runs`) is the hot path of the HLRC
+simulation: a whole-buffer memcmp, then one big-int XOR of the two
+copies and a regex scan for its non-zero runs, all of it in C.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.simcore import diff_runs
-
 #: per-run encoding overhead on the wire (offset + length words)
 RUN_HEADER_BYTES = 4
+
+#: one maximal run of non-zero bytes
+_CHANGED_RUN = re.compile(rb"[^\x00]+")
+
+
+def diff_runs(dirty, twin) -> List[Tuple[int, bytes]]:
+    """Changed-byte runs of ``dirty`` vs ``twin``: maximal groups of
+    consecutive differing byte offsets, as (offset, copied data).
+
+    One memcmp rules out the no-change case.  Otherwise the two blocks
+    are XORed as big integers, so every changed byte is a non-zero byte
+    of the XOR at the same offset, and one regex scan over it yields
+    each maximal changed run.
+    """
+    # Normalize foreign buffer types (numpy arrays, typed memoryviews)
+    # to flat byte views so compares and lengths count bytes.
+    if not isinstance(dirty, (bytes, bytearray)):
+        dirty = memoryview(dirty).cast("B")
+    if not isinstance(twin, (bytes, bytearray)):
+        twin = memoryview(twin).cast("B")
+    if dirty == twin:
+        return []
+    n = len(dirty)
+    x = (int.from_bytes(dirty, "big") ^ int.from_bytes(twin, "big")).to_bytes(n, "big")
+    runs: List[Tuple[int, bytes]] = []
+    for m in _CHANGED_RUN.finditer(x):
+        start, stop = m.span()
+        runs.append((start, bytes(dirty[start:stop])))
+    return runs
 
 
 @dataclass(slots=True)

@@ -22,104 +22,32 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Generator, Iterator, Optional, Set
+from typing import Deque, Dict, Generator, Optional, Set
 
 from repro.core.protocol import CoherenceProtocol, register
 from repro.memory.access_control import RO, RW
 from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import CountdownLatch, Future
 
-#: widest machine the directory keeps plain-set copysets for; above
-#: this :func:`make_copyset` switches to the sharded sparse form.  Every
-#: paper-scale (16-node) directory thus keeps the exact plain set the
-#: seed used -- same iteration and message order, same stats-sha: the
-#: bit-identity contract.  (Vector clocks have one dense form at every
-#: width; this threshold is the copysets' own.)
+#: widest machine whose write fan-out visits sharers in set order; above
+#: it the fan-out visits them in ascending node order and the modeled
+#: copyset pays a header per occupied 64-node group.  Every paper-scale
+#: (16-node) directory thus keeps the seed's iteration and message
+#: order and its stats-sha (the bit-identity contract), and the wide
+#: machines keep the order and bytes they were pinned with.
 PLAIN_COPYSET_MAX = 64
 
-#: nodes per copyset shard (and the shard-index shift)
-_SHARD_SHIFT = 6
-
-#: modeled bytes per registered sharer / per allocated shard
+#: modeled bytes per registered sharer / per occupied 64-node group
 COPYSET_ENTRY_BYTES = 4
-_SHARD_OVERHEAD_BYTES = 8
+_GROUP_HEADER_BYTES = 8
 
 
-class ShardedCopyset:
-    """A directory copyset as a dict of per-64-node shards.
-
-    On wide machines a block's sharer set is usually tiny relative to
-    N but *can* reach N (a barrier-broadcast block); sharding keeps
-    membership ops O(1) on small sets while bounding the per-shard set
-    sizes, and makes the storage capacity-honest: bytes scale with
-    registered sharers, never with machine width.  Small machines
-    (<= :data:`PLAIN_COPYSET_MAX` nodes) keep the plain ``set`` the
-    seed used -- same iteration order, same message order, same
-    stats-sha.
-    """
-
-    __slots__ = ("_shards",)
-
-    def __init__(self) -> None:
-        self._shards: Dict[int, Set[int]] = {}
-
-    def add(self, node: int) -> None:
-        shard = self._shards.get(node >> _SHARD_SHIFT)
-        if shard is None:
-            shard = self._shards[node >> _SHARD_SHIFT] = set()
-        shard.add(node)
-
-    def discard(self, node: int) -> None:
-        shard = self._shards.get(node >> _SHARD_SHIFT)
-        if shard is not None:
-            shard.discard(node)
-            if not shard:
-                del self._shards[node >> _SHARD_SHIFT]
-
-    def clear(self) -> None:
-        self._shards.clear()
-
-    def __contains__(self, node: int) -> bool:
-        shard = self._shards.get(node >> _SHARD_SHIFT)
-        return shard is not None and node in shard
-
-    def __iter__(self) -> Iterator[int]:
-        # Deterministic shard-major order (no bit-identity contract
-        # above the plain-set threshold, but determinism still holds).
-        for idx in sorted(self._shards):
-            yield from sorted(self._shards[idx])
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards.values())
-
-    def __sub__(self, other) -> Set[int]:
-        return set(self) - set(other)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (set, frozenset, ShardedCopyset)):
-            return set(self) == set(other)
-        return NotImplemented
-
-    def __hash__(self) -> None:  # pragma: no cover - mutable container
-        raise TypeError("ShardedCopyset is unhashable")
-
-    def bytes_used(self) -> int:
-        return (COPYSET_ENTRY_BYTES * len(self)
-                + _SHARD_OVERHEAD_BYTES * len(self._shards))
-
-
-def make_copyset(n_nodes: int):
-    """The capacity-honest copyset for an ``n_nodes``-wide directory."""
-    if n_nodes <= PLAIN_COPYSET_MAX:
-        return set()
-    return ShardedCopyset()
-
-
-def copyset_bytes(sharers) -> int:
-    """Modeled storage bytes of a copyset of either representation."""
-    if isinstance(sharers, ShardedCopyset):
-        return sharers.bytes_used()
-    return COPYSET_ENTRY_BYTES * len(sharers)
+def copyset_bytes(sharers: Set[int], n_nodes: int) -> int:
+    """Modeled storage bytes of a block's copyset on an ``n_nodes``
+    machine: scales with registered sharers, never with machine width."""
+    wide = n_nodes > PLAIN_COPYSET_MAX
+    groups = len({s >> 6 for s in sharers}) if wide else 0  # 64-node groups
+    return COPYSET_ENTRY_BYTES * len(sharers) + _GROUP_HEADER_BYTES * groups
 
 
 @dataclass
@@ -199,7 +127,7 @@ class SCProtocol(CoherenceProtocol):
     def _entry(self, block: int) -> DirEntry:
         e = self.dir.get(block)
         if e is None:
-            e = DirEntry(sharers=make_copyset(self.params.n_nodes))
+            e = DirEntry()
             self.dir[block] = e
         return e
 
@@ -396,7 +324,10 @@ class SCProtocol(CoherenceProtocol):
             return
         # Invalidate every reader other than the requester (the home's
         # own copy is represented by its tag like any sharer's).
-        targets = [s for s in e.sharers if s != requester]
+        sharers = e.sharers
+        if self.params.n_nodes > PLAIN_COPYSET_MAX:
+            sharers = sorted(sharers)
+        targets = [s for s in sharers if s != requester]
         if targets:
             e.busy = True
             latch = CountdownLatch(self.engine, len(targets))

@@ -7,8 +7,9 @@ protocols do on bigger machines.  Two things change with N:
   fan-out, and barrier fan-in grow.
 * **Metadata** -- the classic representations carry O(N) state per
   block (directory bitmaps, vector clocks), which is exactly what
-  caps real DSM installs.  Sharded copysets and the tardis timestamp
-  protocol (O(1) per block by construction) are the countermeasures;
+  caps real DSM installs.  Sparse copysets (bytes per registered
+  sharer, not per node) and the tardis timestamp protocol (O(1) per
+  block by construction) are the countermeasures;
   the LRC protocols keep dense vector clocks, which barriers fill.
   This sweep turns the O(N)-vs-O(1) separation into a measured curve.
 
@@ -37,7 +38,7 @@ from repro.exec.serialize import RunRecord
 from repro.harness.experiment import RunConfig
 
 #: node counts the scaling study sweeps (the paper's 16 plus the
-#: 128-1024 range the tardis/sharded-copyset work targets)
+#: 128-1024 range the tardis/sparse-copyset work targets)
 NODE_COUNTS = (16, 64, 128, 512, 1024)
 
 #: the two granularities spanning the paper's fine/coarse regimes

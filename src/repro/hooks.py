@@ -107,9 +107,9 @@ class CompositeHooks(Hooks):
         self.hooks = list(hooks)
         self._collapse()
 
-    def add(self, hook: Hooks) -> None:
-        """Append ``hook`` and refresh the collapsed dispatch slots."""
-        self.hooks.append(hook)
+    def add(self, *hooks: Hooks) -> None:
+        """Append ``hooks`` and refresh the collapsed dispatch slots."""
+        self.hooks.extend(hooks)
         self._collapse()
 
     def _collapse(self) -> None:
@@ -130,13 +130,18 @@ class CompositeHooks(Hooks):
                 setattr(self, name, _fanout(impls))
 
 
-def add_hooks(machine, hook: Hooks) -> Hooks:
-    """Install ``hook`` on ``machine``, composing with existing hooks."""
+def add_hooks(machine, *hooks: Hooks) -> None:
+    """Install ``hooks`` on ``machine`` in order, composing with existing
+    hooks; a composite is collapsed once per call, however many hooks
+    it installs."""
+    if not hooks:
+        return
     current = machine.hooks
-    if current is None:
-        machine.hooks = hook
+    if current is None and len(hooks) == 1:
+        machine.hooks = hooks[0]
     elif isinstance(current, CompositeHooks):
-        current.add(hook)
+        current.add(*hooks)
     else:
-        machine.hooks = CompositeHooks([current, hook])
-    return hook
+        machine.hooks = CompositeHooks(
+            ([] if current is None else [current]) + list(hooks)
+        )

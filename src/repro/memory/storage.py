@@ -13,7 +13,19 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
-from repro.simcore import alloc_block, as_payload, copy_of, empty_block
+
+def as_payload(data):
+    """Coerce external bytes-like input to a sliceable byte buffer."""
+    if isinstance(data, (bytes, bytearray)):
+        return data
+    if isinstance(data, memoryview):
+        return data.cast("B") if data.format != "B" else data
+    # numpy arrays (tests hand them over), lists of ints, anything
+    # buffer-like
+    try:
+        return bytes(memoryview(data).cast("B"))
+    except TypeError:
+        return bytes(data)
 
 
 class NodeStore:
@@ -29,7 +41,7 @@ class NodeStore:
         """The local copy of a block, created zero-filled on demand."""
         buf = self._blocks.get(block_id)
         if buf is None:
-            buf = alloc_block(self.granularity)
+            buf = bytearray(self.granularity)
             self._blocks[block_id] = buf
         return buf
 
@@ -46,7 +58,7 @@ class NodeStore:
 
     def snapshot(self, block_id: int):
         """An independent copy of the block (twin creation, messaging)."""
-        return copy_of(self.block(block_id))
+        return bytearray(self.block(block_id))
 
     def drop(self, block_id: int) -> None:
         """Free the local copy (memory-pressure modeling; optional)."""
@@ -61,8 +73,8 @@ class NodeStore:
         block, off = divmod(addr, g)
         if off + size <= g:
             # Common case: the region sits inside one block.
-            return copy_of(self.block(block)[off : off + size])
-        out = empty_block(size)
+            return self.block(block)[off : off + size]
+        out = bytearray(size)
         end = addr + size
         pos = addr
         while pos < end:

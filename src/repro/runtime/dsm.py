@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from typing import Generator, Optional
 
 from repro.cluster.machine import Machine
-from repro.simcore import as_payload, empty_block, fill
+from repro.memory.storage import as_payload
 
 
 class Dsm:
@@ -84,7 +84,7 @@ class Dsm:
         hooks = self.machine.hooks
         if hooks is not None:
             hooks.on_region(node.id, addr, size, False)
-        out = empty_block(size)
+        out = bytearray(size)
         permits_read = node.access.permits_read
         for block, off, roff, length in self._bs.block_slices(addr, size):
             if not permits_read(block):
@@ -134,7 +134,7 @@ class Dsm:
             if not permits(block, True):
                 yield from self._ensure(block, write=True)
             if pattern >= 0:
-                fill(node.store.block(block), off, off + length, pattern & 0xFF)
+                node.store.block(block)[off : off + length] = bytes((pattern & 0xFF,)) * length
 
     # ------------------------------------------------------------------
     # checker annotations

@@ -389,7 +389,7 @@ def protocol_metadata(machine) -> MetadataStats:
         from repro.core.sc import copyset_bytes
 
         components["directory"] = sum(
-            _OWNER_BYTES + 1 + copyset_bytes(e.sharers)
+            _OWNER_BYTES + 1 + copyset_bytes(e.sharers, n)
             for e in directory.values()
         )
         # Dense classic directory: a presence bitmap over all N nodes

@@ -94,13 +94,9 @@ class Timeline:
         lanes = {n: i for i, n in enumerate(nodes)}
         lines = [f"timeline {t0:.1f}..{t1:.1f}us "
                  f"({len(self.events)} events, {self.dropped} dropped)"]
-        shown = 0
-        for e in self.events:
-            if not t0 <= e.time_us <= t1 or e.node not in lanes:
-                continue
-            if shown >= limit:
-                lines.append(f"... (+{len(self.between(t0, t1)) - shown} more)")
-                break
+        window = [e for e in self.events
+                  if t0 <= e.time_us <= t1 and e.node in lanes]
+        for e in window[:limit]:
             indent = "  " * lanes[e.node]
             mark = {"send": ">", "recv": "<", "fault": "!", "sync": "#"}.get(
                 e.kind, "?"
@@ -108,7 +104,8 @@ class Timeline:
             lines.append(
                 f"{e.time_us:10.2f} {indent}[n{e.node}] {mark} {e.label}"
             )
-            shown += 1
+        if len(window) > limit:
+            lines.append(f"... (+{len(window) - limit} more)")
         return "\n".join(lines)
 
     def summary(self) -> dict:

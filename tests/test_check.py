@@ -243,6 +243,23 @@ class TestRaceDetector:
         assert report.races_total == 0
         assert checkers.race.exempted_total >= 1
 
+    def test_checkers_join_existing_hooks_in_one_collapse(self, monkeypatch):
+        """On a machine that already has a hook (the model checker's
+        footprint recorder), both checkers join the composite in order
+        and its dispatch slots are rebuilt once, not once per checker."""
+        from repro.hooks import CompositeHooks, Hooks
+
+        m = _machine(protocol="sc", n=2)
+        first = Hooks()
+        m.add_hooks(first)
+        calls = []
+        collapse = CompositeHooks._collapse
+        monkeypatch.setattr(CompositeHooks, "_collapse",
+                            lambda self: (calls.append(1), collapse(self)))
+        checkers = install_checkers(m)
+        assert len(calls) == 1
+        assert m.hooks.hooks == [first, checkers.race, checkers.invariants]
+
     def test_resolve_unit(self):
         assert resolve_unit("byte", 4096) == 1
         assert resolve_unit("word", 4096) == 4

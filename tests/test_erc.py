@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Machine, MachineParams, SharedArray, run_program
-from repro.simcore import dtype, typed_view
+from repro.runtime.shared_array import dtype, typed_view
 
 
 def make(g=4096, n=4):

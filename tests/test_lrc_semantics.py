@@ -6,7 +6,7 @@ import pytest
 
 from repro import Machine, MachineParams, SharedArray, run_program
 from repro.memory.access_control import INV, RO, RW
-from repro.simcore import dtype, typed_view
+from repro.runtime.shared_array import dtype, typed_view
 
 
 def make(protocol, g=4096, n=4):

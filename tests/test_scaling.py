@@ -1,5 +1,5 @@
 """The scaling redesign: protocol registry, the dense vector clock at
-every width, sharded copysets, tiered hop distances, the scale sweep, and the
+every width, wide-machine copysets, tiered hop distances, the scale sweep, and the
 bit-identity contract at paper scale (the 16-node pins of
 tests/golden_shas.json; the other golden cells are in tests/test_golden.py)."""
 
@@ -10,12 +10,7 @@ import pytest
 
 from repro.cluster.config import LINE_TOPOLOGY_MAX_NODES, hops_between
 from repro.core import registry
-from repro.core.sc import (
-    PLAIN_COPYSET_MAX,
-    ShardedCopyset,
-    copyset_bytes,
-    make_copyset,
-)
+from repro.core.sc import PLAIN_COPYSET_MAX, copyset_bytes
 from repro.core.timestamps import VectorClock
 from tests.test_golden import assert_golden, golden
 
@@ -133,42 +128,55 @@ class TestClockDifferential:
 
 
 # ---------------------------------------------------------------------------
-# sharded copysets
+# wide-machine copysets
 # ---------------------------------------------------------------------------
-class TestShardedCopyset:
-    def test_set_semantics(self):
-        cs = ShardedCopyset()
-        for node in (5, 70, 5, 300, 64):
-            cs.add(node)
-        assert len(cs) == 4
-        assert 70 in cs and 6 not in cs
-        assert sorted(cs) == [5, 64, 70, 300]
-        cs.discard(70)
-        cs.discard(70)  # idempotent
-        assert len(cs) == 3 and 70 not in cs
-        assert cs == {5, 64, 300}
-        assert cs - {5} == {64, 300}
-        cs.clear()
-        assert len(cs) == 0 and list(cs) == []
+class TestCopyset:
+    def test_wide_fanout_invalidates_in_ascending_order(self):
+        """Above PLAIN_COPYSET_MAX nodes the write fan-out visits the
+        sharers in ascending node order, whatever order they registered
+        in and whatever order their set iterates."""
+        from repro import Machine, MachineParams, run_program
 
-    def test_iteration_order_is_sorted(self):
-        cs = ShardedCopyset()
-        for node in (900, 3, 450, 64, 65):
-            cs.add(node)
-        assert list(cs) == sorted(cs)
+        n = PLAIN_COPYSET_MAX + 1
+        m = Machine(MachineParams(n_nodes=n, granularity=1024), protocol="sc")
+        seg = m.alloc(1024, "x")
+        m.place(seg.base, 1024, 0)
+        block = seg.base // 1024
+        order = {64: 0, 33: 1, 1: 2}  # reader -> registration slot
+        invals = []
+        send = m.send
 
-    def test_make_copyset_threshold(self):
-        assert isinstance(make_copyset(PLAIN_COPYSET_MAX), set)
-        assert isinstance(make_copyset(PLAIN_COPYSET_MAX + 1),
-                          ShardedCopyset)
+        def recording_send(msg):
+            if msg.mtype == "inval":
+                invals.append(msg.dst)
+            send(msg)
+
+        m.send = recording_send
+
+        def program(dsm, rank, nprocs):
+            if rank in order:
+                yield from dsm.compute(1000.0 * order[rank])
+                yield from dsm.touch_read(seg.base, 8)
+            yield from dsm.barrier(0, participants=nprocs)
+            if rank == 2:
+                sharers = m.protocol.dir[block].sharers
+                # the case the rule exists for: set order is not ascending
+                assert list(sharers) != sorted(sharers)
+                yield from dsm.touch_write(seg.base, 8, pattern=1)
+            yield from dsm.barrier(1, participants=nprocs)
+
+        run_program(m, program, nprocs=n)
+        assert invals == [0, 1, 33, 64]
 
     def test_bytes_used_sparse(self):
-        cs = make_copyset(1024)
-        for node in range(0, 1024, 128):  # 8 sharers across 8 shards
-            cs.add(node)
+        # 4 B a sharer, plus an 8 B header per occupied 64-node group
+        # above PLAIN_COPYSET_MAX: 8 sharers across 8 groups
+        assert copyset_bytes(set(range(0, 1024, 128)), 1024) == 8 * 4 + 8 * 8 == 96
+        assert copyset_bytes({1, 2, 3}, 16) == 12
+        assert copyset_bytes({1, 2, 3}, PLAIN_COPYSET_MAX) == 12
+        assert copyset_bytes({1, 2, 3}, PLAIN_COPYSET_MAX + 1) == 20
         # o(N): bounded by sharers, not by the 1024-node bitmap
-        assert copyset_bytes(cs) < 1024 // 8
-        assert copyset_bytes({1, 2, 3}) == 12
+        assert copyset_bytes(set(range(0, 1024, 128)), 1024) < 1024 // 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Oracle tests for the simcore kernels.
+"""Oracle tests for the simulator's byte-plane kernels: the access-tag
+table (``memory.access_control``), twin/diff run extraction
+(``core.diff``), block buffers (``memory.storage``), typed views and
+packing (``runtime.shared_array``) and the resequencing ring
+(``net.reliable``).
 
 Each kernel is driven through seeded inputs side by side with a plain
 reference model -- a byte loop, a dense byte scan, a list of ints, or
@@ -18,22 +22,13 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
+from repro.core.diff import diff_runs
 from repro.core.timestamps import VectorClock
-from repro.simcore import (
-    TagArray,
-    as_payload,
-    buf_eq,
-    copy_of,
-    diff_runs,
-    dtypes,
-    fill,
-    frombytes,
-    pack_scalar,
-    pack_values,
-    tobytes,
-    typed_view,
-)
-from repro.simcore.ring import SeqRing
+from repro.memory.access_control import AccessControl as TagArray
+from repro.memory.blocks import BlockSpace
+from repro.memory.storage import NodeStore, as_payload
+from repro.net.reliable import SeqRing
+from repro.runtime.shared_array import dtype, pack_scalar, pack_values, typed_view
 
 SEEDS = [0, 1, 2, 7, 1997]
 
@@ -286,22 +281,30 @@ def test_fallback_diff_runs_roundtrip_and_shape(seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_buffer_kernels_identical(seed):
-    """Block-buffer kernels against a bytes model; ``as_payload`` over
-    every buffer type a caller hands in."""
+    """A node's block store against a bytes model -- region writes and
+    reads across block boundaries, the pattern fill ``touch_write``
+    does, independent snapshots -- and ``as_payload`` over every buffer
+    type a caller hands in."""
     rng = random.Random(seed)
     for _ in range(50):
+        g = rng.choice([8, 64, 1024])
+        store = NodeStore(g)
         n = rng.randrange(1, 300)
         raw = bytes(rng.randrange(256) for _ in range(n))
-        buf = frombytes(raw)
+        addr = rng.randrange(3 * g)
+        store.write_region(addr, raw)
         start = rng.randrange(n)
         stop = rng.randrange(start, n + 1)
         value = rng.randrange(256)
-        fill(buf, start, stop, value)
+        slices = BlockSpace(g).block_slices(addr + start, stop - start)
+        for block, off, _, length in slices:
+            store.block(block)[off : off + length] = bytes((value,)) * length
         want = raw[:start] + bytes([value]) * (stop - start) + raw[stop:]
-        assert tobytes(buf) == want
-        assert buf_eq(buf, frombytes(want))
-        twin = copy_of(buf)
-        assert tobytes(twin) == want and twin is not buf
+        got = store.read_region(addr, n)
+        assert type(got) is bytearray and bytes(got) == want
+        block = addr // g
+        twin = store.snapshot(block)
+        assert twin == store.block(block) and twin is not store.block(block)
         for payload in (raw, bytearray(raw), memoryview(raw),
                         np.frombuffer(raw, dtype=np.uint8), list(raw)):
             assert bytes(as_payload(payload)) == raw
@@ -310,19 +313,19 @@ def test_buffer_kernels_identical(seed):
 @pytest.mark.parametrize("spec", ["float64", "int64", "int32", "uint8"])
 def test_pack_and_typed_view_identical(spec):
     """Packing and typed views agree with numpy's byte layout."""
-    dt = dtypes.dtype(spec)
+    dt = dtype(spec)
     values = [0, 1, 17, 100]
     assert bytes(pack_values(values, (4,), dt)) == np.array(values, dtype=spec).tobytes()
     assert bytes(pack_scalar(42, dt)) == np.array([42], dtype=spec).tobytes()
     raw = pack_values(values, (4,), dt)
-    view = typed_view(frombytes(raw), dt)
+    view = typed_view(bytearray(raw), dt)
     assert list(view) == np.frombuffer(raw, dtype=spec).tolist() == values
     assert view.sum() == sum(values)
     assert np.array_equal(np.asarray(view), np.array(values, dtype=spec))
 
 
 def test_pack_values_shape_checked():
-    dt = dtypes.dtype("float64")
+    dt = dtype("float64")
     with pytest.raises(ValueError):
         pack_values([1.0, 2.0], (3,), dt)
 

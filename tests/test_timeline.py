@@ -78,6 +78,15 @@ class TestRendering:
         out = tl.render(nodes=[2])
         assert "[n1]" not in out
 
+    def test_render_limit_counts_only_requested_lanes(self):
+        """The "+N more" tail counts the window's events on the requested
+        lanes that the limit cut, not every node's events."""
+        m, tl = run_traced()
+        node0 = tl.for_node(0)
+        assert len(node0) > 2 and len(node0) < len(tl.events)
+        out = tl.render(nodes=[0], limit=2)
+        assert out.endswith(f"... (+{len(node0) - 2} more)")
+
     def test_summary(self):
         m, tl = run_traced()
         s = tl.summary()

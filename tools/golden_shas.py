@@ -34,7 +34,8 @@ def golden_configs() -> List[RunConfig]:
     """16 nodes: four apps x every scaling protocol x every granularity;
     4 nodes: lu, ocean-rowwise x the same x polling/interrupt (the cells
     the DefaultPolicy check re-runs); 128 and 1024 nodes at 1 KB blocks,
-    above the sharded-copyset and tiered-fabric switch points."""
+    above the wide-copyset (sorted fan-out, group headers) and
+    tiered-fabric switch points."""
     protos = scaling_protocols()
     return [
         RunConfig(app=app, protocol=p, granularity=g, nprocs=16, scale="tiny")
