@@ -11,7 +11,7 @@
 """
 
 from conftest import emit
-from repro.core.timestamps import IntervalLog, WriteNotice
+from repro.core.timestamps import IntervalLog
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.harness.tables import fmt_table
 
@@ -60,10 +60,10 @@ def test_ablation_first_touch_placement(benchmark, scale):
 
 def test_ablation_notice_compression(benchmark):
     """Contiguous notices compress to a few runs; scattered ones don't."""
-    contiguous = [WriteNotice(b, 1, 0) for b in range(100)]
-    scattered = [WriteNotice(b * 37 % 1009, 1, 0) for b in range(100)]
-    c_runs = IntervalLog.compressed_count(contiguous)
-    s_runs = IntervalLog.compressed_count(scattered)
+    contiguous = range(100)  # the noticed blocks
+    scattered = [b * 37 % 1009 for b in range(100)]
+    c_runs = len(IntervalLog.run_starts(contiguous))
+    s_runs = len(IntervalLog.run_starts(scattered))
     emit(
         "Ablation: write-notice run-length compression",
         f"contiguous 100 notices -> {c_runs} run(s); "
@@ -72,7 +72,7 @@ def test_ablation_notice_compression(benchmark):
     assert c_runs == 1
     assert s_runs > 50
     benchmark.pedantic(
-        lambda: IntervalLog.compressed_count(scattered), rounds=20, iterations=10
+        lambda: IntervalLog.run_starts(scattered), rounds=20, iterations=10
     )
 
 

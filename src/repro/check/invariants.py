@@ -364,7 +364,7 @@ class InvariantChecker(Hooks):
         advertised version per (author, block) to strictly increase."""
         log = self.p.ilog.intervals(node_id)
         for k in range(self._scanned[node_id], len(log)):
-            for wn in log[k]:
+            for wn in log[k].values():
                 if wn.owner != node_id:
                     self._report(
                         "notice-author",

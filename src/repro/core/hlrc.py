@@ -23,7 +23,7 @@ interval's dirty set so the next release still advertises it.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional
 
 from repro.core.diff import apply_diff, create_diff
 from repro.core.lrc_base import LRCBase
@@ -181,17 +181,27 @@ class HLRCProtocol(LRCBase):
     # notice application (app context, from apply_sync)
     # ==================================================================
     def _apply_notices(self, node, plan) -> Generator:
-        # One notice per block (see LRCBase).  The home's copy absorbed
-        # the writer's diff eagerly and is current by construction; a
-        # twin means we are a concurrent writer under a different lock,
-        # whose modifications are flushed before the invalidation.
+        # One notice per block (see LRCBase).  Only a held copy -- a
+        # readable one, or a twin of a concurrent writer under a
+        # different lock -- can be flushed or invalidated.  The home's
+        # copy absorbed the writer's diff eagerly and is current by
+        # construction; a twin's modifications are flushed before the
+        # invalidation.  Flushes wait for acks, so when any occurs the
+        # targets run in plan order; otherwise nothing yields and each
+        # block's outcome is independent of the others'.
         nid = node.id
         twins = self.twins[nid]
+        held = node.access.readable_among(plan.keys())
+        targets: Iterable[int] = held
+        if twins:
+            flushes = plan.keys() & twins.keys()
+            if flushes:
+                held |= flushes
+                targets = list(filter(held.__contains__, plan))
         is_home = self._is_home
         invalidate = node.access.invalidate
         stats = self.stats
-        for wn in plan:
-            block = wn.block
+        for block in targets:
             if is_home(nid, block):
                 continue
             if block in twins:

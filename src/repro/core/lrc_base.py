@@ -9,7 +9,8 @@ acquire time.  The subclasses differ in
 * what happens at a release (:meth:`_release_flush`): HLRC eagerly
   diffs and flushes to homes, SW-LRC only bumps versions;
 * how a notice plan is applied (:meth:`_apply_notices`): HLRC
-  invalidates unless home/writer, SW-LRC compares versions;
+  invalidates held copies unless home, SW-LRC compares the versions of
+  held copies;
 * how misses are serviced.
 """
 
@@ -18,12 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Sequence, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol
-from repro.core.timestamps import (
-    IntervalLog,
-    VectorClock,
-    WriteNotice,
-    notice_plan,
-)
+from repro.core.timestamps import IntervalLog, Plan, VectorClock, merge_plan
 
 
 class LRCBase(CoherenceProtocol):
@@ -48,12 +44,18 @@ class LRCBase(CoherenceProtocol):
         """Flush pending modifications; returns the interval's notices."""
         raise NotImplementedError
 
-    def _apply_notices(self, node, plan: List[WriteNotice]) -> Generator:
-        """Apply a notice plan (:func:`notice_plan`) at acquire time, in
-        app context: one notice per block, the block's first
-        max-version notice, blocks in first-occurrence order, none
-        authored by ``node``.  Applying the plan must leave the same
-        state as applying every notice of its batch in order."""
+    def _apply_notices(self, node, plan: Plan) -> Generator:
+        """Apply a notice plan (:func:`merge_plan`) at acquire time, in
+        app context: block -> the block's first max-version notice,
+        blocks in first-occurrence order, none authored by ``node``.
+        Applying the plan must leave the same state as applying every
+        notice of its batch in order.
+
+        A notice can only act on a block the receiver holds, so an
+        implementation intersects the plan's keys with its held blocks
+        (a C-level set operation) and takes Python steps for those
+        alone: a receiver holding none of a thousand noticed blocks
+        invalidates nothing and never calls ``invalidate``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -74,13 +76,17 @@ class LRCBase(CoherenceProtocol):
         self.stats.write_notices_sent += len(notices)
         yield self.params.interval_us
 
-    def grant_payload(self, granter_id: int, acq_vt) -> Tuple[Any, int]:
+    def grant_payload(
+        self, granter_id: int, acq_vt, acquirer: int
+    ) -> Tuple[Any, int]:
+        """The granter's timestamp, the notices the acquirer lacks and
+        the intervals their plan merges, which skip the ``acquirer``'s
+        own (see :meth:`apply_sync`)."""
         if acq_vt is None:
             acq_vt = (0,) * self.params.n_nodes
         vt = self.vt[granter_id].as_tuple()
-        notices = self.ilog.notices_between(acq_vt, vt)
-        payload = {"vt": vt, "notices": notices}
-        return payload, self.ilog.compressed_count(notices)
+        notices, planned, runs = self.ilog.notices_between(acq_vt, vt, acquirer)
+        return {"vt": vt, "notices": notices, "planned": planned}, runs
 
     def barrier_payloads(
         self, vts: Dict[int, Sequence[int]]
@@ -104,9 +110,9 @@ class LRCBase(CoherenceProtocol):
 
         An arrival's notices depend only on its components at the
         interval log's writers, so arrivals agreeing there share one
-        read-only payload: its notices, their run count and the notice
-        plan ``apply_sync`` applies are built once per distinct view.
-        The plan drops no receiver's own notices because none occur: a
+        payload: its notices, their run count and the notice plan
+        ``apply_sync`` applies are built once per distinct view.  The
+        plan skips no receiver's own intervals because none occur: a
         participant's own component equals the merged diagonal (the
         checker's ``barrier-own-notice`` rule asserts it).
         """
@@ -123,20 +129,26 @@ class LRCBase(CoherenceProtocol):
             key = tuple(map(vt.__getitem__, writers))
             shared = by_view.get(key)
             if shared is None:
-                notices = ilog.notices_between(vt, merged)
+                notices, planned, runs = ilog.notices_between(vt, merged)
                 shared = by_view[key] = (
                     {
                         "vt": merged,
                         "notices": notices,
-                        "plan": notice_plan(notices),
+                        "planned": planned,
                         "dominates": True,
                     },
-                    ilog.compressed_count(notices),
+                    runs,
                 )
             out[node_id] = shared
         return out
 
     def apply_sync(self, node, payload) -> Generator:
+        """Merge the payload's timestamp and apply its notice plan.
+
+        The plan is merged from the payload's ``planned`` intervals when
+        the payload is first applied, and kept in it for any receiver
+        sharing the payload: built at release time, the plans of every
+        view of a barrier episode would be alive at once."""
         if not payload:
             return
         if "dominates" in payload:  # a barrier release, see barrier_payloads
@@ -149,6 +161,6 @@ class LRCBase(CoherenceProtocol):
             # Bookkeeping cost of walking the notice list.
             yield self.params.write_notice_us * len(notices)
             plan = payload.get("plan")
-            if plan is None:  # a lock grant may carry our own notices
-                plan = notice_plan(notices, node.id)
+            if plan is None:
+                plan = payload["plan"] = merge_plan(payload["planned"])
             yield from self._apply_notices(node, plan)

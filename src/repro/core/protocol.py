@@ -225,8 +225,11 @@ class CoherenceProtocol:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def grant_payload(self, granter_id: int, acq_vt) -> Tuple[Any, int]:
-        """Payload attached to a lock grant and its notice count."""
+    def grant_payload(
+        self, granter_id: int, acq_vt, acquirer: int
+    ) -> Tuple[Any, int]:
+        """Payload attached to a lock grant to ``acquirer`` (whose
+        timestamp at its request was ``acq_vt``) and its notice count."""
         return None, 0
 
     def barrier_payloads(self, vts: Dict[int, Any]) -> Dict[int, Tuple[Any, int]]:

@@ -377,23 +377,30 @@ class SWLRCProtocol(LRCBase):
 
     def _apply_notices(self, node, plan) -> Generator:
         # One notice per block (see LRCBase): keep the freshest writer
-        # as the one-hop read hint, and invalidate unless the local copy
+        # as the one-hop read hint, and invalidate a held copy unless it
         # already covers the notice ("avoid unnecessary invalidations",
-        # Section 2.2).
+        # Section 2.2).  Only a readable or owned block has anything to
+        # lose, so the version test visits the plan's held blocks alone;
+        # each block's outcome is independent of the others'.
         nid = node.id
         hint = self.hint[nid]
-        version = self.version[nid]
-        owned = self.owned[nid]
-        invalidate = node.access.invalidate
-        stats = self.stats
-        for wn in plan:
-            block = wn.block
+        get_hint = hint.get
+        for block, wn in plan.items():
             wv = wn.version
-            cur = hint.get(block)
+            cur = get_hint(block)
             if cur is None or wv > cur[0]:
                 hint[block] = (wv, wn.owner)
+        access = node.access
+        owned = self.owned[nid]
+        held = access.readable_among(plan.keys())
+        if owned:
+            held |= plan.keys() & owned
+        version = self.version[nid]
+        invalidate = access.invalidate
+        stats = self.stats
+        for block in held:
             my_version = version.get(block)
-            if my_version is not None and my_version >= wv:
+            if my_version is not None and my_version >= plan[block].version:
                 continue
             owned.discard(block)
             if invalidate(block):

@@ -395,7 +395,9 @@ class TardisProtocol(CoherenceProtocol):
     def current_vt(self, node_id: int) -> int:
         return self.pts[node_id]
 
-    def grant_payload(self, granter_id: int, acq_vt) -> Tuple[Any, int]:
+    def grant_payload(
+        self, granter_id: int, acq_vt, acquirer: int
+    ) -> Tuple[Any, int]:
         return {"pts": self.pts[granter_id]}, 0
 
     def barrier_payloads(

@@ -19,7 +19,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,28 +40,14 @@ class WriteNotice:
 
 _block_of = attrgetter("block")
 _successor = (1).__add__
+_predecessor = (-1).__add__
 
-
-def notice_plan(
-    notices: Sequence[WriteNotice], receiver: int = -1
-) -> List[WriteNotice]:
-    """The notices of a batch that have any effect at ``receiver``.
-
-    Per block only the highest-version notice matters (a version hint
-    keeps the max, and one invalidation covers every lower version), so
-    the plan holds each block's first max-version notice, blocks in
-    first-occurrence order -- the order a per-notice loop would first
-    touch them.  Notices authored by ``receiver`` itself are dropped;
-    the default matches no node."""
-    best: Dict[int, WriteNotice] = {}
-    for wn in notices:
-        if wn.owner == receiver:
-            continue
-        block = wn.block
-        cur = best.get(block)
-        if cur is None or wn.version > cur.version:
-            best[block] = wn
-    return list(best.values())
+#: one closed interval: block -> its write notice, in the order the
+#: interval's author listed them (ascending block)
+Interval = Mapping[int, WriteNotice]
+_NO_NOTICES: Interval = MappingProxyType({})
+#: a notice plan: block -> the notice that acts at the receiver
+Plan = Dict[int, WriteNotice]
 
 
 #: anything a clock method accepts as "the other side": a component
@@ -154,36 +141,83 @@ class VectorClock:
         return f"VC{self.v}"
 
 
+def merge_plan(intervals: Iterable[Interval]) -> Plan:
+    """The notice plan of a batch's interval maps, in batch order.
+
+    The plan maps each noticed block to the one notice that acts at a
+    receiver: per block only the highest version matters (a version
+    hint keeps the max, and one invalidation covers every lower
+    version), so it holds the block's first max-version notice, blocks
+    in first-occurrence order -- the order a per-notice loop would
+    first touch them.
+
+    An interval that shares no block with the plan so far merges in one
+    ``dict.update``; only the blocks it does share take a Python step,
+    which keeps the earlier notice unless the new version is higher
+    (``update`` keeps a key's first position either way)."""
+    plan: Plan = {}
+    merge = plan.update
+    planned = plan.keys()
+    for interval in filter(None, intervals):  # empty ones add nothing
+        if planned.isdisjoint(interval.keys()):
+            merge(interval)
+        else:
+            keep = [(b, plan[b]) for b in planned & interval.keys()
+                    if plan[b].version >= interval[b].version]
+            merge(interval)
+            merge(keep)
+    return plan
+
+
 class IntervalLog:
     """Per-node sequences of closed intervals and their notices.
 
-    ``intervals(i)[k]`` is the list of write notices of node ``i``'s
-    ``k``-th closed interval (0-based).  A node's vector component
-    ``vt[i] == m`` means it has seen intervals ``0..m-1`` of node ``i``.
+    ``intervals(i)[k]`` is node ``i``'s ``k``-th closed interval
+    (0-based): a block -> :class:`WriteNotice` map, one entry per block
+    the node wrote, in the order the release listed them (ascending
+    block).  A node's vector component ``vt[i] == m`` means it has seen
+    intervals ``0..m-1`` of node ``i``.
+
+    Each interval is stored once, as that map: :meth:`notices_between`
+    extends a batch's notice list with its ``.values()``, and
+    :func:`merge_plan` builds the batch's notice plan by ``dict.update``
+    merges of the same maps, so neither walks the notices one by one in
+    Python.  Beside each map the log keeps the interval's run starts
+    (:meth:`run_starts`), from which a batch's wire run count follows
+    without a pass over its blocks.  Empty intervals share one
+    read-only empty map and no starts.
 
     Most nodes of a wide machine close only empty intervals (every
     barrier closes one), so the log also keeps the sorted *writers*:
     nodes that closed at least one non-empty interval.  Only their
     intervals can contribute a notice, so :meth:`notices_between` walks
-    them alone and returns the same list, in the same order, as a walk
+    them alone and returns the same batch, in the same order, as a walk
     over every node.
     """
 
     def __init__(self, n_nodes: int):
-        self._log: List[List[List[WriteNotice]]] = [[] for _ in range(n_nodes)]
+        self._log: List[List[Interval]] = [[] for _ in range(n_nodes)]
+        self._starts: List[List[Tuple[int, ...]]] = [[] for _ in range(n_nodes)]
         self._writers: List[int] = []
         self._writer_set: Set[int] = set()
 
     def close_interval(self, node: int, notices: List[WriteNotice]) -> int:
-        """Append a closed interval for ``node``; returns its index."""
+        """Append a closed interval for ``node`` (``notices``: one per
+        block, ascending); returns its index."""
         log = self._log[node]
-        log.append(notices)
-        if notices and node not in self._writer_set:
-            self._writer_set.add(node)
-            insort(self._writers, node)
+        if notices:
+            blocks = list(map(_block_of, notices))
+            log.append(dict(zip(blocks, notices)))
+            self._starts[node].append(tuple(self.run_starts(blocks)))
+            if node not in self._writer_set:
+                self._writer_set.add(node)
+                insort(self._writers, node)
+        else:
+            log.append(_NO_NOTICES)
+            self._starts[node].append(())
         return len(log) - 1
 
-    def intervals(self, node: int) -> Sequence[List[WriteNotice]]:
+    def intervals(self, node: int) -> Sequence[Interval]:
         """``node``'s closed intervals in order (read-only view)."""
         return self._log[node]
 
@@ -196,30 +230,48 @@ class IntervalLog:
         return len(self._log[node])
 
     def notices_between(
-        self, seen: Sequence[int], upto: Sequence[int]
-    ) -> List[WriteNotice]:
-        """All notices in intervals the acquirer (``seen``) lacks,
-        bounded by what the granter has seen (``upto``)."""
-        out: List[WriteNotice] = []
-        log = self._log
-        extend = out.extend
+        self, seen: Sequence[int], upto: Sequence[int], skip: int = -1
+    ) -> Tuple[List[WriteNotice], List[Interval], int]:
+        """The notices in intervals the acquirer (``seen``) lacks,
+        bounded by what the granter has seen (``upto``); the interval
+        maps their plan merges (:func:`merge_plan`), which leave out node
+        ``skip``'s own intervals (a lock acquirer's; the default matches
+        no node); and their wire run count (:meth:`run_starts`).
+
+        A run of the batch starts at a noticed block whose predecessor
+        is not noticed.  That block also starts a run of its own
+        interval, so only the intervals' stored run starts are tested
+        against the noticed blocks."""
+        notices: List[WriteNotice] = []
+        walked: List[Interval] = []
+        planned: List[Interval] = []
+        starts: List[Tuple[int, ...]] = []
+        log, log_starts = self._log, self._starts
         for i in self._writers:
             lo, hi = seen[i], upto[i]
             if hi > lo:
-                for interval in log[i][lo:hi]:
-                    extend(interval)
-        return out
+                intervals = log[i][lo:hi]
+                walked += intervals
+                starts += log_starts[i][lo:hi]
+                if i != skip:
+                    planned += intervals
+        extend = notices.extend
+        for interval in walked:
+            extend(interval.values())
+        noticed = set().union(*walked)
+        candidates = set().union(*starts)
+        joined = sum(map(noticed.__contains__, map(_predecessor, candidates)))
+        return notices, planned, len(candidates) - joined
 
     @staticmethod
-    def compressed_count(notices: List[WriteNotice]) -> int:
-        """Number of contiguous block runs in a notice batch.
+    def run_starts(blocks: Iterable[int]) -> Set[int]:
+        """The blocks of ``blocks`` whose predecessor is not among them:
+        one per contiguous run, found by one set difference, no sort.
 
         Write notices for consecutive blocks (a processor's contiguous
         partition) are run-length encoded on the wire, so a sweep that
         dirties 100 adjacent blocks costs one notice record, while
-        scattered tree-cell notices (Barnes) compress not at all.
-
-        A run starts at every block whose predecessor is not noticed, so
-        the count is one set difference, with no sort."""
-        blocks = set(map(_block_of, notices))
-        return len(blocks.difference(map(_successor, blocks)))
+        scattered tree-cell notices (Barnes) compress not at all: a
+        batch's wire record count is its number of run starts."""
+        blocks = set(blocks)
+        return blocks.difference(map(_successor, blocks))

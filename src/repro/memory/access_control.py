@@ -18,7 +18,7 @@ than O(capacity).  Bulk sweeps iterate in ascending block id.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import AbstractSet, Iterator, Set, Tuple
 
 #: access tags, ordered by permission
 INV = 0  #: no access -- any load or store faults
@@ -96,6 +96,12 @@ class AccessControl:
         """All (block, tag) pairs with non-INVALID tags, ascending."""
         t = self._tags
         return ((b, t[b]) for b in sorted(self._readable))
+
+    def readable_among(self, blocks: AbstractSet[int]) -> Set[int]:
+        """The blocks of ``blocks`` (a set or a dict's keys) with any
+        access, as a new set: one C-level intersection that walks the
+        smaller side."""
+        return self._readable & blocks
 
     def __len__(self) -> int:
         return len(self._readable)

@@ -95,10 +95,10 @@ class Dsm:
     def write(self, addr: int, data) -> Generator:
         """Write bytes at ``addr`` through the coherence protocol."""
         node = self.node
+        data = as_payload(data)  # a typed buffer's length counts bytes
         hooks = self.machine.hooks
         if hooks is not None:
             hooks.on_region(node.id, addr, len(data), True)
-        data = as_payload(data)
         permits = node.access.permits
         for block, off, roff, length in self._bs.block_slices(addr, len(data)):
             if not permits(block, True):

@@ -167,7 +167,8 @@ class LockService:
         entry.last_requester = p["requester"]
         if prev is None:
             # Never held: the manager grants directly (2-hop acquire).
-            payload, n_notices = self.m.protocol.grant_payload(node.id, p["vt"])
+            payload, n_notices = self.m.protocol.grant_payload(
+                node.id, p["vt"], p["requester"])
             self._send(
                 node.id,
                 p["requester"],
@@ -209,7 +210,7 @@ class LockService:
         self, from_node: int, lock_id: int, requester: int, vt, fut: Future,
         seq: int,
     ) -> None:
-        payload, n_notices = self.m.protocol.grant_payload(from_node, vt)
+        payload, n_notices = self.m.protocol.grant_payload(from_node, vt, requester)
         self._send(
             from_node,
             requester,

@@ -367,14 +367,13 @@ class TestInvariantInjection:
 
     @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
     def test_lrc_barrier_own_notice_violation(self, protocol):
-        from repro.core.timestamps import WriteNotice, notice_plan
+        from repro.core.timestamps import WriteNotice
 
         m, checkers = self._run_app_cell(protocol)
         vt = m.protocol.vt[1].as_tuple()
         # A barrier release handing node 1 a notice node 1 wrote itself.
         notices = [WriteNotice(9, 1, 0), WriteNotice(7, 3, 1)]
-        release = {"vt": vt, "notices": notices,
-                   "plan": notice_plan(notices), "dominates": True}
+        release = {"vt": vt, "notices": notices, "dominates": True}
         checkers.invariants._barrier_own_notice(1, release)
         [v] = checkers.invariants.violations
         assert (v.rule, v.node, v.block) == ("barrier-own-notice", 1, 7)

@@ -9,8 +9,8 @@ import pytest
 
 from repro import Machine, MachineParams, run_program
 from repro.core.registry import available_protocols
-from repro.core.timestamps import WriteNotice, notice_plan
-from repro.memory.access_control import INV, RO, RW
+from repro.core.timestamps import WriteNotice
+from repro.memory.access_control import INV, RO, RW, AccessControl
 
 
 def make(protocol, g=1024, n=4):
@@ -418,16 +418,25 @@ class TestNoticePlan:
         p._flush_one = record_flush
         return m, blocks, flushed
 
-    def _notices(self, blocks, seed, own):
-        """A batch with repeated blocks and several writers (the
-        receiver among them only if ``own``)."""
+    def _close_intervals(self, proto, blocks, seed, own):
+        """Close intervals holding 40 random notices, with repeated
+        blocks and several writers (the receiver among them only if
+        ``own``), into ``proto``'s log; returns every node's count."""
         rng = random.Random(seed + 1000)
         owners = [o for o in range(self.N) if own or o != self.RECEIVER]
-        return [
-            WriteNotice(rng.choice(blocks[: self.BLOCKS // 2] + blocks),
-                        rng.randint(1, 7), rng.choice(owners))
-            for _ in range(40)
-        ]
+        by_owner = {o: [[]] for o in owners}
+        for _ in range(40):
+            owner = rng.choice(owners)
+            block = rng.choice(blocks[: self.BLOCKS // 2] + blocks)
+            intervals = by_owner[owner]
+            if any(wn.block == block for wn in intervals[-1]):
+                intervals.append([])  # one notice per block per interval
+            intervals[-1].append(WriteNotice(block, rng.randint(1, 7), owner))
+        for owner, intervals in by_owner.items():
+            for iv in filter(None, intervals):
+                proto.ilog.close_interval(
+                    owner, sorted(iv, key=lambda wn: wn.block))
+        return [proto.ilog.intervals_of(o) for o in range(self.N)]
 
     @staticmethod
     def _state(m, blocks, flushed):
@@ -454,15 +463,21 @@ class TestNoticePlan:
     def test_plan_matches_per_notice_loop(self, protocol, seed, path):
         plan_m, blocks, plan_flushed = self._machine(protocol, seed)
         loop_m, _, loop_flushed = self._machine(protocol, seed)
-        notices = self._notices(blocks, seed, own=path == "grant")
-        nid = self.RECEIVER
-        vt = plan_m.protocol.current_vt(nid)
-        if path == "grant":  # apply_sync builds the receiver's plan
-            payload = {"vt": vt, "notices": notices}
-        else:  # barrier_payloads built one plan for every receiver
-            payload = {"vt": vt, "notices": notices,
-                       "plan": notice_plan(notices), "dominates": True}
-        self._drain(plan_m.protocol.apply_sync(plan_m.nodes[nid], payload))
+        proto, nid = plan_m.protocol, self.RECEIVER
+        counts = self._close_intervals(proto, blocks, seed,
+                                       own=path == "grant")
+        if path == "grant":  # the granter has seen every interval
+            granter = (nid + 1) % self.N
+            proto.vt[granter].assign(counts)
+            payload, _ = proto.grant_payload(granter, (0,) * self.N, nid)
+        else:  # every writer arrives having seen all; the receiver none
+            vts = {o: list(counts) for o in range(self.N) if counts[o]}
+            vts[nid] = [0] * self.N
+            payload, _ = proto.barrier_payloads(vts)[nid]
+        notices = payload["notices"]
+        assert len({wn.block for wn in notices}) < len(notices)  # repeats
+        assert any(wn.owner == nid for wn in notices) == (path == "grant")
+        self._drain(proto.apply_sync(plan_m.nodes[nid], payload))
         self._drain(_NOTICE_LOOPS[protocol](
             loop_m.protocol, loop_m.nodes[nid], notices))
         want = self._state(loop_m, blocks, loop_flushed)
@@ -470,3 +485,30 @@ class TestNoticePlan:
         assert want["invalidations"] > 0
         if protocol == "hlrc":
             assert want["flushed"]
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_unheld_blocks_are_never_invalidated(self, protocol, monkeypatch):
+        """A receiver holding none of 1,000 noticed blocks (but other
+        blocks) calls ``AccessControl.invalidate`` zero times."""
+        m = make(protocol, g=self.G, n=self.N)
+        proto, nid, writer = m.protocol, self.RECEIVER, 0
+        proto.ilog.close_interval(
+            writer, [WriteNotice(b, 1, writer) for b in range(1000)])
+        node = m.nodes[nid]
+        node.access.set_tag(5000, RO)  # held, but not noticed
+        vts = {writer: [1] + [0] * (self.N - 1), nid: [0] * self.N}
+        payload, runs = proto.barrier_payloads(vts)[nid]
+        assert (len(payload["notices"]), runs) == (1000, 1)
+        calls = []
+        invalidate = AccessControl.invalidate
+
+        def counting(access, block):
+            calls.append(block)
+            return invalidate(access, block)
+
+        monkeypatch.setattr(AccessControl, "invalidate", counting)
+        self._drain(proto.apply_sync(node, payload))
+        assert calls == []
+        assert proto.stats.write_notices_applied == 1000
+        assert proto.stats.invalidations == 0
+        assert node.access.tag(5000) == RO

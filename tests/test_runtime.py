@@ -1,6 +1,8 @@
 """Tests for the DSM runtime layer: region ops, shared arrays, the
 program runner, and the machine assembly."""
 
+import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro import (
     SharedMatrix,
     run_program,
 )
+from repro.hooks import Hooks, add_hooks
 from repro.runtime.dsm import Dsm
 
 
@@ -45,6 +48,33 @@ class TestRegionOps:
 
         r = run_program(m, program, nprocs=1)
         assert r.results[0] == b"hello"
+
+    @pytest.mark.parametrize("data", [
+        array.array("d", [1.0] * 8),
+        np.ones(8),
+        memoryview(np.ones(8)),
+    ], ids=["array-d", "numpy-f8", "memoryview-f8"])
+    def test_write_reports_typed_buffer_region_in_bytes(self, data):
+        """A typed buffer of 8 doubles is a 64-byte region to the hooks
+        (the race detector and the mc footprint), not an 8-byte one."""
+        m = make()
+        seg = m.alloc(128, "x")
+        seen = []
+
+        class Recorder(Hooks):
+            def on_region(self, node_id, addr, size, write):
+                seen.append((node_id, addr, size, write))
+
+        add_hooks(m, Recorder())
+
+        def program(dsm, rank, nprocs):
+            yield from dsm.write(seg.base, data)
+            out = yield from dsm.read(seg.base, 64)
+            return bytes(out)
+
+        r = run_program(m, program, nprocs=1)
+        assert r.results[0] == bytes(memoryview(data).cast("B"))
+        assert seen[0] == (0, seg.base, 64, True)
 
     def test_touch_write_pattern_fills(self):
         m = make()
