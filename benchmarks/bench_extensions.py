@@ -16,43 +16,27 @@ its Section 7 ("Our study has several limitations ...").
 """
 
 from conftest import emit
-from repro.apps import make_app
 from repro.cluster.config import (
     EXTENDED_GRANULARITIES,
     GRANULARITIES,
-    MachineParams,
+    SVM_COSTS,
 )
-from repro.cluster.machine import Machine
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.harness.tables import fmt_table
-from repro.runtime.program import run_program
 from repro.stats.counters import memory_utilization
 
 from bench_faults_common import bench_one_run
-
-
-def _run(app_name, scale, protocol, granularity, params=None, mechanism=None):
-    app = make_app(app_name, scale=scale)
-    if params is None:
-        kwargs = {"n_nodes": 16, "granularity": granularity}
-        params = MachineParams(**kwargs)
-    if mechanism is not None:
-        params.mechanism = mechanism
-    m = Machine(params, protocol=protocol, poll_dilation=app.poll_dilation)
-    app.setup(m)
-    r = run_program(m, app.program, nprocs=params.n_nodes,
-                    sequential_time_us=app.sequential_time_us())
-    return m, r
 
 
 def test_ext_delayed_consistency(benchmark, scale):
     rows = []
     speed = {}
     for proto in ("sc", "dc"):
-        m, r = _run("ocean-rowwise", scale, proto, 4096)
+        r = run_experiment(RunConfig("ocean-rowwise", proto, 4096,
+                                     scale=scale))
         speed[proto] = r.speedup
         misses = r.stats.read_faults + r.stats.write_faults
-        delayed = getattr(m.protocol, "delayed_actions", 0)
+        delayed = getattr(r.machine.protocol, "delayed_actions", 0)
         rows.append((proto.upper(), f"{r.speedup:.2f}", misses, delayed))
     emit(
         "Extension: delayed consistency (ocean-rowwise at 4096 bytes)",
@@ -68,7 +52,7 @@ def test_ext_block_sizes_beyond_page(benchmark, scale):
     rows = []
     sp = {}
     for g in list(GRANULARITIES[2:]) + list(EXTENDED_GRANULARITIES):
-        _, r = _run("ocean-original", scale, "hlrc", g)
+        r = run_experiment(RunConfig("ocean-original", "hlrc", g, scale=scale))
         sp[g] = r.speedup
         rows.append((g, f"{r.speedup:.2f}", r.stats.read_faults,
                      f"{r.stats.data_traffic_bytes / 1e6:.1f}"))
@@ -87,12 +71,8 @@ def test_ext_32_nodes(benchmark, scale):
     rows = []
     speeds = {}
     for n in (16, 32):
-        app = make_app("water-nsquared", scale=scale)
-        params = MachineParams(n_nodes=n, granularity=4096)
-        m = Machine(params, protocol="hlrc", poll_dilation=app.poll_dilation)
-        app.setup(m)
-        r = run_program(m, app.program, nprocs=n,
-                        sequential_time_us=app.sequential_time_us())
+        r = run_experiment(RunConfig("water-nsquared", "hlrc", 4096,
+                                     nprocs=n, scale=scale))
         speeds[n] = r.stats.speedup
         rows.append((n, f"{r.stats.speedup:.2f}",
                      r.stats.read_faults + r.stats.write_faults))
@@ -123,14 +103,11 @@ def test_ext_all_software_svm(benchmark, scale):
     gaps = {}
     rows = {}
     stalls = {}
-    for label, maker in (
-        ("typhoon-0", lambda: MachineParams(n_nodes=16, granularity=4096)),
-        ("all-software SVM", lambda: MachineParams.svm(n_nodes=16)),
-    ):
+    for label, costs in (("typhoon-0", ()), ("all-software SVM", SVM_COSTS)):
         sp = {}
         for proto in ("sc", "hlrc"):
-            _, r = _run("volrend-original", scale, proto, 4096,
-                        params=maker())
+            r = run_experiment(RunConfig("volrend-original", proto, 4096,
+                                         scale=scale, params=costs))
             sp[proto] = r.speedup
             stalls[(label, proto)] = r.stats.parallel_time_us
         gaps[label] = sp["hlrc"] / sp["sc"]
@@ -161,8 +138,9 @@ def test_ext_memory_utilization(benchmark, scale):
     repl = {}
     for proto in ("sc", "swlrc", "hlrc"):
         for g in (64, 4096):
-            m, r = _run("water-spatial", scale, proto, g)
-            util = memory_utilization(m)
+            r = run_experiment(RunConfig("water-spatial", proto, g,
+                                         scale=scale))
+            util = memory_utilization(r.machine)
             repl[(proto, g)] = util["replication_factor"]
             rows.append((
                 proto.upper(), g,
@@ -196,7 +174,7 @@ def test_ext_time_breakdown(benchmark, scale):
         ("barnes-original", "sc", 4096),
         ("barnes-original", "hlrc", 4096),
     ):
-        _, r = _run(app_name, scale, proto, g)
+        r = run_experiment(RunConfig(app_name, proto, g, scale=scale))
         bd = breakdown(r.stats)
         bds[(app_name, proto)] = bd
         rows.append((f"{app_name}/{proto}-{g}", bd))

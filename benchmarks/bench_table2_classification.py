@@ -10,12 +10,9 @@ documented in EXPERIMENTS.md.
 """
 
 from conftest import emit
-from repro.apps import APP_NAMES, make_app
-from repro.cluster.config import MachineParams
-from repro.cluster.machine import Machine
+from repro.apps import APP_NAMES
 from repro.harness.tables import fmt_table
-from repro.runtime.program import run_program
-from repro.stats import classify, install_trace
+from repro.stats import classify_app
 
 from bench_faults_common import bench_one_run
 from paperdata import TABLE2
@@ -29,13 +26,7 @@ SYNC_LENIENT = {"water-nsquared", "volrend-original", "volrend-rowwise",
 def test_table2_classification(benchmark, scale):
     rows = []
     for name in APP_NAMES:
-        app = make_app(name, scale=scale)
-        m = Machine(MachineParams(n_nodes=16, granularity=1024), protocol="hlrc")
-        app.setup(m)
-        tr = install_trace(m)
-        run_program(m, app.program, nprocs=16,
-                    sequential_time_us=app.sequential_time_us())
-        c = classify(tr, m.stats)
+        c = classify_app(name, scale=scale)
         paper = TABLE2[name]
         rows.append(
             (name, c.writers, c.access_grain, f"{c.comp_per_sync_us/1000:.2f}",

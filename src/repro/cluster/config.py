@@ -36,6 +36,18 @@ EXTENDED_GRANULARITIES = (8192, 16384)
 PAGE_SIZE = 4096
 
 
+#: All-software shared-virtual-memory costs (Section 7 future work), as
+#: ``RunConfig.params`` overrides.  No Typhoon-0: access control comes
+#: from the virtual-memory mechanism, so the coherence unit is the
+#: 4096-byte page (the default granularity), an access violation costs
+#: a real page fault plus signal delivery (~100 us instead of the 5 us
+#: fast exception), and tag changes are mprotect calls.  The paper
+#: predicts "all these performance differences would be larger on real
+#: SVM systems, where the overheads of access violations are higher"
+#: -- bench_extensions checks exactly that.
+SVM_COSTS = (("fault_exception_us", 100.0), ("tag_change_us", 25.0))
+
+
 class NotificationMechanism(enum.Enum):
     """How a node learns that a message has arrived (Section 5.4)."""
 
@@ -139,43 +151,6 @@ class MachineParams:
     def nic_occupancy_us(self, size_bytes: int) -> float:
         """How long the sender NIC is busy injecting this message."""
         return self.nic_occupancy_base_us + self.nic_occupancy_per_byte_us * size_bytes
-
-    # ---- all-software presets (Section 7 future work) --------------------
-    @classmethod
-    def svm(cls, **overrides) -> "MachineParams":
-        """An all-software shared-virtual-memory configuration.
-
-        No Typhoon-0: access control comes from the virtual-memory
-        mechanism, so the coherence unit is the 4096-byte page and an
-        access violation costs a real page fault plus signal delivery
-        (~100 us on the paper's platform instead of the 5 us fast
-        exception), and tag changes are mprotect calls.  The paper
-        predicts "all these performance differences would be larger on
-        real SVM systems, where the overheads of access violations are
-        higher" -- bench_extensions checks exactly that.
-        """
-        base = dict(
-            granularity=PAGE_SIZE,
-            fault_exception_us=100.0,
-            tag_change_us=25.0,
-        )
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def fine_grain_software(cls, **overrides) -> "MachineParams":
-        """All-software fine-grain access control through load/store
-        instrumentation (Schoinas et al. style): fine blocks work, but
-        every shared access pays an instrumented check, modeled as a
-        higher polling-style dilation plus a slightly cheaper fault
-        path (no device interaction).
-        """
-        base = dict(
-            fault_exception_us=3.0,
-            tag_change_us=0.2,
-        )
-        base.update(overrides)
-        return cls(**base)
 
     def validate(self) -> None:
         allowed = GRANULARITIES + EXTENDED_GRANULARITIES

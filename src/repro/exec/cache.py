@@ -44,9 +44,9 @@ _FINGERPRINT_EXCLUDE_DIRS = ("perf", "analyze")
 #: Presentation/orchestration modules inside otherwise-semantic
 #: packages: report/table/figure renderers and the CLI read finished
 #: Stats, they never touch the simulation, and the cost-model
-#: sensitivity sweep builds its own machines outside the cached cell
-#: path.  harness/experiment.py and harness/matrix.py stay IN the
-#: fingerprint (they build the Machine and define cell parameters).
+#: sensitivity sweep only builds RunConfigs, every field of which is in
+#: the cache key.  harness/experiment.py and harness/matrix.py stay IN
+#: the fingerprint (they build the Machine and define cell parameters).
 _FINGERPRINT_EXCLUDE_FILES = frozenset(
     {
         "harness/report.py",

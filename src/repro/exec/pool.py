@@ -27,7 +27,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.events import EventLog
@@ -71,29 +71,14 @@ def _alarm_handler(signum, frame):
         active.interrupt(CellTimeout("per-run timeout expired"))
 
 
-#: Cleanup hooks run inside a (pool-worker or serial) process after a
-#: cell times out.  A timeout cuts the run off at an arbitrary point,
-#: so any *process-level* memo being built at that instant may be left
-#: half-populated -- and pool workers are warm: the next cell they run
-#: would consult the poisoned memo.  Modules that keep process-level
-#: memo state register a reset here.
-_WORKER_RESETS: List[Callable[[], None]] = []
-
-
-def register_worker_reset(fn: Callable[[], None]) -> Callable[[], None]:
-    """Register a zero-arg callable that restores a process-level memo
-    to its pristine state (returns ``fn`` so it can be used bare or as
-    a decorator)."""
-    _WORKER_RESETS.append(fn)
-    return fn
-
-
 def _reset_worker_state() -> None:
     """Drop every process-level memo after a CellTimeout.
 
-    Known memos are reset directly (imported lazily: they may simply
-    not be loaded yet in this worker); extension memos go through
-    :func:`register_worker_reset`.
+    A timeout cuts the run off at an arbitrary point, so a memo being
+    built at that instant may be left half-populated -- and pool
+    workers are warm: the next cell they run would consult it.  The
+    memos are imported lazily: they may simply not be loaded yet in
+    this worker.
     """
     import sys
 
@@ -103,8 +88,6 @@ def _reset_worker_state() -> None:
     matrix = sys.modules.get("repro.harness.matrix")
     if matrix is not None:
         matrix._CACHE.clear()
-    for fn in _WORKER_RESETS:
-        fn()
 
 
 def _simulate_cell(
@@ -252,10 +235,7 @@ def execute_many(
     """
     t0 = time.monotonic()
     log = events if events is not None else EventLog()
-    ordered: List["RunConfig"] = []
-    for cfg in configs:
-        if cfg not in ordered:
-            ordered.append(cfg)
+    ordered = list(dict.fromkeys(configs))
     log.emit(
         "sweep_started",
         cells=len(ordered),

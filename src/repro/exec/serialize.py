@@ -22,12 +22,14 @@ if TYPE_CHECKING:  # imported lazily at runtime: harness imports exec
 
 
 def config_to_dict(cfg: "RunConfig") -> Dict:
-    # ``faults`` is omitted entirely when None so that fault-free
-    # configs serialize exactly as they did before the chaos layer
+    # ``faults`` and ``params`` are omitted entirely when unset so that
+    # plain configs serialize exactly as they did before either field
     # existed -- pre-existing cache keys and result files stay valid.
     d = dataclasses.asdict(cfg)
     if d.get("faults") is None:
         d.pop("faults", None)
+    if not d.get("params"):
+        d.pop("params", None)
     return d
 
 

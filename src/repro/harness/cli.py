@@ -44,8 +44,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps import APP_NAMES, ORIGINAL_8, VERSION_GROUPS, make_app
-from repro.cluster.config import GRANULARITIES, MachineParams
+from repro.apps import APP_NAMES, APP_REGISTRY, ORIGINAL_8, VERSION_GROUPS
+from repro.cluster.config import GRANULARITIES
 from repro.core.registry import available_protocols, scaling_protocols
 from repro.harness.calibration import microbenchmark_rows, table1_rows
 from repro.harness.experiment import RunConfig, run_experiment
@@ -60,10 +60,12 @@ def _csv(text, default, conv=str) -> list:
     return [conv(x) for x in text.split(",")] if text else list(default)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, mechanism: bool = True) -> None:
     p.add_argument("--scale", default="default", choices=["tiny", "default", "full"])
     p.add_argument("--nprocs", type=int, default=16)
-    p.add_argument("--mechanism", default="polling", choices=["polling", "interrupt"])
+    if mechanism:
+        p.add_argument("--mechanism", default="polling",
+                       choices=["polling", "interrupt"])
 
 
 def _add_exec(p: argparse.ArgumentParser) -> None:
@@ -210,21 +212,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from repro.cluster.machine import Machine
-    from repro.runtime.program import run_program
-    from repro.stats import classify, install_trace
+    from repro.stats import classify_app
 
     rows = []
     for name in APP_NAMES:
-        app = make_app(name, scale=args.scale)
-        m = Machine(
-            MachineParams(n_nodes=args.nprocs, granularity=1024), protocol="hlrc"
-        )
-        app.setup(m)
-        tr = install_trace(m)
-        run_program(m, app.program, nprocs=args.nprocs,
-                    sequential_time_us=app.sequential_time_us())
-        c = classify(tr, m.stats)
+        c = classify_app(name, scale=args.scale, nprocs=args.nprocs)
+        app = APP_REGISTRY[name]
         rows.append(
             (
                 name,
@@ -511,7 +504,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("classify", help="measured Table 2 classification")
-    _add_common(p)
+    _add_common(p, mechanism=False)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser(

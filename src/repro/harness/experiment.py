@@ -3,8 +3,8 @@ mechanism) run of the simulated cluster."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.apps import make_app
 from repro.apps.base import Application
@@ -16,6 +16,15 @@ from repro.stats.counters import Stats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check import CheckReport
+
+#: the MachineParams cost constants ``RunConfig.params`` may override,
+#: with their defaults; topology and notification have RunConfig
+#: fields of their own
+COST_DEFAULTS = {
+    f.name: f.default
+    for f in fields(MachineParams)
+    if f.name not in ("n_nodes", "granularity", "mechanism")
+}
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,26 @@ class RunConfig:
     #: a chaos cell is a different experiment, never a stale shadow of
     #: the fault-free one.
     faults: Optional[FaultSpec] = None
+    #: ``(field, value)`` overrides of MachineParams cost constants,
+    #: sorted by field; an override equal to the default is dropped, so
+    #: a config that changes no cost is the plain matrix cell
+    params: Tuple[Tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.params == ():
+            return
+        # any iterable of pairs (e.g. JSON lists) becomes sorted tuples
+        overrides = dict(self.params)
+        for name, value in overrides.items():
+            if name not in COST_DEFAULTS:
+                raise ValueError(
+                    f"{name!r} is not a MachineParams cost constant "
+                    "(n_nodes, granularity and mechanism are RunConfig fields)"
+                )
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name}={value!r} is not a number")
+        kept = ((n, v) for n, v in overrides.items() if v != COST_DEFAULTS[n])
+        object.__setattr__(self, "params", tuple(sorted(kept)))
 
     def label(self) -> str:
         base = (
@@ -41,6 +70,8 @@ class RunConfig:
         )
         if self.faults is not None:
             base += f"/{self.faults.label()}"
+        for name, value in self.params:
+            base += f"/{name}={value:g}"
         return base
 
 
@@ -78,6 +109,7 @@ def run_experiment(
         n_nodes=cfg.nprocs,
         granularity=cfg.granularity,
         mechanism=NotificationMechanism(cfg.mechanism),
+        **dict(cfg.params),
     )
     machine = Machine(
         params,

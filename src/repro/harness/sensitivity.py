@@ -8,6 +8,12 @@ preference moves -- the robustness check a reviewer would ask for, and
 the mechanism behind the paper's own prediction that "all these
 performance differences would be larger on real SVM systems".
 
+A sweep point is an ordinary matrix cell with one ``RunConfig.params``
+cost override, so the whole sweep is one
+:func:`~repro.exec.pool.execute_many` call: it takes the same pool,
+cache and timeout knobs as every other sweep, and the x1 point *is*
+the plain matrix cell.
+
 Example::
 
     from repro.harness.sensitivity import sweep_parameter
@@ -27,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.apps import make_app
 from repro.cluster.config import MachineParams
-from repro.cluster.machine import Machine
-from repro.runtime.program import run_program
+from repro.exec.pool import execute_many
+from repro.harness.experiment import RunConfig
 
 
 @dataclass
@@ -51,18 +56,6 @@ class SweepPoint:
         return self.speedups[g_a] / self.speedups[g_b]
 
 
-def _run_one(app_name: str, scale: str, protocol: str, params: MachineParams,
-             poll_dilation_override=None):
-    app = make_app(app_name, scale=scale)
-    dil = (app.poll_dilation if poll_dilation_override is None
-           else poll_dilation_override)
-    machine = Machine(params, protocol=protocol, poll_dilation=dil)
-    app.setup(machine)
-    result = run_program(machine, app.program, nprocs=params.n_nodes,
-                         sequential_time_us=app.sequential_time_us())
-    return result.stats
-
-
 def sweep_parameter(
     app: str,
     field: str,
@@ -71,22 +64,37 @@ def sweep_parameter(
     granularities: Sequence[int] = (64, 4096),
     scale: str = "default",
     nprocs: int = 16,
+    **run,
 ) -> List[SweepPoint]:
-    """Scale one MachineParams cost field and measure speedups."""
+    """Scale one MachineParams cost field and measure speedups.
+
+    ``run`` holds the :func:`~repro.exec.pool.execute_many` knobs
+    (jobs, cache, events, timeout, progress).  A failed cell raises,
+    naming its label: a sweep point never carries a made-up speedup.
+    """
     base = getattr(MachineParams(), field)
     if not isinstance(base, (int, float)):
         raise TypeError(f"{field!r} is not a numeric cost parameter")
-    points: List[SweepPoint] = []
-    for mult in multipliers:
-        point = SweepPoint(field_name=field, multiplier=mult,
-                           value=base * mult)
-        for g in granularities:
-            params = MachineParams(n_nodes=nprocs, granularity=g)
-            setattr(params, field, base * mult)
-            stats = _run_one(app, scale, protocol, params)
-            point.speedups[g] = stats.speedup
-        points.append(point)
-    return points
+    configs = {
+        (mult, g): RunConfig(app, protocol, g, nprocs=nprocs, scale=scale,
+                             params=((field, base * mult),))
+        for mult in multipliers
+        for g in granularities
+    }
+    records = execute_many(list(configs.values()), **run)
+    for cfg, rec in records.items():
+        if not rec.ok:
+            raise RuntimeError(
+                f"{cfg.label()}: {rec.error_type}: {rec.error}"
+            )
+    return [
+        SweepPoint(
+            field_name=field, multiplier=mult, value=base * mult,
+            speedups={g: records[configs[(mult, g)]].speedup
+                      for g in granularities},
+        )
+        for mult in multipliers
+    ]
 
 
 def granularity_preference(points: Sequence[SweepPoint], fine: int,

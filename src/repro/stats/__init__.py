@@ -7,6 +7,7 @@ from repro.stats.classify import (
     AccessTrace,
     Classification,
     classify,
+    classify_app,
     install_trace,
 )
 from repro.stats.relative_efficiency import (
@@ -24,5 +25,6 @@ __all__ = [
     "AccessTrace",
     "Classification",
     "classify",
+    "classify_app",
     "install_trace",
 ]

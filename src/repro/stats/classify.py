@@ -197,3 +197,28 @@ def install_trace(machine) -> AccessTrace:
     trace = AccessTrace()
     machine.add_hooks(trace)
     return trace
+
+
+def classify_app(name: str, scale: str = "default",
+                 nprocs: int = 16) -> Classification:
+    """Run one application under an :class:`AccessTrace` (HLRC,
+    1024-byte blocks) and classify it.
+
+    The machine runs without the application's poll dilation, unlike
+    every matrix cell, so the comp/sync column is the undilated compute
+    time between synchronization events.
+    """
+    # imported here: the cluster and runtime layers import repro.stats
+    from repro.apps import make_app
+    from repro.cluster.config import MachineParams
+    from repro.cluster.machine import Machine
+    from repro.runtime.program import run_program
+
+    app = make_app(name, scale=scale)
+    machine = Machine(MachineParams(n_nodes=nprocs, granularity=1024),
+                      protocol="hlrc")
+    app.setup(machine)
+    trace = install_trace(machine)
+    run_program(machine, app.program, nprocs=nprocs,
+                sequential_time_us=app.sequential_time_us())
+    return classify(trace, machine.stats)

@@ -150,3 +150,20 @@ class TestInstallTrace:
         assert tr.max_writers >= 1
         # 64 float64 = 512 bytes per region access
         assert tr.median_read_bytes == 512.0
+
+
+class TestClassifyApp:
+    def test_lu_matches_its_paper_row(self):
+        from repro.apps import make_app
+        from repro.stats import classify_app
+
+        c = classify_app("lu", scale="tiny", nprocs=4)
+        app = make_app("lu", scale="tiny")
+        assert (c.writers, c.access_grain) == (app.writers, app.access_grain)
+        assert c.barriers > 0 and c.lock_acquires == 0
+
+    def test_cli_takes_no_mechanism(self):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["classify", "--mechanism", "interrupt"])

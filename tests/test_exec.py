@@ -96,6 +96,61 @@ class TestRunRecord:
         assert clone.summary() == {}
 
 
+class TestCostOverrides:
+    """``RunConfig.params``: a cell with some cost constants changed."""
+
+    FAULTY = (("fault_exception_us", 20.0),)
+
+    def test_overrides_reach_the_machine(self):
+        r = run_experiment(tiny_cfg(params=self.FAULTY + (
+            ("net_per_byte_us", 0.5),)))
+        assert r.machine.params.fault_exception_us == 20.0
+        assert r.machine.params.net_per_byte_us == 0.5
+        assert r.machine.params.tag_change_us == MachineParams().tag_change_us
+
+    def test_sorted_and_default_overrides_dropped(self, tmp_path):
+        cfg = tiny_cfg(params=(("tag_change_us", 2.0),
+                               ("fault_exception_us", 5.0),
+                               ("copy_per_byte_us", 0.5)))
+        assert cfg.params == (("copy_per_byte_us", 0.5), ("tag_change_us", 2.0))
+        # an override equal to the default is the plain cell, down to
+        # its label, its serialization and its cache key
+        unit = tiny_cfg(params=(("fault_exception_us", 5.0),))
+        plain = tiny_cfg()
+        assert unit == plain and unit.params == ()
+        assert unit.label() == plain.label()
+        assert config_to_dict(unit) == config_to_dict(plain)
+        assert "params" not in config_to_dict(plain)
+        cache = ResultCache(tmp_path, fingerprint="fp")
+        assert cache.key(unit) == cache.key(plain)
+        assert cache.key(tiny_cfg(params=self.FAULTY)) != cache.key(plain)
+
+    def test_label_names_the_overrides(self):
+        cfg = tiny_cfg(params=self.FAULTY)
+        assert cfg.label() == tiny_cfg().label() + "/fault_exception_us=20"
+
+    def test_round_trips(self, tiny_stats):
+        cfg = tiny_cfg(params=self.FAULTY + (("net_per_byte_us", 0.4084),))
+        d = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(d) == cfg
+        assert config_from_dict(d).params == cfg.params
+        rec = RunRecord.from_stats(cfg, tiny_stats)
+        clone = RunRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
+        assert clone.config == cfg and hash(clone.config) == hash(cfg)
+
+    @pytest.mark.parametrize("params, exc", [
+        ((("n_nodes", 8),), ValueError),
+        ((("granularity", 64),), ValueError),
+        ((("mechanism", 1.0),), ValueError),
+        ((("no_such_cost_us", 1.0),), ValueError),
+        ((("tag_change_us", "fast"),), TypeError),
+        ((("tag_change_us", True),), TypeError),
+    ])
+    def test_rejected(self, params, exc):
+        with pytest.raises(exc):
+            tiny_cfg(params=params)
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path, tiny_stats):
         cache = ResultCache(tmp_path, fingerprint="fp-a")
@@ -428,17 +483,6 @@ class TestTimeoutWorkerReset:
         finally:
             cache_mod._FINGERPRINT = None
             matrix._CACHE.clear()
-
-    def test_registered_reset_hook_runs(self):
-        from repro.exec import pool
-
-        calls = []
-        pool.register_worker_reset(lambda: calls.append(1))
-        try:
-            self._timeout_cell()
-            assert calls == [1]
-        finally:
-            pool._WORKER_RESETS.clear()
 
     def test_normal_cell_after_timeout_is_cache_identical(self, tmp_path):
         # The regression the reset exists for: a timed-out cell followed

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro import Machine, MachineParams, SharedArray, run_program
-from repro.cluster.config import EXTENDED_GRANULARITIES, PAGE_SIZE, switch_of
+from repro.cluster.config import (
+    EXTENDED_GRANULARITIES,
+    PAGE_SIZE,
+    SVM_COSTS,
+    switch_of,
+)
+from repro.harness.experiment import RunConfig
 from repro.stats.counters import memory_utilization
 
 
@@ -173,19 +179,18 @@ class TestThirtyTwoNodes:
 
 class TestAllSoftwarePresets:
     def test_svm_preset_values(self):
-        p = MachineParams.svm()
-        assert p.granularity == PAGE_SIZE
+        p = MachineParams(**dict(SVM_COSTS))
+        assert p.granularity == PAGE_SIZE  # the default: no override needed
         assert p.fault_exception_us > 50.0
+        assert p.tag_change_us > MachineParams().tag_change_us
         p.validate()
 
     def test_svm_overrides(self):
-        p = MachineParams.svm(n_nodes=8)
-        assert p.n_nodes == 8
-
-    def test_fine_grain_software_preset(self):
-        p = MachineParams.fine_grain_software(granularity=64)
-        assert p.granularity == 64
-        p.validate()
+        """SVM_COSTS are RunConfig cost overrides; the node count and
+        block size stay the config's own fields."""
+        cfg = RunConfig("lu", "sc", 4096, nprocs=8, params=SVM_COSTS)
+        assert cfg.params == SVM_COSTS and cfg.nprocs == 8
+        assert cfg != RunConfig("lu", "sc", 4096, nprocs=8)
 
     def test_svm_faults_cost_more(self):
         """The same program takes longer when faults cost SVM prices --
@@ -193,7 +198,7 @@ class TestAllSoftwarePresets:
         times = {}
         for name, params in (
             ("t0", MachineParams(n_nodes=4, granularity=4096)),
-            ("svm", MachineParams.svm(n_nodes=4)),
+            ("svm", MachineParams(n_nodes=4, **dict(SVM_COSTS))),
         ):
             m = Machine(params, protocol="sc")
             seg = m.alloc(64 * 1024, "x")

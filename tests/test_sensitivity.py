@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.exec import EventLog, ResultCache, execute_many
+from repro.exec.events import RUN_EVENT_TYPES
+from repro.harness.experiment import RunConfig, run_experiment
 from repro.harness.sensitivity import SweepPoint, granularity_preference, sweep_parameter
+
+TINY = dict(scale="tiny", nprocs=4)
 
 
 class TestSweepPoint:
@@ -36,3 +41,41 @@ class TestSweepParameter:
             SweepPoint("f", 2.0, 2.0, {64: 1.0, 4096: 3.0}),
         ]
         assert granularity_preference(points, 64, 4096) == [1.0, 3.0]
+
+
+class TestSweepThroughExec:
+    """A sweep point is a RunConfig with one cost override, run on the
+    one sweep path."""
+
+    SWEEP = dict(app="lu", field="fault_exception_us", multipliers=[1, 4],
+                 protocol="sc", granularities=[64, 1024], **TINY)
+
+    def test_points_equal_run_experiment(self):
+        for p in sweep_parameter(**self.SWEEP):
+            for g, speedup in p.speedups.items():
+                cfg = RunConfig("lu", "sc", g, **TINY,
+                                params=(("fault_exception_us", p.value),))
+                assert speedup == run_experiment(cfg).speedup
+
+    def test_second_sweep_served_from_cache(self, tmp_path):
+        first = sweep_parameter(**self.SWEEP, cache=ResultCache(tmp_path))
+        log = EventLog()
+        again = sweep_parameter(**self.SWEEP, cache=ResultCache(tmp_path),
+                                events=log)
+        assert [p.speedups for p in again] == [p.speedups for p in first]
+        assert not set(log.types()) & set(RUN_EVENT_TYPES)
+        assert log.types().count("cache_hit") == 4
+        # the x1 point is the plain matrix cell, cache entry included
+        plain = RunConfig("lu", "sc", 64, **TINY)
+        assert execute_many([plain], cache=ResultCache(tmp_path))[plain].cached
+
+    def test_failed_cell_raises_naming_its_label(self):
+        with pytest.raises(RuntimeError, match="lu/sc-64/polling/p4/"
+                           "fault_exception_us=20: SimulationError"):
+            sweep_parameter(**{**self.SWEEP, "multipliers": [4]},
+                            max_events=50)
+
+    @pytest.mark.parametrize("field", ["n_nodes", "granularity"])
+    def test_config_fields_are_not_cost_overrides(self, field):
+        with pytest.raises(ValueError):
+            sweep_parameter("lu", field, [2], granularities=[1024], **TINY)
