@@ -21,9 +21,9 @@ from repro.cluster.config import (
     GRANULARITIES,
     SVM_COSTS,
 )
-from repro.harness.experiment import RunConfig, run_experiment
+from repro.harness.experiment import RunConfig
+from repro.harness.matrix import run_cells
 from repro.harness.tables import fmt_table
-from repro.stats.counters import memory_utilization
 
 from bench_faults_common import bench_one_run
 
@@ -31,12 +31,13 @@ from bench_faults_common import bench_one_run
 def test_ext_delayed_consistency(benchmark, scale):
     rows = []
     speed = {}
-    for proto in ("sc", "dc"):
-        r = run_experiment(RunConfig("ocean-rowwise", proto, 4096,
-                                     scale=scale))
+    records = run_cells([RunConfig("ocean-rowwise", proto, 4096, scale=scale)
+                         for proto in ("sc", "dc")])
+    for cfg, r in records.items():
+        proto = cfg.protocol
         speed[proto] = r.speedup
         misses = r.stats.read_faults + r.stats.write_faults
-        delayed = getattr(r.machine.protocol, "delayed_actions", 0)
+        delayed = r.metadata["counters"].get("delayed_actions", 0)
         rows.append((proto.upper(), f"{r.speedup:.2f}", misses, delayed))
     emit(
         "Extension: delayed consistency (ocean-rowwise at 4096 bytes)",
@@ -51,8 +52,12 @@ def test_ext_delayed_consistency(benchmark, scale):
 def test_ext_block_sizes_beyond_page(benchmark, scale):
     rows = []
     sp = {}
-    for g in list(GRANULARITIES[2:]) + list(EXTENDED_GRANULARITIES):
-        r = run_experiment(RunConfig("ocean-original", "hlrc", g, scale=scale))
+    records = run_cells([
+        RunConfig("ocean-original", "hlrc", g, scale=scale)
+        for g in list(GRANULARITIES[2:]) + list(EXTENDED_GRANULARITIES)
+    ])
+    for cfg, r in records.items():
+        g = cfg.granularity
         sp[g] = r.speedup
         rows.append((g, f"{r.speedup:.2f}", r.stats.read_faults,
                      f"{r.stats.data_traffic_bytes / 1e6:.1f}"))
@@ -70,9 +75,10 @@ def test_ext_block_sizes_beyond_page(benchmark, scale):
 def test_ext_32_nodes(benchmark, scale):
     rows = []
     speeds = {}
-    for n in (16, 32):
-        r = run_experiment(RunConfig("water-nsquared", "hlrc", 4096,
-                                     nprocs=n, scale=scale))
+    records = run_cells([RunConfig("water-nsquared", "hlrc", 4096, nprocs=n,
+                                   scale=scale) for n in (16, 32)])
+    for cfg, r in records.items():
+        n = cfg.nprocs
         speeds[n] = r.stats.speedup
         rows.append((n, f"{r.stats.speedup:.2f}",
                      r.stats.read_faults + r.stats.write_faults))
@@ -103,11 +109,17 @@ def test_ext_all_software_svm(benchmark, scale):
     gaps = {}
     rows = {}
     stalls = {}
-    for label, costs in (("typhoon-0", ()), ("all-software SVM", SVM_COSTS)):
+    cells = {
+        (label, proto): RunConfig("volrend-original", proto, 4096,
+                                  scale=scale, params=costs)
+        for label, costs in (("typhoon-0", ()), ("all-software SVM", SVM_COSTS))
+        for proto in ("sc", "hlrc")
+    }
+    records = run_cells(list(cells.values()))
+    for label in ("typhoon-0", "all-software SVM"):
         sp = {}
         for proto in ("sc", "hlrc"):
-            r = run_experiment(RunConfig("volrend-original", proto, 4096,
-                                         scale=scale, params=costs))
+            r = records[cells[(label, proto)]]
             sp[proto] = r.speedup
             stalls[(label, proto)] = r.stats.parallel_time_us
         gaps[label] = sp["hlrc"] / sp["sc"]
@@ -136,18 +148,19 @@ def test_ext_all_software_svm(benchmark, scale):
 def test_ext_memory_utilization(benchmark, scale):
     rows = []
     repl = {}
-    for proto in ("sc", "swlrc", "hlrc"):
-        for g in (64, 4096):
-            r = run_experiment(RunConfig("water-spatial", proto, g,
-                                         scale=scale))
-            util = memory_utilization(r.machine)
-            repl[(proto, g)] = util["replication_factor"]
-            rows.append((
-                proto.upper(), g,
-                f"{util['cached_bytes'] / 1e6:.2f}",
-                f"{util['twin_bytes'] / 1e3:.1f}",
-                f"{util['replication_factor']:.2f}",
-            ))
+    records = run_cells([RunConfig("water-spatial", proto, g, scale=scale)
+                         for proto in ("sc", "swlrc", "hlrc")
+                         for g in (64, 4096)])
+    for cfg, r in records.items():
+        proto, g = cfg.protocol, cfg.granularity
+        util = r.metadata["memory"]
+        repl[(proto, g)] = util["replication_factor"]
+        rows.append((
+            proto.upper(), g,
+            f"{util['cached_bytes'] / 1e6:.2f}",
+            f"{util['twin_bytes'] / 1e3:.1f}",
+            f"{util['replication_factor']:.2f}",
+        ))
     emit(
         "Extension: memory utilization (water-spatial)",
         fmt_table(
@@ -169,12 +182,16 @@ def test_ext_time_breakdown(benchmark, scale):
 
     rows = []
     bds = {}
-    for app_name, proto, g in (
-        ("lu", "sc", 1024),
-        ("barnes-original", "sc", 4096),
-        ("barnes-original", "hlrc", 4096),
-    ):
-        r = run_experiment(RunConfig(app_name, proto, g, scale=scale))
+    records = run_cells([
+        RunConfig(app_name, proto, g, scale=scale)
+        for app_name, proto, g in (
+            ("lu", "sc", 1024),
+            ("barnes-original", "sc", 4096),
+            ("barnes-original", "hlrc", 4096),
+        )
+    ])
+    for cfg, r in records.items():
+        app_name, proto, g = cfg.app, cfg.protocol, cfg.granularity
         bd = breakdown(r.stats)
         bds[(app_name, proto)] = bd
         rows.append((f"{app_name}/{proto}-{g}", bd))

@@ -63,7 +63,7 @@ def bench_one_run(benchmark, app: str, scale: str, protocol="hlrc",
     benchmark.pedantic(
         lambda: run_experiment(
             RunConfig(app=app, protocol=protocol, granularity=granularity,
-                      scale="tiny")
+                      scale=scale)
         ),
         rounds=3,
         iterations=1,

@@ -49,6 +49,13 @@ after ``release_prepare`` for both lock releases and barrier arrivals):
   least the granter's shipped ``pts``, and no cached lease older than
   the new ``pts`` survives the expiry scan.
 
+**before every notice batch** (``before_notice_batch``, called by the
+LRC protocols as they build a lock grant or a barrier release):
+
+* both -- retired floor: the requester's clock reaches no writer's
+  interval below the interval log's retired floor (a retired slot
+  reads as empty, so such a batch would silently drop notices).
+
 ``end_of_run`` re-scans the interval logs and sweeps the full SC
 directory once.  Like every hook, the checker observes only: a checked
 run is bit-identical to an unchecked one.
@@ -387,6 +394,22 @@ class InvariantChecker(Hooks):
         self._scanned[node_id] = len(log)
 
     # ------------------------------------------------------------------
+    # notice-batch checks (called by LRCBase as it builds a batch)
+    # ------------------------------------------------------------------
+    def before_notice_batch(self, node_id: int, seen) -> None:
+        ilog = self.p.ilog
+        floor = ilog.floor
+        for w in ilog.writers:
+            if seen[w] < floor[w]:
+                self._report(
+                    "retired-floor",
+                    f"batch starts at interval {seen[w]} of node {w}, "
+                    f"below its retired floor {floor[w]}",
+                    node=node_id,
+                )
+                return
+
+    # ------------------------------------------------------------------
     # acquire-side checks (on_sync_applied hook)
     # ------------------------------------------------------------------
     def on_sync_applied(self, node_id: int, payload) -> None:
@@ -439,7 +462,7 @@ class InvariantChecker(Hooks):
                         block=wn.block,
                     )
             hint = p.hint[node_id].get(wn.block)
-            if hint is None or hint[0] < wn.version:
+            if hint is None or hint.version < wn.version:
                 self._report(
                     "hint-freshness",
                     f"hint {hint} older than applied notice "

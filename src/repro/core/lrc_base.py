@@ -84,6 +84,8 @@ class LRCBase(CoherenceProtocol):
         own (see :meth:`apply_sync`)."""
         if acq_vt is None:
             acq_vt = (0,) * self.params.n_nodes
+        if self.checker is not None:
+            self.checker.before_notice_batch(acquirer, acq_vt)
         vt = self.vt[granter_id].as_tuple()
         notices, planned, runs = self.ilog.notices_between(acq_vt, vt, acquirer)
         return {"vt": vt, "notices": notices, "planned": planned}, runs
@@ -123,9 +125,12 @@ class LRCBase(CoherenceProtocol):
         )
         ilog = self.ilog
         writers = ilog.writers
+        checker = self.checker
         by_view: Dict[Tuple[int, ...], Tuple[Any, int]] = {}
         out: Dict[int, Tuple[Any, int]] = {}
         for node_id, vt in vts.items():
+            if checker is not None:
+                checker.before_notice_batch(node_id, vt)
             key = tuple(map(vt.__getitem__, writers))
             shared = by_view.get(key)
             if shared is None:
@@ -141,6 +146,30 @@ class LRCBase(CoherenceProtocol):
                 )
             out[node_id] = shared
         return out
+
+    def barrier_released(self, vts: Dict[int, Sequence[int]]) -> None:
+        """Retire the intervals every node will have seen once this
+        barrier's release is applied (see :meth:`IntervalLog.retire`).
+
+        Writer ``w``'s floor is the minimum of ``w``'s component over
+        all N nodes.  A participant counts with the merged timestamp:
+        it is blocked until it applies the release, so it asks for no
+        notices before its clock equals that.  A node outside a partial
+        barrier counts with its live clock; while it waits for a lock
+        its clock is the one its request carries.  The payloads already
+        built hold their own references to the intervals they ship."""
+        ilog = self.ilog
+        writers = ilog.writers
+        if len(vts) == self.params.n_nodes:  # every clock becomes merged
+            ilog.retire({w: vts[w][w] for w in writers})
+            return
+        arrivals = vts.values()
+        others = [vt.v for j, vt in enumerate(self.vt) if j not in vts]
+        floor: Dict[int, int] = {}
+        for w in writers:
+            merged = vts[w][w] if w in vts else max(vt[w] for vt in arrivals)
+            floor[w] = min(merged, *(vt[w] for vt in others))
+        ilog.retire(floor)
 
     def apply_sync(self, node, payload) -> Generator:
         """Merge the payload's timestamp and apply its notice plan.

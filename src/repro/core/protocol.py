@@ -241,6 +241,10 @@ class CoherenceProtocol:
         """
         return {n: (None, 0) for n in vts}
 
+    def barrier_released(self, vts: Dict[int, Any]) -> None:
+        """Called once a barrier's release payloads are built, before
+        any is applied: state that no node can need again may go."""
+
     def current_vt(self, node_id: int):
         """The node's vector timestamp (None for SC)."""
         return None

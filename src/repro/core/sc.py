@@ -50,14 +50,17 @@ def copyset_bytes(sharers: Set[int], n_nodes: int) -> int:
     return COPYSET_ENTRY_BYTES * len(sharers) + _GROUP_HEADER_BYTES * groups
 
 
-@dataclass
+@dataclass(slots=True)
 class DirEntry:
-    """Home-side directory state for one block."""
+    """Home-side directory state for one block.
+
+    ``pending`` stays None until a request first queues behind a busy
+    transaction."""
 
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
     busy: bool = False
-    pending: Deque[Message] = field(default_factory=deque)
+    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -245,6 +248,8 @@ class SCProtocol(CoherenceProtocol):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start_read(node, msg, e)
@@ -304,6 +309,8 @@ class SCProtocol(CoherenceProtocol):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start_write(node, msg, e)

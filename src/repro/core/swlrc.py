@@ -30,8 +30,8 @@ strictly newer versions, so chains terminate at the current owner).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, Generator, List, Optional, Set
 
 from repro.core.lrc_base import LRCBase
 from repro.core.protocol import register
@@ -41,13 +41,16 @@ from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import Future
 
 
-@dataclass
+@dataclass(slots=True)
 class OwnerEntry:
-    """Home-side authoritative ownership record for one block."""
+    """Home-side authoritative ownership record for one block.
+
+    ``pending`` stays None until a transfer first queues behind a busy
+    one: almost no block ever sees two transfers at once."""
 
     owner: Optional[int] = None
     busy: bool = False
-    pending: Deque[Message] = field(default_factory=deque)
+    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -59,8 +62,9 @@ class SWLRCProtocol(LRCBase):
         n = machine.params.n_nodes
         #: version of each node's local copy
         self.version: List[Dict[int, int]] = [dict() for _ in range(n)]
-        #: freshest writer hint per node: block -> (version, writer)
-        self.hint: List[Dict[int, Tuple[int, int]]] = [dict() for _ in range(n)]
+        #: freshest writer hint per node: block -> the applied notice
+        #: with the highest version (its ``owner`` is the writer)
+        self.hint: List[Dict[int, WriteNotice]] = [dict() for _ in range(n)]
         #: home-side ownership directory
         self.owners: Dict[int, OwnerEntry] = {}
         #: node-local knowledge "I am the current owner" -- lets a
@@ -158,6 +162,8 @@ class SWLRCProtocol(LRCBase):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start_own(node, msg, e)
@@ -277,7 +283,7 @@ class SWLRCProtocol(LRCBase):
             target = e.owner
         elif hint is not None:
             self.stats.record_read_fault(node.id)
-            target = hint[1]
+            target = hint.owner
         else:
             self.stats.record_read_fault(node.id)
             target = self.route_home(node.id, block)
@@ -315,8 +321,8 @@ class SWLRCProtocol(LRCBase):
             return
         # No usable copy here: chase a fresher hint, or fall back home.
         hint = self.hint[node.id].get(block)
-        if hint is not None and hint[1] != node.id:
-            target = hint[1]
+        if hint is not None and hint.owner != node.id:
+            target = hint.owner
         elif self._is_home(node.id, block):
             e = self._entry(block)
             if e.owner is None or e.owner == node.id:
@@ -386,10 +392,9 @@ class SWLRCProtocol(LRCBase):
         hint = self.hint[nid]
         get_hint = hint.get
         for block, wn in plan.items():
-            wv = wn.version
             cur = get_hint(block)
-            if cur is None or wv > cur[0]:
-                hint[block] = (wv, wn.owner)
+            if cur is None or wn.version > cur.version:
+                hint[block] = wn
         access = node.access
         owned = self.owned[nid]
         held = access.readable_among(plan.keys())

@@ -50,7 +50,7 @@ SW-LRC/HLRC.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol, register
@@ -62,7 +62,7 @@ from repro.sim.process import Future
 TS_BYTES = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class TardisEntry:
     """Home-side per-block record -- the *entire* coherence metadata.
 
@@ -76,7 +76,8 @@ class TardisEntry:
     busy: bool = False
     #: request stalled behind an owner recall
     stalled: Optional[Message] = None
-    pending: Deque[Message] = field(default_factory=deque)
+    #: requests queued behind a busy transfer (None until one queues)
+    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -241,6 +242,8 @@ class TardisProtocol(CoherenceProtocol):
             return
         e = self._entry(msg.block)
         if e.busy:
+            if e.pending is None:
+                e.pending = deque()
             e.pending.append(msg)
             return
         self._start(node, msg, e)

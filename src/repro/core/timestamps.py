@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
@@ -193,6 +194,14 @@ class IntervalLog:
     intervals can contribute a notice, so :meth:`notices_between` walks
     them alone and returns the same batch, in the same order, as a walk
     over every node.
+
+    An interval every node has seen is never read again, so
+    :meth:`retire` drops it (TreadMarks collects intervals at barriers
+    the same way).  A retired slot keeps its index and points at the
+    shared empty map, so the slices of :meth:`notices_between` are
+    unchanged; :attr:`floor` is each node's first live index, and no
+    batch may start below it.  :attr:`notice_count` counts every
+    notice ever closed, retired or live.
     """
 
     def __init__(self, n_nodes: int):
@@ -200,12 +209,17 @@ class IntervalLog:
         self._starts: List[List[Tuple[int, ...]]] = [[] for _ in range(n_nodes)]
         self._writers: List[int] = []
         self._writer_set: Set[int] = set()
+        #: per node, the index of its first interval not yet retired
+        self.floor: List[int] = [0] * n_nodes
+        #: notices in every interval ever closed
+        self.notice_count = 0
 
     def close_interval(self, node: int, notices: List[WriteNotice]) -> int:
         """Append a closed interval for ``node`` (``notices``: one per
         block, ascending); returns its index."""
         log = self._log[node]
         if notices:
+            self.notice_count += len(notices)
             blocks = list(map(_block_of, notices))
             log.append(dict(zip(blocks, notices)))
             self._starts[node].append(tuple(self.run_starts(blocks)))
@@ -228,6 +242,18 @@ class IntervalLog:
 
     def intervals_of(self, node: int) -> int:
         return len(self._log[node])
+
+    def retire(self, floor: Mapping[int, int]) -> None:
+        """Retire writer ``w``'s intervals below ``floor[w]``, for every
+        writer ``w`` in ``floor``: every node has seen them, so no batch
+        reads them again.  A floor never moves down."""
+        log, log_starts, lows = self._log, self._starts, self.floor
+        for w, hi in floor.items():
+            lo = lows[w]
+            if hi > lo:
+                log[w][lo:hi] = repeat(_NO_NOTICES, hi - lo)
+                log_starts[w][lo:hi] = repeat((), hi - lo)
+                lows[w] = hi
 
     def notices_between(
         self, seen: Sequence[int], upto: Sequence[int], skip: int = -1

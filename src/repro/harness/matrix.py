@@ -11,7 +11,7 @@ table emitters consume.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import GRANULARITIES
 from repro.core.registry import evaluated_protocols
@@ -43,13 +43,36 @@ def configure(jobs: Optional[int] = None, cache: Optional[ResultCache] = None) -
     _DEFAULT_DISK_CACHE = cache
 
 
+def session_knobs(
+    jobs: Optional[int] = None, cache: Optional[ResultCache] = None
+) -> Dict[str, Any]:
+    """``execute_many``'s ``jobs`` and ``cache``, each defaulting to the
+    process-wide setting installed by :func:`configure`."""
+    return {
+        "jobs": _DEFAULT_JOBS if jobs is None else jobs,
+        "cache": _DEFAULT_DISK_CACHE if cache is None else cache,
+    }
+
+
+def run_cells(
+    configs: Sequence[RunConfig],
+    *,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    **run,
+) -> Dict[RunConfig, RunRecord]:
+    """Run ``configs`` through the in-process memo: the cells it lacks
+    go to one :func:`~repro.exec.pool.execute_many` call with the
+    session's knobs (:func:`session_knobs`) and ``run``'s."""
+    fresh = [c for c in configs if c not in _CACHE]
+    if fresh:
+        _CACHE.update(execute_many(fresh, **session_knobs(jobs, cache), **run))
+    return {c: _CACHE[c] for c in configs}
+
+
 def cached_run(cfg: RunConfig) -> RunRecord:
-    """One cell through the in-process memo."""
-    hit = _CACHE.get(cfg)
-    if hit is None:
-        hit = execute_many([cfg], cache=_DEFAULT_DISK_CACHE)[cfg]
-        _CACHE[cfg] = hit
-    return hit
+    """One cell through the in-process memo, simulated in-process."""
+    return run_cells([cfg], jobs=1)[cfg]
 
 
 def clear_cache() -> None:
@@ -112,20 +135,12 @@ def sweep(
     unchecked matrix cells -- and carry their own disk-cache key.
     """
     configs = matrix_configs(apps, protocols, granularities, mechanism, scale, nprocs)
-    run = dict(
-        jobs=_DEFAULT_JOBS if jobs is None else jobs,
-        cache=_DEFAULT_DISK_CACHE if cache is None else cache,
-        events=events,
-        timeout=timeout,
-        max_events=max_events,
-        progress=progress,
-    )
+    run = dict(events=events, timeout=timeout, max_events=max_events,
+               progress=progress)
     if check:
-        return execute_many(configs, check=check, **run)
-    fresh = [c for c in configs if c not in _CACHE]
-    if fresh:
-        _CACHE.update(execute_many(fresh, **run))
-    return {c: _CACHE[c] for c in configs}
+        return execute_many(configs, check=check, **session_knobs(jobs, cache),
+                            **run)
+    return run_cells(configs, jobs=jobs, cache=cache, **run)
 
 
 class SpeedupMatrix:

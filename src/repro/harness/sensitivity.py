@@ -31,11 +31,13 @@ measured at each granularity, plus which granularity won.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.config import MachineParams
+from repro.exec.cache import ResultCache
 from repro.exec.pool import execute_many
 from repro.harness.experiment import RunConfig
+from repro.harness.matrix import session_knobs
 
 
 @dataclass
@@ -64,13 +66,19 @@ def sweep_parameter(
     granularities: Sequence[int] = (64, 4096),
     scale: str = "default",
     nprocs: int = 16,
+    *,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
     **run,
 ) -> List[SweepPoint]:
     """Scale one MachineParams cost field and measure speedups.
 
-    ``run`` holds the :func:`~repro.exec.pool.execute_many` knobs
-    (jobs, cache, events, timeout, progress).  A failed cell raises,
-    naming its label: a sweep point never carries a made-up speedup.
+    ``jobs``, ``cache`` and ``run`` are the
+    :func:`~repro.exec.pool.execute_many` knobs (``run``: events,
+    timeout, max_events, progress); ``jobs`` and ``cache`` default to
+    the session's, like :func:`~repro.harness.matrix.sweep`'s.  A failed
+    cell raises, naming its label: a sweep point never carries a
+    made-up speedup.
     """
     base = getattr(MachineParams(), field)
     if not isinstance(base, (int, float)):
@@ -81,7 +89,8 @@ def sweep_parameter(
         for mult in multipliers
         for g in granularities
     }
-    records = execute_many(list(configs.values()), **run)
+    records = execute_many(list(configs.values()),
+                           **session_knobs(jobs, cache), **run)
     for cfg, rec in records.items():
         if not rec.ok:
             raise RuntimeError(

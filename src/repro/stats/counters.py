@@ -15,7 +15,7 @@ from the hot path and trivially aggregated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
@@ -336,6 +336,11 @@ class MetadataStats:
     components: Dict[str, int]
     #: named breakdown of ``node_bytes`` (pts/leases/hints)
     node_components: Dict[str, int]
+    #: end-of-run memory footprint (:func:`memory_utilization`)
+    memory: Dict[str, float] = field(default_factory=dict)
+    #: protocol-specific event counts kept off :class:`Stats` (dc's
+    #: ``delayed_actions``)
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def per_block(self) -> float:
@@ -357,6 +362,8 @@ class MetadataStats:
             "per_block_dense": self.per_block_dense,
             "components": dict(self.components),
             "node_components": dict(self.node_components),
+            "memory": dict(self.memory),
+            "counters": dict(self.counters),
         }
 
 
@@ -407,10 +414,7 @@ def protocol_metadata(machine) -> MetadataStats:
     if vt is not None:  # swlrc / hlrc: per-node vector clocks
         components["clocks"] = sum(c.bytes_used() for c in vt)
         dense += n * n * _TS_FIELD_BYTES
-        ilog = p.ilog
-        notices = sum(
-            len(interval) for i in range(n) for interval in ilog.intervals(i)
-        )
+        notices = p.ilog.notice_count  # retired intervals included
         components["interval_log"] = notices * _NOTICE_BYTES
         dense += notices * _NOTICE_BYTES
 
@@ -457,6 +461,9 @@ def protocol_metadata(machine) -> MetadataStats:
         node_bytes=sum(node_components.values()),
         components=components,
         node_components=node_components,
+        memory=memory_utilization(machine),
+        counters={"delayed_actions": p.delayed_actions}
+        if hasattr(p, "delayed_actions") else {},
     )
 
 

@@ -119,7 +119,9 @@ class BarrierService:
         # broadcast.  The merge cost scales with total notices; nodes
         # with one view share one payload object.
         del self._episodes[key]
-        payloads = self.m.protocol.barrier_payloads(ep.arrivals)
+        protocol = self.m.protocol
+        payloads = protocol.barrier_payloads(ep.arrivals)
+        protocol.barrier_released(ep.arrivals)
         # Insertion order == arrival order, which is deterministic and
         # is the order the protocol's payloads were costed for; sorting
         # by nid would silently reshuffle long-established schedules.

@@ -32,7 +32,7 @@ and matches the one-timestamp-per-node design.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Generator, Optional, Tuple
 
 from repro.net.message import Message, notice_size
@@ -48,7 +48,7 @@ class ManagerEntry:
     seq: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class HolderEntry:
     """Holder-side state for one lock on one node."""
 
@@ -60,8 +60,8 @@ class HolderEntry:
     #: True between sending our own lock_req and receiving the grant
     pending: bool = False
     #: successors waiting for our current tenure:
-    #: (requester, vt, future, their_seq)
-    waiters: Deque[Tuple[int, tuple, Future, int]] = field(default_factory=deque)
+    #: (requester, vt, future, their_seq); None until one waits
+    waiters: Optional[Deque[Tuple[int, tuple, Future, int]]] = None
 
 
 class LockService:
@@ -204,6 +204,8 @@ class LockService:
             self._grant(node.id, lock_id, p["requester"], p["vt"], p["future"],
                         p["seq"])
         else:
+            if st.waiters is None:
+                st.waiters = deque()
             st.waiters.append((p["requester"], p["vt"], p["future"], p["seq"]))
 
     def _grant(

@@ -382,6 +382,62 @@ class TestInvariantInjection:
         checkers.invariants._barrier_own_notice(1, grant)
         assert len(checkers.invariants.violations) == 1
 
+    @staticmethod
+    def _partial_barrier_cell(protocol):
+        """Nodes 0 and 1 meet at a two-node barrier after node 0 wrote
+        under lock 1; node 2, outside the barrier, takes the lock later
+        and needs node 0's notice."""
+        m = _machine(protocol=protocol, g=256, n=4)
+        seg = m.alloc(256, "x")
+        checkers = install_checkers(m, races=False)
+        granted = []
+        grant_payload = m.protocol.grant_payload
+
+        def recording(granter_id, acq_vt, acquirer):
+            payload, runs = grant_payload(granter_id, acq_vt, acquirer)
+            granted.append((acquirer, len(payload["notices"])))
+            return payload, runs
+
+        m.protocol.grant_payload = recording
+
+        def program(dsm, rank, nprocs):
+            if rank == 0:
+                yield from dsm.acquire(1)
+                yield from dsm.touch_write(seg.base, 256, pattern=1)
+                yield from dsm.release(1)
+            if rank in (0, 1):
+                yield from dsm.barrier(0, participants=2)
+            if rank == 2:
+                yield from dsm.compute(5000.0)
+                yield from dsm.acquire(1)
+                yield from dsm.release(1)
+
+        run_program(m, program, nprocs=4)
+        return checkers, granted
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_partial_barrier_keeps_outsiders_intervals(self, protocol):
+        checkers, granted = self._partial_barrier_cell(protocol)
+        assert checkers.report().violations_total == 0
+        assert (2, 1) in granted  # node 2's grant carries node 0's notice
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_lrc_retired_floor_violation(self, protocol, monkeypatch):
+        """Planted: a retirement that forgets the nodes outside a
+        partial barrier drops node 0's interval before node 2 saw it."""
+        from repro.core.lrc_base import LRCBase
+
+        def forgetful(proto, vts):
+            proto.ilog.retire({w: max(vt[w] for vt in vts.values())
+                               for w in proto.ilog.writers})
+
+        monkeypatch.setattr(LRCBase, "barrier_released", forgetful)
+        checkers, granted = self._partial_barrier_cell(protocol)
+        [v] = checkers.invariants.violations
+        assert (v.rule, v.node) == ("retired-floor", 2)
+        assert "below its retired floor" in v.detail
+        assert (2, 0) in granted  # the notice is gone from the grant
+
     def test_clean_cells_report_nothing(self):
         for protocol in PROTOCOLS:
             _, checkers = self._run_app_cell(protocol)

@@ -57,6 +57,34 @@ class TestRunExperiment:
         assert a is b
         clear_cache()
 
+    def test_run_cells_use_the_session_cache(self, tmp_path):
+        """Cells run outside ``sweep`` take the session's disk cache: a
+        second session (fresh memo, same cache dir) re-simulates
+        nothing, and a metadata-only observation survives the cache."""
+        from repro.exec import EventLog, ResultCache
+        from repro.exec.events import RUN_EVENT_TYPES
+        from repro.harness import matrix
+
+        cfgs = [RunConfig("lu", proto, 1024, scale="tiny", nprocs=4)
+                for proto in ("sc", "dc")]
+        matrix.configure(cache=ResultCache(tmp_path))
+        try:
+            clear_cache()
+            first = matrix.run_cells(cfgs)
+            clear_cache()
+            log = EventLog()
+            again = matrix.run_cells(cfgs, events=log)
+        finally:
+            matrix.configure(jobs=1, cache=None)
+            clear_cache()
+        assert not set(log.types()) & set(RUN_EVENT_TYPES)
+        assert all(rec.cached for rec in again.values())
+        for cfg in cfgs:
+            assert again[cfg].metadata == first[cfg].metadata
+        dc = again[cfgs[1]].metadata
+        assert dc["counters"]["delayed_actions"] >= 0
+        assert dc["memory"]["replication_factor"] > 0
+
 
 class TestSweep:
     @pytest.fixture(scope="class")

@@ -3,11 +3,17 @@ runtime first-touch migration, the SC recall/poison machinery, and the
 HLRC/SW-LRC state tables."""
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
+import repro.core.sc
+import repro.core.swlrc
+import repro.core.tardis
+import repro.sync.locks
 from repro import Machine, MachineParams, run_program
+from repro.apps import make_app
 from repro.core.registry import available_protocols
 from repro.core.timestamps import WriteNotice
 from repro.memory.access_control import INV, RO, RW, AccessControl
@@ -198,6 +204,135 @@ class TestSCInternals:
             assert not e.pending
 
 
+# ----------------------------------------------------------------------
+# per-block state: hints are notices, wait queues exist only when used
+# ----------------------------------------------------------------------
+class _Queue(deque):
+    """A wait queue that keeps every request appended to it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.appended = []
+
+    def append(self, item):
+        self.appended.append(item)
+        super().append(item)
+
+
+_QUEUE_MODULES = (repro.core.sc, repro.core.swlrc, repro.core.tardis,
+                  repro.sync.locks)
+
+#: the home-side per-block table of each protocol with wait queues
+_HOME_TABLES = {"sc": "dir", "swlrc": "owners", "tardis": "entries"}
+
+
+def _barnes64(protocol, n=4):
+    """A tiny barnes-original machine at 64 B blocks, set up, not run."""
+    app = make_app("barnes-original", scale="tiny")
+    m = make(protocol, g=64, n=n)
+    app.setup(m)
+    return m, app
+
+
+class TestPerBlockState:
+    def test_hints_are_released_notices(self):
+        """Every SW-LRC hint is the very notice a release closed, never a
+        copy of its fields."""
+        m, app = _barnes64("swlrc")
+        proto = m.protocol
+        released = []
+        close = proto.ilog.close_interval
+
+        def recording(node, notices):
+            released.extend(notices)
+            return close(node, notices)
+
+        proto.ilog.close_interval = recording
+        run_program(m, app.program, nprocs=4)
+        ids = {id(wn) for wn in released}
+        hints = [wn for table in proto.hint for wn in table.values()]
+        assert hints
+        for wn in hints:
+            assert type(wn) is WriteNotice and id(wn) in ids
+
+    @pytest.mark.parametrize("protocol", ["sc", "swlrc", "hlrc", "tardis"])
+    def test_no_queue_without_a_queued_request(self, protocol, monkeypatch):
+        """Home entries and lock holders hold a wait queue only once a
+        request queued on it."""
+        for module in _QUEUE_MODULES:
+            monkeypatch.setattr(module, "deque", _Queue)
+        m, app = _barnes64(protocol)
+        run_program(m, app.program, nprocs=4)
+        table = getattr(m.protocol, _HOME_TABLES[protocol]) \
+            if protocol in _HOME_TABLES else {}
+        for e in table.values():
+            assert e.pending is None or e.pending.appended
+        for st in m.locks._holder.values():
+            assert st.waiters is None or st.waiters.appended
+
+    @pytest.mark.parametrize("protocol", ["sc", "swlrc", "tardis"])
+    def test_queued_requests_drain_fifo(self, protocol, monkeypatch):
+        """Requests that queue on a busy home entry start in the order
+        they queued, and every one of them starts."""
+        monkeypatch.setattr(getattr(repro.core, protocol), "deque", _Queue)
+        m = make(protocol, g=64)
+        seg = m.alloc(64, "x")
+        m.place(seg.base, 64, 0)
+        proto = m.protocol
+        started = []
+        starts = {"sc": ("_start_read", "_start_write"),
+                  "swlrc": ("_start_own",), "tardis": ("_start",)}[protocol]
+        for name in starts:
+            def recording(node, msg, e, _start=getattr(proto, name)):
+                started.append(msg)
+                return _start(node, msg, e)
+
+            setattr(proto, name, recording)
+
+        def program(dsm, rank, nprocs):
+            for r in range(3):
+                yield from dsm.touch_write(seg.base, 8, pattern=rank + 1)
+                yield from dsm.barrier(r, participants=nprocs)
+
+        run_program(m, program, nprocs=4)
+        queues = [e.pending for e in getattr(proto, _HOME_TABLES[protocol]).values()
+                  if e.pending is not None]
+        assert sum(len(q.appended) for q in queues) > 1
+        first_starts = list({id(msg): msg for msg in reversed(started)}.values())
+        first_starts.reverse()
+        for q in queues:
+            assert not q
+            queued = {id(msg) for msg in q.appended}
+            assert [msg for msg in first_starts if id(msg) in queued] == q.appended
+
+    def test_lock_waiters_grant_in_request_order(self):
+        """Successors queued on a holder are granted in the manager's
+        sequence order."""
+        m = make("hlrc", g=64)
+        seg = m.alloc(64, "x")
+        granted = []
+        grant = m.locks._grant
+
+        def recording(from_node, lock_id, requester, vt, fut, seq):
+            granted.append(seq)
+            return grant(from_node, lock_id, requester, vt, fut, seq)
+
+        m.locks._grant = recording
+
+        def program(dsm, rank, nprocs):
+            for _ in range(3):
+                yield from dsm.acquire(1)
+                yield from dsm.touch_write(seg.base, 8, pattern=rank + 1)
+                yield from dsm.compute(50.0)
+                yield from dsm.release(1)
+
+        run_program(m, program, nprocs=4)
+        waiters = [st.waiters for st in m.locks._holder.values()
+                   if st.waiters is not None]
+        assert sum(len(q) for q in waiters) == 0 and waiters
+        assert sorted(granted) == granted == list(range(2, 13))
+
+
 class TestSWLRCInternals:
     def test_hint_points_at_freshest_writer(self):
         m = make("swlrc", g=4096)
@@ -221,9 +356,9 @@ class TestSWLRCInternals:
 
         run_program(m, program, nprocs=4)
         proto = m.protocol
-        # Rank 3's hint names the last writer (2) with the top version.
+        # Rank 3's hint is the last writer's (2) notice, the top version.
         hint = proto.hint[3].get(block)
-        assert hint is not None and hint[1] == 2
+        assert hint is not None and hint.owner == 2
 
     def test_owner_set_consistent_with_directory(self):
         m = make("swlrc", g=4096)
@@ -354,8 +489,8 @@ def _swlrc_notice_loop(proto, node, notices):
         if wn.owner == nid:
             continue
         cur = proto.hint[nid].get(wn.block)
-        if cur is None or wn.version > cur[0]:
-            proto.hint[nid][wn.block] = (wn.version, wn.owner)
+        if cur is None or wn.version > cur.version:
+            proto.hint[nid][wn.block] = wn
         my_version = proto.version[nid].get(wn.block)
         if my_version is not None and my_version >= wn.version:
             continue
@@ -402,7 +537,8 @@ class TestNoticePlan:
                 if rng.random() < 0.6:
                     p.version[nid][b] = rng.randint(1, 6)
                 if rng.random() < 0.5:
-                    p.hint[nid][b] = (rng.randint(1, 6), rng.randrange(self.N))
+                    p.hint[nid][b] = WriteNotice(
+                        b, rng.randint(1, 6), rng.randrange(self.N))
                 if tag == RW:
                     p.owned[nid].add(b)
             elif tag == RW:

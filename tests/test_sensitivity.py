@@ -69,6 +69,21 @@ class TestSweepThroughExec:
         plain = RunConfig("lu", "sc", 64, **TINY)
         assert execute_many([plain], cache=ResultCache(tmp_path))[plain].cached
 
+    def test_session_cache_is_the_default(self, tmp_path):
+        """Without a ``cache`` argument a sweep takes the session's, as
+        ``matrix.sweep`` does: a warm session re-simulates nothing."""
+        from repro.harness import matrix
+
+        matrix.configure(cache=ResultCache(tmp_path))
+        try:
+            sweep_parameter(**self.SWEEP)
+            log = EventLog()
+            sweep_parameter(**self.SWEEP, events=log)
+        finally:
+            matrix.configure(jobs=1, cache=None)
+        assert not set(log.types()) & set(RUN_EVENT_TYPES)
+        assert log.types().count("cache_hit") == 4
+
     def test_failed_cell_raises_naming_its_label(self):
         with pytest.raises(RuntimeError, match="lu/sc-64/polling/p4/"
                            "fault_exception_us=20: SimulationError"):

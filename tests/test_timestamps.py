@@ -558,3 +558,66 @@ class TestWriteNotice:
     def test_fields(self):
         wn = WriteNotice(block=7, version=3, owner=1)
         assert (wn.block, wn.version, wn.owner) == (7, 3, 1)
+
+
+class TestIntervalRetirement:
+    def test_retired_slots_keep_their_index(self):
+        log = IntervalLog(2)
+        for k in range(4):
+            log.close_interval(0, [WriteNotice(k, 1, 0), WriteNotice(k + 9, 1, 0)])
+        log.close_interval(1, [WriteNotice(20, 1, 1)])
+        want = log.notices_between((2, 0), (4, 1), skip=1)
+        log.retire({0: 2, 1: 0})
+        assert log.floor == [2, 0]
+        assert log.intervals_of(0) == 4
+        assert [len(iv) for iv in log.intervals(0)] == [0, 0, 2, 2]
+        # a batch from the floor on is unchanged
+        assert log.notices_between((2, 0), (4, 1), skip=1) == want
+        assert log.notice_count == 9  # retired notices still counted
+        log.retire({0: 1})  # a floor never moves down
+        assert log.floor == [2, 0]
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_live_log_bounded_over_100_barriers(self, protocol):
+        """Each of 100 barrier episodes closes one non-empty interval per
+        node; the log never holds more than one episode's worth, and a
+        run that retires nothing computes the same stats."""
+        from repro import Machine, MachineParams, run_program
+        from repro.check import install_checkers
+
+        n, episodes = 4, 100
+
+        def run(retire):
+            m = Machine(MachineParams(n_nodes=n, granularity=64), protocol=protocol)
+            seg = m.alloc(n * 64, "x")
+            checkers = install_checkers(m, races=False)
+            proto = m.protocol
+            live = []
+            released = proto.barrier_released
+
+            def measured(vts):
+                live.append(sum(1 for i in range(n)
+                                for iv in proto.ilog.intervals(i) if iv))
+                if retire:
+                    released(vts)
+
+            proto.barrier_released = measured
+
+            def program(dsm, rank, nprocs):
+                for e in range(episodes):
+                    yield from dsm.touch_write(seg.base + 64 * rank, 8,
+                                               pattern=e % 250 + 1)
+                    yield from dsm.barrier(0, participants=nprocs)
+                    yield from dsm.touch_read(seg.base + 64 * ((rank + 1) % n), 8)
+
+            stats = run_program(m, program, nprocs=n).stats
+            assert checkers.report().violations_total == 0
+            return proto, live, stats
+
+        proto, live, stats = run(retire=True)
+        assert len(live) == episodes and max(live) == n
+        assert proto.ilog.floor == [episodes] * n  # nothing left live
+        assert proto.ilog.notice_count == episodes * n
+        _, unretired, kept = run(retire=False)
+        assert unretired[-1] == episodes * n  # what retirement saves
+        assert kept.to_dict() == stats.to_dict()
