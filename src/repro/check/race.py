@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from types import CodeType
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.timestamps import VectorClock
 from repro.hooks import Hooks
@@ -82,6 +83,24 @@ def resolve_unit(granularity, block_bytes: int) -> int:
         ) from None
 
 
+#: code object -> None for runtime plumbing (see :data:`_PLUMBING`),
+#: else the basename of its source file; filled on first sight, so the
+#: stack walk of each access matches strings once per function
+_CODE_FILES: Dict[CodeType, Optional[str]] = {}
+
+
+def _app_file(code: CodeType) -> Optional[str]:
+    """Basename of ``code``'s source file, or None for plumbing."""
+    try:
+        return _CODE_FILES[code]
+    except KeyError:
+        filename = code.co_filename.replace("\\", "/")
+        name = (None if any(p in filename for p in _PLUMBING)
+                else filename.rsplit("/", 1)[-1])
+        _CODE_FILES[code] = name
+        return name
+
+
 def _app_location() -> str:
     """Source location of the innermost application frame.
 
@@ -92,9 +111,10 @@ def _app_location() -> str:
     f = sys._getframe(1)
     fallback = None
     while f is not None:
-        filename = f.f_code.co_filename.replace("\\", "/")
-        if not any(p in filename for p in _PLUMBING):
-            return f"{filename.rsplit('/', 1)[-1]}:{f.f_lineno} in {f.f_code.co_name}"
+        code = f.f_code
+        name = _app_file(code)
+        if name is not None:
+            return f"{name}:{f.f_lineno} in {code.co_name}"
         fallback = f
         f = f.f_back
     if fallback is not None:  # pragma: no cover - plumbing-only stack
@@ -223,15 +243,9 @@ class RaceDetector(Hooks):
         clock = self._clock[node_id]
         my = clock[node_id]
         exempt = self._exempt_depth[node_id] > 0
-        site = AccessSite(
-            node=node_id,
-            write=write,
-            addr=addr,
-            size=size,
-            time_us=self.engine.now,
-            location=_app_location(),
-            sync_context=self._context[node_id],
-        )
+        # Built on first need -- a report or a new epoch; an access
+        # that only extends its node's current epoch needs none.
+        site: Optional[AccessSite] = None
         ub = self.unit_bytes
         writes, reads = self._writes, self._reads
         for unit in range(addr // ub, (addr + size - 1) // ub + 1):
@@ -241,12 +255,16 @@ class RaceDetector(Hooks):
             if wmap:
                 for other, epoch in wmap.items():
                     if other != node_id and epoch.clock > clock[other]:
+                        if site is None:
+                            site = self._site(node_id, write, addr, size)
                         self._report(unit, epoch, site, lo, hi, exempt)
             if write:
                 rmap = reads.get(unit)
                 if rmap:
                     for other, epoch in rmap.items():
                         if other != node_id and epoch.clock > clock[other]:
+                            if site is None:
+                                site = self._site(node_id, write, addr, size)
                             self._report(unit, epoch, site, lo, hi, exempt)
             target = writes if write else reads
             umap = target.get(unit)
@@ -259,7 +277,22 @@ class RaceDetector(Hooks):
                     # Mixed epochs stay reportable (conservative).
                     mine.exempt = False
             else:
+                if site is None:
+                    site = self._site(node_id, write, addr, size)
                 umap[node_id] = _Epoch(my, lo, hi, site, exempt)
+
+    def _site(self, node_id: int, write: bool, addr: int, size: int) -> AccessSite:
+        """The :class:`AccessSite` of the access being checked (called
+        from inside :meth:`on_region`, while its frames are live)."""
+        return AccessSite(
+            node=node_id,
+            write=write,
+            addr=addr,
+            size=size,
+            time_us=self.engine.now,
+            location=_app_location(),
+            sync_context=self._context[node_id],
+        )
 
     def _report(
         self,

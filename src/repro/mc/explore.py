@@ -388,6 +388,8 @@ class Explorer:
             depth = choice = None
             for i in range(len(frames) - 1, -1, -1):
                 f = frames[i]
+                if not f.todo:
+                    continue  # most frames never get an alternative
                 while True:
                     avail = f.todo - f.done
                     if not avail:

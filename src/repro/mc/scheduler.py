@@ -16,8 +16,8 @@ the exploration driver installs on a machine under test.  Per dispatch it
   the basis of stateless DFS backtracking;
 * replays a **reused prefix** -- the steps an earlier execution
   recorded under the same forced prefix -- by checking only that each
-  forced event is still ready and not held back by the wire order,
-  and taking its enabled set, footprint and parent from the record;
+  forced event is still enabled, and taking its enabled set, footprint
+  and parent from the record;
 * records a :class:`Step` per dispatch: the chosen event, the enabled
   alternatives, the event's **dependency footprint** (which node,
   blocks, locks and barriers it touched), and its creation parent.
@@ -99,7 +99,8 @@ class Step:
         #: events posted before the run started)
         self.parent = parent
         self._label = label
-        #: (kind, detail, fn) the label is rendered from on first access
+        #: (engine entry, machine) the label is rendered from on first
+        #: access
         self._what = what
 
     @property
@@ -107,11 +108,41 @@ class Step:
         """Human-readable description (see trace rendering).
 
         Rendered on first access: exploration never reads it, only
-        counterexamples and trace listings do.
+        counterexamples and trace listings do, so the entry is not even
+        classified before.
         """
         if self._label is None:
-            self._label = _render_label(*self._what)
+            entry, machine = self._what
+            kind, detail = _classify(entry, machine)[:2]
+            self._label = _render_label(kind, detail, entry[3])
         return self._label
+
+
+def _classify(entry, machine) -> tuple:
+    """``(kind, detail, wire, size)`` of an engine entry on ``machine``.
+
+    ``kind, detail`` is ``('deliver', msg)``, ``('dispatch', (node,
+    msg))``, ``('process', proc)`` or ``('other', None)``.  ``wire``
+    names the FIFO the entry retires in -- the ``(src, dst)`` link of a
+    delivery, the node id of a handler completion, None for everything
+    else -- and ``size`` is the message size a remote delivery may
+    overtake by (None where the order is strict FIFO: local deliveries
+    and handler completions).  A link is a tuple and a node id an int,
+    so the two never collide as keys.
+    """
+    fn = entry[3]
+    owner = getattr(fn, "__self__", None)
+    if owner is machine:
+        name = fn.__name__
+        if name == "_deliver":
+            m = entry[4][0]
+            return ("deliver", m, (m.src, m.dst),
+                    None if m.src == m.dst else m.size_bytes)
+        if name == "_dispatch":
+            return "dispatch", entry[4], entry[4][0].id, None
+    if isinstance(owner, Process):
+        return "process", owner, None, None
+    return "other", None, None, None
 
 
 def _render_label(kind, detail, fn) -> str:
@@ -225,29 +256,16 @@ class ControlledScheduler(SchedulerPolicy):
         self.proc_blocks: Dict[int, FrozenSet[tuple]] = {}
         self._pending: Optional[Step] = None
         self._pre_seq = 0
-        self._deliver_fn = machine._deliver
-        self._dispatch_fn = machine._dispatch
+        #: seq -> classification (see :func:`_classify`) of the ready
+        #: entries an enabled-set filter has seen; an entry is
+        #: classified once, and dropped when it is chosen
+        self._cls: Dict[int, tuple] = {}
         machine.add_hooks(_FootprintHooks(self))
         machine.engine.set_policy(self)
 
     # ------------------------------------------------------------------
     # event classification
     # ------------------------------------------------------------------
-    def _classify(self, entry):
-        """('deliver', msg) | ('dispatch', (node, msg)) |
-        ('process', proc) | ('other', None)."""
-        fn = entry[3]
-        owner = getattr(fn, "__self__", None)
-        if owner is self.machine:
-            name = fn.__name__
-            if name == "_deliver":
-                return "deliver", entry[4][0]
-            if name == "_dispatch":
-                return "dispatch", entry[4]
-        if isinstance(owner, Process):
-            return "process", owner
-        return "other", None
-
     @staticmethod
     def _rank_of(proc: Process) -> Optional[int]:
         name = proc.name
@@ -281,119 +299,146 @@ class ControlledScheduler(SchedulerPolicy):
             rank = self._rank_of(detail)
             if rank is None:
                 return {GLOBAL}
-            return {("node", rank)} | set(self.proc_blocks.get(rank, ()))
+            out = set(self.proc_blocks.get(rank, ()))
+            out.add(("node", rank))
+            return out
         return {GLOBAL}
 
     # ------------------------------------------------------------------
     # enabled-set computation
     # ------------------------------------------------------------------
-    def _held_back(self, ready, seq, kind, detail) -> bool:
-        """Does the wire's ordering forbid dispatching ready event
-        ``seq`` (classified as ``kind, detail``) yet?"""
-        if kind == "deliver":
-            m = detail
-            deliver = self._deliver_fn
-            for e in ready:
-                if e[1] < seq and e[3] == deliver:
-                    mj = e[4][0]
-                    # A message overtakes an earlier one on the same
-                    # link only by being strictly smaller; local
-                    # deliveries are FIFO unconditionally.
-                    if (mj.src == m.src and mj.dst == m.dst
-                            and (m.src == m.dst or mj.size_bytes <= m.size_bytes)):
-                        return True
-        elif kind == "dispatch":
-            # handler completions at one node retire in delivery order
-            node_id = detail[0].id
-            dispatch = self._dispatch_fn
-            for e in ready:
-                if e[1] < seq and e[3] == dispatch and e[4][0].id == node_id:
-                    return True
-        return False
+    def _enabled(self, ready):
+        """``(enabled, classes)``: the ready entries the wire's ordering
+        lets run now, in ready order, and their classifications.
+
+        One pass classifies the entries (cached by seq) and checks
+        whether two share a FIFO; only then are the sharing ones
+        grouped and, in seq order, filtered: an entry is held back when
+        an earlier one is on a local link or a handler completion at the
+        same node, or -- on a remote link -- is no larger (a message
+        overtakes an earlier one on its link only by being strictly
+        smaller).
+        """
+        cls = self._cls
+        classes = []
+        wires = set()
+        shared = False
+        machine = self.machine
+        for e in ready:
+            c = cls.get(e[1])
+            if c is None:
+                c = cls[e[1]] = _classify(e, machine)
+            classes.append(c)
+            wire = c[2]
+            if wire is not None:
+                if wire in wires:
+                    shared = True
+                else:
+                    wires.add(wire)
+        if not shared:
+            return ready, classes
+        groups: Dict[object, list] = {}
+        for k, c in enumerate(classes):
+            if c[2] is not None:
+                groups.setdefault(c[2], []).append((ready[k][1], k))
+        held = set()
+        for g in groups.values():
+            if len(g) == 1:
+                continue
+            g.sort()
+            smallest = classes[g[0][1]][3]
+            if smallest is None:
+                held.update(k for _, k in g[1:])
+                continue
+            for _, k in g[1:]:
+                size = classes[k][3]
+                if size >= smallest:
+                    held.add(k)
+                else:
+                    smallest = size
+        keep = [k for k in range(len(ready)) if k not in held]
+        return [ready[k] for k in keep], [classes[k] for k in keep]
 
     # ------------------------------------------------------------------
     # SchedulerPolicy interface
     # ------------------------------------------------------------------
     def choose(self, ready):
-        if len(self.trace) < len(self.reuse):
-            return self._choose_reused(ready)
-        # Each ready entry is classified once; the chosen entry's
-        # classification then feeds its footprint and label.  A lone
-        # ready event needs no feasibility filter: nothing can block it.
-        kinds = [self._classify(e) for e in ready]
-        enabled = ready
-        if len(ready) > 1:
-            held_back = self._held_back
-            keep = [
-                k for k, e in enumerate(ready)
-                if not held_back(ready, e[1], *kinds[k])
-            ]
-            if len(keep) < len(ready):
-                enabled = [ready[k] for k in keep]
-                kinds = [kinds[k] for k in keep]
         depth = len(self.trace)
-        pick = 0
-        if depth < len(self.forced):
-            want = self.forced[depth]
-            for k, e in enumerate(enabled):
-                if e[1] == want:
-                    pick = k
-                    break
-            else:
-                have = [e[1] for e in enabled]
+        if depth < len(self.reuse):
+            return self._choose_reused(ready, depth)
+        if len(ready) == 1:
+            # a lone ready entry: nothing can hold it back
+            entry = ready[0]
+            seq = entry[1]
+            if depth < len(self.forced) and self.forced[depth] != seq:
                 raise ReplayDivergence(
-                    f"forced schedule wants seq {want} at step {depth}, "
-                    f"enabled: {have}"
+                    f"forced schedule wants seq {self.forced[depth]} at "
+                    f"step {depth}, enabled: {[seq]}"
                 )
-        elif self.sleep:
-            for k, e in enumerate(enabled):
-                if e[1] not in self.sleep:
-                    pick = k
-                    break
-        entry = enabled[pick]
-        kind, detail = kinds[pick]
-        seq = entry[1]
-        self.fp = self._base_resources(kind, detail)
-        self._pending = Step(
-            seq,
-            entry[0],
-            enabled=tuple([e[1] for e in enabled]),
-            parent=self.parent.get(seq),
-            what=(kind, detail, entry[3]),
-        )
+            c = self._cls.pop(seq, None) or _classify(entry, self.machine)
+            enabled = (seq,)
+        else:
+            entries, classes = self._enabled(ready)
+            pick = 0
+            if depth < len(self.forced):
+                want = self.forced[depth]
+                for k, e in enumerate(entries):
+                    if e[1] == want:
+                        pick = k
+                        break
+                else:
+                    have = [e[1] for e in entries]
+                    raise ReplayDivergence(
+                        f"forced schedule wants seq {want} at step {depth}, "
+                        f"enabled: {have}"
+                    )
+            elif self.sleep:
+                for k, e in enumerate(entries):
+                    if e[1] not in self.sleep:
+                        pick = k
+                        break
+            entry = entries[pick]
+            c = classes[pick]
+            seq = entry[1]
+            del self._cls[seq]
+            enabled = tuple([e[1] for e in entries])
+        self.fp = self._base_resources(c[0], c[1])
+        self._pending = Step(seq, entry[0], None, frozenset(), enabled,
+                             self.parent.get(seq), (entry, self.machine))
         self._pre_seq = self.engine.next_seq
         return entry
 
-    def _choose_reused(self, ready):
-        """Replay one step of the reused prefix.
+    def _choose_reused(self, ready, depth):
+        """Replay step ``depth`` of the reused prefix.
 
         The recorded step's enabled set, footprint and parent were
         computed when an earlier execution first ran this prefix, and
         replay is deterministic, so only the forced event's feasibility
-        is checked -- the wire-order rules of :meth:`_held_back`, applied
-        to that one entry.  The hooks still run (they keep
-        :attr:`proc_blocks` current for the steps after the prefix)
-        but collect no footprint.
+        is checked: it must be in today's enabled set.  The hooks still
+        run (they keep :attr:`proc_blocks` current for the steps after
+        the prefix) but collect no footprint.
         """
-        depth = len(self.trace)
         rec = self.reuse[depth]
         want = rec.seq
-        entry = next((e for e in ready if e[1] == want), None)
-        what = None if entry is None else self._classify(entry)
-        if what is None or self._held_back(ready, want, *what):
+        # A lone entry is enabled.  Otherwise only entries ahead of the
+        # forced one can hold it back, so the wire-order rule of
+        # _enabled runs over just those.
+        entries = ready
+        if len(ready) > 1:
+            entries = [e for e in ready if e[1] <= want]
+            if len(entries) > 1:
+                entries = self._enabled(entries)[0]
+        for entry in entries:
+            if entry[1] == want:
+                break
+        else:
             raise ReplayDivergence(
                 f"forced schedule wants seq {want} at step {depth}, "
                 f"ready: {[e[1] for e in ready]}"
             )
-        kind, detail = what
-        self._pending = Step(
-            want,
-            entry[0],
-            resources=rec.resources,
-            enabled=rec.enabled,
-            parent=rec.parent,
-            what=(kind, detail, entry[3]),
-        )
+        self._cls.pop(want, None)
+        self._pending = Step(want, entry[0], None, rec.resources,
+                             rec.enabled, rec.parent, (entry, self.machine))
         if depth + 1 == len(self.reuse):
             # the last reused step: no reference to the earlier
             # execution (or its machine) outlives the prefix

@@ -40,18 +40,22 @@ Controllable scheduling
 For model checking (``repro.mc``) the choice of *which* ready event
 runs next can be delegated to a :class:`SchedulerPolicy` installed via
 :meth:`Engine.set_policy`.  With a policy installed, :meth:`Engine.run`
-switches to a slower loop that snapshots the ready set
-(:meth:`Engine.ready_events`), asks the policy to choose, and dispatches
-the chosen entry wherever it sits in either lane.  Without a policy
-(the default, and every production run) the fast two-lane merge above
-is untouched, and :class:`DefaultPolicy` is written to reproduce that
-merge order exactly -- one event at a time, lowest ``(time, seq)``
-first -- so installing it changes no schedules.
+switches to a loop that keeps the whole ready set in one live list
+sorted by ``(time, seq)``: each dispatch moves in only what the last
+callback queued in the two lanes, asks the policy to choose from the
+list, and deletes the chosen entry -- so a step costs
+O(events it queued), not O(ready set).  When that loop stops (at
+``until``, or by raising) the list's entries go back to the heap.
+Without a policy (the default, and every production run) the fast
+two-lane merge above is untouched, and :class:`DefaultPolicy` is
+written to reproduce that merge order exactly -- one event at a time,
+lowest ``(time, seq)`` first -- so installing it changes no schedules.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Any, Callable, Optional, Tuple
 
@@ -120,11 +124,13 @@ class SchedulerPolicy:
     :meth:`choose` once per dispatch with the full ready set (every
     queued, non-cancelled entry, sorted by ``(time, seq)``) and runs
     the returned entry.  ``choose`` must return one of the entries it
-    was given.  After the callback has run, :meth:`executed` is called
-    with the same entry -- the window between the two calls brackets
-    everything the event did (new events it scheduled carry sequence
-    numbers from the :attr:`Engine.next_seq` watermarks around the
-    dispatch), which is what replay-based exploration builds on.
+    was given.  The list is the engine's own live ready list: a policy
+    reads it during the call and neither mutates nor keeps it.  After
+    the callback has run, :meth:`executed` is called with the same
+    entry -- the window between the two calls brackets everything the
+    event did (new events it scheduled carry sequence numbers from the
+    :attr:`Engine.next_seq` watermarks around the dispatch), which is
+    what replay-based exploration builds on.
     """
 
     def choose(self, ready: "list[_Entry]") -> _Entry:
@@ -137,11 +143,12 @@ class SchedulerPolicy:
 class DefaultPolicy(SchedulerPolicy):
     """Reproduces the engine's native order: lowest ``(time, seq)``.
 
-    ``ready_events`` is sorted, sequence numbers are unique, and the
+    The ready set is sorted, sequence numbers are unique, and the
     two-lane merge in the policy-free loop also always dispatches the
     globally lowest ``(time, seq)`` entry -- so runs under this policy
-    are bit-identical to runs with no policy at all (the fingerprint
-    matrix in ``tests/test_mc.py`` pins this).
+    are bit-identical to runs with no policy at all
+    (``tests/test_golden.py::test_default_policy_matches_golden`` pins
+    this on every four-node golden cell).
     """
 
     def choose(self, ready: "list[_Entry]") -> _Entry:
@@ -156,6 +163,9 @@ class Engine:
         self._seq: int = 0
         self._queue: list[_Entry] = []
         self._fifo: deque[_Entry] = deque()
+        #: the policy loop's ready set, sorted by (time, seq); empty
+        #: whenever that loop is not running (see :meth:`_run_policy`)
+        self._ready: list[_Entry] = []
         self._max_events = max_events
         self._events_run = 0
         self._running = False
@@ -205,10 +215,13 @@ class Engine:
         """Snapshot of queued, non-cancelled entries, sorted by (time, seq).
 
         The returned list is fresh; mutating it does not affect the
-        engine.  The entries themselves are the engine's live tuples --
-        a :class:`SchedulerPolicy` hands one back from ``choose``.
+        engine.  The entries themselves are the engine's live tuples.
+        Called from a callback during a policy run, it also lists the
+        entries the policy loop holds.  (The policy loop itself never
+        calls this: it keeps its own sorted list.)
         """
-        entries = [e for e in self._fifo if _entry_live(e)]
+        entries = [e for e in self._ready if _entry_live(e)]
+        entries.extend(e for e in self._fifo if _entry_live(e))
         entries.extend(e for e in self._queue if _entry_live(e))
         # (time, seq) is unique, so the natural tuple order never
         # compares the handles or callables behind it.
@@ -422,38 +435,23 @@ class Engine:
             self._events_run = events_run
             self._running = False
 
-    def _remove_entry(self, entry: _Entry) -> None:
-        """Remove one live entry from whichever lane holds it.
-
-        Matches by identity.  ``deque.remove`` formats the repr of an
-        entry it does not hold (message, node, process) into its
-        ``ValueError``, so trying the deque first cost that on every
-        heap-resident dispatch.  Raises ``ValueError`` when neither lane
-        holds the entry.
-        """
-        fifo = self._fifo
-        for i, e in enumerate(fifo):
-            if e is entry:
-                del fifo[i]
-                return
-        queue = self._queue
-        for i, e in enumerate(queue):
-            if e is entry:
-                last = queue.pop()
-                if i < len(queue):
-                    queue[i] = last
-                    heapq.heapify(queue)
-                return
-        raise ValueError("entry is not queued")
-
     def _run_policy(self, until: Optional[float]) -> float:
         """The policy-driven event loop (see :class:`SchedulerPolicy`).
 
-        Deliberately not the fast path: it re-snapshots and re-sorts
-        the ready set every dispatch so a policy sees all of its
-        options.  Time is set to the chosen entry's timestamp but never
-        moved backwards -- a policy that reorders events across
-        timestamps keeps the clock monotonic.
+        The ready set is :attr:`_ready`, one list kept sorted by
+        ``(time, seq)`` for the length of the run.  Before each choice
+        the loop moves in whatever the last callback queued in the two
+        native lanes (cancelled entries are dropped on the way, and an
+        :meth:`interrupt` raises there); after it, the chosen entry is
+        deleted from the list.  Entries with a cancellation handle are
+        counted, so the list is re-filtered for late cancellations only
+        while it holds one.  When the loop stops -- at ``until`` or by
+        raising -- the list's entries go back to the heap, where the
+        native loop, :attr:`pending` and a later run find them.
+
+        Time is set to the chosen entry's timestamp but never moved
+        backwards -- a policy that reorders events across timestamps
+        keeps the clock monotonic.
         """
         global _ACTIVE
         self._running = True
@@ -462,20 +460,59 @@ class Engine:
         policy = self._policy
         choose = policy.choose
         executed = policy.executed
-        ready_events = self.ready_events
-        remove = self._remove_entry
+        ready = self._ready
+        queue = self._queue
+        fifo = self._fifo
+        popleft = fifo.popleft
         events_run = self._events_run
         max_events = self._max_events
+        # entries in ``ready`` that carry a cancellation handle
+        handles = 0
         try:
             while True:
-                ready = ready_events()
+                # Pop (never iterate) the deque: interrupt() may
+                # appendleft to it from a signal handler at any moment.
+                while fifo:
+                    entry = popleft()
+                    ev = entry[2]
+                    if ev is not None:
+                        if ev.cancelled:
+                            continue
+                        handles += 1
+                    elif entry[1] < 0:
+                        entry[3]()  # interrupt()'s poison entry: raises
+                    insort(ready, entry)
+                if queue:
+                    for entry in queue:
+                        ev = entry[2]
+                        if ev is not None:
+                            if ev.cancelled:
+                                continue
+                            handles += 1
+                        insort(ready, entry)
+                    queue.clear()
+                if handles:
+                    live = [e for e in ready if e[2] is None or not e[2].cancelled]
+                    if len(live) < len(ready):
+                        handles -= len(ready) - len(live)
+                        ready[:] = live
                 if not ready:
                     break
                 entry = choose(ready)
                 if until is not None and entry[0] > until:
                     self._now = until
                     return until
-                remove(entry)
+                if ready[0] is entry:
+                    del ready[0]
+                else:
+                    i = bisect_left(ready, entry)
+                    if i == len(ready) or ready[i] is not entry:
+                        raise SimulationError(
+                            "policy chose an entry that is not ready"
+                        )
+                    del ready[i]
+                if entry[2] is not None:
+                    handles -= 1
                 if entry[0] > self._now:
                     self._now = entry[0]
                 events_run += 1
@@ -490,6 +527,10 @@ class Engine:
                 self._now = until
             return self._now
         finally:
+            if ready:
+                for entry in ready:
+                    heapq.heappush(queue, entry)
+                ready.clear()
             _ACTIVE = prev_active
             self._events_run = events_run
             self._running = False
@@ -523,11 +564,15 @@ class Engine:
         """Number of queued events that will actually run.
 
         Cancellation is lazy (flagged entries stay in the lanes until
-        popped), so this walks both lanes and skips tombstones rather
-        than reporting raw lane lengths.  O(pending); diagnostics and
-        the mc ready-set precondition, not the hot path.
+        popped), so this walks both lanes -- and, during a policy run,
+        the policy loop's ready list -- and skips tombstones rather
+        than reporting raw lengths.  O(pending); diagnostics, not the
+        hot path.
         """
         n = 0
+        for e in self._ready:
+            if _entry_live(e):
+                n += 1
         for e in self._fifo:
             if _entry_live(e):
                 n += 1

@@ -362,10 +362,58 @@ def test_reused_prefix_keeps_counterexample(monkeypatch):
         without.counterexample.trace_text
 
 
+def test_error_in_forced_step_is_a_counterexample(monkeypatch):
+    """A schedule whose newly forced step raises in its callback is a
+    failing schedule: it never records that step, and the exploration
+    reports it as a counterexample instead of failing itself."""
+    import functools
+
+    from repro.cluster.machine import Machine
+    from repro.mc.scheduler import ControlledScheduler
+    from repro.sim.process import Process
+
+    armed = {"now": False, "fired": 0}
+
+    def raising(fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            if armed["now"]:
+                armed["now"] = False
+                armed["fired"] += 1
+                raise RuntimeError("injected")
+            return fn(*args)
+        return wrapper
+
+    for cls, name in ((Machine, "_deliver"), (Machine, "_dispatch"),
+                      (Process, "_step")):
+        monkeypatch.setattr(cls, name, raising(getattr(cls, name)))
+    real_choose = ControlledScheduler.choose
+
+    def choose(self, ready):
+        entry = real_choose(self, ready)
+        # the first backtrack's new choice: the engine runs its
+        # callback next
+        if (not armed["fired"] and self.forced
+                and len(self.trace) == len(self.forced) - 1):
+            armed["now"] = True
+        return entry
+
+    monkeypatch.setattr(ControlledScheduler, "choose", choose)
+    r = Explorer(LITMUS["mp"], "sc", 64).run()
+    assert armed["fired"] == 1
+    assert r.complete and r.check_failures == 1
+    cex = r.counterexample
+    assert cex is not None and cex.reason == "RuntimeError: injected"
+    # the recorded steps end before the failed one, and replay
+    trace = replay(LITMUS["mp"], "sc", 64, cex.schedule)[0]
+    assert [st.seq for st in trace[:len(cex.schedule)]] == cex.schedule
+
+
 @pytest.mark.parametrize("case,held_back", [
     ("absent", True),
     ("behind-not-larger-on-link", True),
     ("behind-earlier-dispatch-at-node", True),
+    ("behind-larger-on-local-link", True),
     ("overtakes-larger-on-link", False),
     ("other-link", False),
     ("other-node", False),
@@ -395,6 +443,8 @@ def test_reused_prefix_divergence(case, held_back):
         "behind-not-larger-on-link": [deliver(3, msg(64)), deliver(4, msg(64))],
         "behind-earlier-dispatch-at-node": [dispatch(3, node1),
                                             dispatch(4, node1)],
+        "behind-larger-on-local-link": [deliver(3, msg(1024, src=1)),
+                                        deliver(4, msg(64, src=1))],
         "overtakes-larger-on-link": [deliver(3, msg(1024)), deliver(4, msg(64))],
         "other-link": [deliver(3, msg(64, src=2)), deliver(4, msg(64))],
         "other-node": [dispatch(3, node0), dispatch(4, node1)],
@@ -408,6 +458,85 @@ def test_reused_prefix_divergence(case, held_back):
         else:
             assert sched.choose(ready)[1] == 4
         machine.engine.set_policy(None)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass enabled set against the pairwise wire-order rule
+# ---------------------------------------------------------------------------
+
+def _held_back(machine, ready, entry):
+    """The pairwise rule the scheduler used to apply to every ready
+    entry (O(R^2) a step), kept as the oracle of its one-pass form."""
+    seq, fn = entry[1], entry[3]
+    if fn == machine._deliver:
+        m = entry[4][0]
+        for e in ready:
+            if e[1] < seq and e[3] == machine._deliver:
+                mj = e[4][0]
+                if (mj.src == m.src and mj.dst == m.dst
+                        and (m.src == m.dst or mj.size_bytes <= m.size_bytes)):
+                    return True
+    elif fn == machine._dispatch:
+        node_id = entry[4][0].id
+        for e in ready:
+            if (e[1] < seq and e[3] == machine._dispatch
+                    and e[4][0].id == node_id):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_enabled_set_matches_pairwise_rule(seed):
+    """Seeded random ready sets over 3 nodes: local links, equal sizes,
+    smaller messages overtaking larger ones, several handler
+    completions at one node, process resumptions and other events,
+    with times unrelated to seq order."""
+    import random
+
+    from repro.mc.scheduler import ControlledScheduler, Step
+    from repro.net.message import Message
+    from repro.sim.process import Process
+
+    rng = random.Random(seed)
+    machine = LITMUS["iriw"].instantiate("sc", 64).machine
+    procs = [Process(machine.engine, iter(()), name=f"rank{i}")
+             for i in range(3)]
+    n = rng.randint(1, 12)
+    seqs = rng.sample(range(100, 200), n)
+    ready = []
+    for seq in seqs:
+        roll = rng.random()
+        time = float(rng.choice((0, 0, 1, 2)))
+        if roll < 0.6:
+            m = Message(src=rng.randrange(3), dst=rng.randrange(3),
+                        mtype="read_req", block=0,
+                        size_bytes=rng.choice((16, 64, 64, 1024)))
+            ready.append((time, seq, None, machine._deliver, (m,)))
+        elif roll < 0.85:
+            node = machine.nodes[rng.randrange(3)]
+            m = Message(src=0, dst=node.id, mtype="read_req", size_bytes=16)
+            ready.append((time, seq, None, machine._dispatch, (node, m)))
+        elif roll < 0.95:
+            ready.append((time, seq, None, rng.choice(procs)._step, (None,)))
+        else:
+            ready.append((time, seq, None, print, ()))
+    ready.sort()
+    want = [e for e in ready if not _held_back(machine, ready, e)]
+    sched = ControlledScheduler(machine)
+    enabled, classes = sched._enabled(ready)
+    assert enabled == want
+    assert len(classes) == len(enabled)
+    # classifications are cached by seq: a second pass agrees
+    assert sched._enabled(ready) == (enabled, classes)
+    # a reused prefix step checks its one forced entry by the same rule
+    for e in ready:
+        sched.reuse = [Step(e[1], 0.0)] * 2
+        if e in want:
+            assert sched.choose(ready) is e
+        else:
+            with pytest.raises(ReplayDivergence):
+                sched.choose(ready)
+    machine.engine.set_policy(None)
 
 
 # ---------------------------------------------------------------------------

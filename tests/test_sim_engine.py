@@ -421,37 +421,153 @@ class _NoRepr:
         raise AssertionError("repr of an event argument was formatted")
 
 
-def test_remove_heap_entry_never_formats_reprs():
+class _Pick(SchedulerPolicy):
+    """Chooses the ready entry whose args equal ``want`` when it is
+    ready, else the first; records every ready set it was offered."""
+
+    def __init__(self, want=None):
+        self.want = want
+        self.offered = []
+
+    def choose(self, ready):
+        self.offered.append([e[4] for e in ready])
+        for e in ready:
+            if e[4] == self.want:
+                return e
+        return ready[0]
+
+
+def test_policy_dispatch_never_formats_reprs():
+    # Replaces the removal-by-identity test of the deleted
+    # Engine._remove_entry: the policy loop finds the chosen entry by
+    # bisection and identity, never by formatting or comparing args.
     eng = Engine()
-    eng.post(0.0, lambda _arg: None, _NoRepr())
-    eng.post(1.0, lambda _arg: None, _NoRepr())
-    heap_entry = eng._queue[0]
-    eng._remove_entry(heap_entry)
-    assert heap_entry not in eng._queue
-    assert len(eng._fifo) == 1 and not eng._queue
+    eng.set_policy(_Pick())
+    ran = []
+    eng.post(0.0, lambda _arg: ran.append(0), _NoRepr())
+    eng.post(1.0, lambda _arg: ran.append(1), _NoRepr())
+    eng.post(1.0, lambda _arg: ran.append(2), _NoRepr())
+    eng.run()
+    assert ran == [0, 1, 2]
+    assert eng.pending == 0
 
 
-def test_heap_order_unchanged_after_middle_removal():
+def test_policy_middle_choice_keeps_remaining_order():
+    # Replaces the heap-order test of Engine._remove_entry: choosing an
+    # entry from the middle of the ready list leaves the rest in
+    # (time, seq) order for the native loop and for the policy.
     eng = Engine()
     order = []
     delays = [5.0, 1.0, 3.0, 4.0, 2.0, 6.0, 2.5]
     for i, d in enumerate(delays):
         eng.post(d, order.append, i)
-    victim = next(e for e in eng._queue if e[4] == (3,))
-    assert victim is not eng._queue[0] and victim is not eng._queue[-1]
-    eng._remove_entry(victim)
+    pick = _Pick(want=(3,))
+    eng.set_policy(pick)
     eng.run()
+    assert order[0] == 3
     expected = sorted((d, i) for i, d in enumerate(delays) if i != 3)
-    assert order == [i for _, i in expected]
+    assert order[1:] == [i for _, i in expected]
+    assert [len(r) for r in pick.offered] == list(range(len(delays), 0, -1))
 
 
-def test_remove_unqueued_entry_raises():
+def test_policy_choosing_unqueued_entry_raises():
+    # Replaces Engine._remove_entry's not-queued test: a policy that
+    # returns an entry the engine does not hold is an error, and the
+    # queued entries survive it.
+    class Foreign(SchedulerPolicy):
+        def choose(self, ready):
+            return (0.0, 99, None, lambda: None, ())
+
     eng = Engine()
     eng.post(0.0, lambda: None)
     eng.post(1.0, lambda: None)
-    with pytest.raises(ValueError):
-        eng._remove_entry((0.0, 99, None, lambda: None, ()))
+    eng.set_policy(Foreign())
+    with pytest.raises(SimulationError):
+        eng.run()
     assert eng.pending == 2
+    assert eng.events_run == 0
+
+
+def test_policy_never_offers_entry_cancelled_mid_run():
+    eng = Engine()
+    hits = []
+    victim = eng.schedule(2.0, hits.append, "victim")
+    eng.schedule(1.0, victim.cancel)
+    eng.schedule(3.0, hits.append, "after")
+    # a handle-less entry queued by the same callback as the cancel
+    eng.schedule(1.0, lambda: eng.post(0.5, hits.append, "posted"))
+    pick = _Pick()
+    eng.set_policy(pick)
+    eng.run()
+    assert hits == ["posted", "after"]
+    assert eng.events_run == 4
+    # once cancelled (the first dispatch), the victim is never offered
+    assert all(("victim",) not in r for r in pick.offered[1:])
+    assert ("victim",) in pick.offered[0]
+
+
+def test_policy_run_until_leaves_entries_to_native_run():
+    eng = Engine()
+    order = []
+    eng.post(1.0, order.append, "a")
+    eng.post(4.0, order.append, "d")
+    eng.post(3.0, order.append, "c1")
+    eng.post(3.0, order.append, "c2")
+    eng.post(2.0, lambda: eng.post(0.0, order.append, "b"))
+    eng.set_policy(DefaultPolicy())
+    assert eng.run(until=2.5) == 2.5
+    assert order == ["a", "b"]
+    # the policy loop's leftovers are back in the engine's lanes
+    assert eng.pending == 3
+    assert [(e[0], e[4]) for e in eng.ready_events()] == [
+        (3.0, ("c1",)), (3.0, ("c2",)), (4.0, ("d",))]
+    assert not eng._ready
+    eng.set_policy(None)
+    eng.run()
+    assert order == ["a", "b", "c1", "c2", "d"]
+
+
+def test_ready_events_inside_policy_callback_sees_policy_list():
+    eng = Engine()
+    seen = []
+
+    def probe():
+        eng.post(0.0, lambda: None)  # queued by this very callback
+        seen.append([(e[0], e[1]) for e in eng.ready_events()])
+        seen.append(eng.pending)
+
+    eng.post(1.0, probe)
+    eng.post(2.0, lambda: None)
+    eng.post(3.0, lambda: None)
+    eng.set_policy(DefaultPolicy())
+    eng.run()
+    # the policy list's two later entries plus the one just queued
+    assert seen == [[(1.0, 3), (2.0, 1), (3.0, 2)], 3]
+
+
+def test_interrupt_during_policy_run_raises_at_next_dispatch():
+    eng = Engine()
+    hits = []
+
+    def fire():
+        hits.append("fire")
+        eng.interrupt(_Boom("stop"))
+
+    eng.post(1.0, fire)
+    eng.post(1.0, hits.append, "same instant")
+    eng.post(2.0, hits.append, "later")
+    pick = _Pick()
+    eng.set_policy(pick)
+    with pytest.raises(_Boom):
+        eng.run()
+    # nothing was dispatched after the interrupt, nor offered
+    assert hits == ["fire"]
+    assert len(pick.offered) == 1
+    # the interrupted run's entries are back in the heap; the engine
+    # finishes them on the next run
+    assert eng.pending == 2 and not eng._ready
+    eng.run()
+    assert hits == ["fire", "same instant", "later"]
 
 
 def test_ready_events_skips_cancelled_in_both_lanes():
