@@ -41,7 +41,8 @@ after ``release_prepare`` for both lock releases and barrier arrivals):
   writer or the block's home.
 * both -- clock bound: ``vt[n][i] <= vt[i][i]`` for every ``i`` (no
   node has seen more of node ``i``'s intervals than ``i`` has closed),
-  the invariant the barrier's diagonal merge rests on.  O(N) per sync.
+  the invariant the barrier's diagonal merge rests on.  O(N) per sync,
+  in C-level passes: the diagonal is the clocks' own components.
 * both -- no barrier release carries a notice authored by its
   receiver (the receiver's own component is the merged diagonal), the
   invariant that lets every node of one view share one notice plan.
@@ -72,11 +73,14 @@ post-install window through its ``_settling`` set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt
+from operator import attrgetter, gt
 from typing import Dict, List, Optional, Tuple
 
 from repro.hooks import Hooks
 from repro.memory.access_control import INV, RW, tag_name
+
+#: a vector clock's own component (``vt[i][i]`` for node ``i``'s clock)
+_own_component = attrgetter("mine")
 
 
 @dataclass(frozen=True)
@@ -369,9 +373,12 @@ class InvariantChecker(Hooks):
         Notices in a node's interval log are authored by that node;
         both protocols' invalidation-skipping arguments need the
         advertised version per (author, block) to strictly increase."""
-        log = self.p.ilog.intervals(node_id)
-        for k in range(self._scanned[node_id], len(log)):
-            for wn in log[k].values():
+        ilog = self.p.ilog
+        log = ilog.intervals(node_id)  # the live ones, from the floor on
+        floor = ilog.floor[node_id]
+        for k in range(max(self._scanned[node_id], floor),
+                       ilog.intervals_of(node_id)):
+            for wn in log[k - floor].values():
                 if wn.owner != node_id:
                     self._report(
                         "notice-author",
@@ -391,7 +398,7 @@ class InvariantChecker(Hooks):
                         block=wn.block,
                     )
                 self._last_version[key] = wn.version
-        self._scanned[node_id] = len(log)
+        self._scanned[node_id] = ilog.intervals_of(node_id)
 
     # ------------------------------------------------------------------
     # notice-batch checks (called by LRCBase as it builds a batch)
@@ -418,7 +425,7 @@ class InvariantChecker(Hooks):
 
     def _clock_bound(self, node_id: int) -> None:
         vts = self.p.vt
-        diag = [vt[i] for i, vt in enumerate(vts)]
+        diag = list(map(_own_component, vts))  # node i owns clock i
         mine = vts[node_id].as_tuple()
         if not any(map(gt, mine, diag)):
             return

@@ -8,15 +8,20 @@ detector reconstructs the happens-before relation from the
 instrumentation hooks (:mod:`repro.hooks`) and reports every
 conflicting access pair it cannot order, in the DJIT+ style:
 
-* each node carries a :class:`~repro.core.timestamps.VectorClock`,
-  advanced at releases and barrier entries;
+* each node carries a :class:`~repro.core.timestamps.VectorClock`
+  that it owns (its own component is held beside a shared base),
+  advanced at releases and barrier exits;
 * each lock carries a clock merged from every releaser and folded into
   each acquirer (the transitive lock-chain ordering);
-* a barrier episode stashes every participant's entry clock, folds
-  them into one clock at the first exit, and merges that clock into
-  every participant on exit (all-to-all ordering; max is associative,
-  so this equals merging each entry clock, at O(N^2) instead of
-  O(N^3) per N-way episode);
+* a barrier episode stashes every participant's entry clock (an O(1)
+  copy sharing its base), folds them into one tuple at the first exit
+  (:func:`~repro.core.timestamps.join`: one pass over the distinct
+  bases, then each owner's component), and every participant adopts
+  that tuple as its base on exit (all-to-all ordering; max is
+  associative, so this equals merging each entry clock; the fold
+  dominates each participant's clock, which is its entry clock, so
+  adopting it is the merge).  An N-way episode costs O(N) time and
+  leaves the N clocks sharing one O(N) base;
 * for every *detection unit* (byte / word / coherence block) the last
   read and last write of each node are kept as scalar epochs; an access
   conflicts with a stored epoch the accessor's clock has not seen.
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.timestamps import VectorClock
+from repro.core.timestamps import VectorClock, join
 from repro.hooks import Hooks
 
 #: named detection units; "block" resolves to the machine's coherence
@@ -210,14 +215,14 @@ class RaceDetector(Hooks):
         self.unit_bytes = unit_bytes
         self.max_reports = max_reports
         self.engine = engine
-        self._clock = [VectorClock(n_nodes) for _ in range(n_nodes)]
+        self._clock = [VectorClock(n_nodes, own=i) for i in range(n_nodes)]
         for i, c in enumerate(self._clock):
             # Epochs start at 1 so a first-epoch access is distinguishable
             # from "never synchronized with" (component 0).
             c.tick(i)
         self._lock_clock: Dict[int, VectorClock] = {}
         #: (barrier_id, episode) -> [entry clocks, exits so far, their
-        #: fold (None until the first exit)]
+        #: fold as a tuple (None until the first exit)]
         self._episodes: Dict[Tuple[int, int], list] = {}
         #: unit -> node -> last write / last read epoch
         self._writes: Dict[int, Dict[int, _Epoch]] = {}
@@ -241,7 +246,8 @@ class RaceDetector(Hooks):
         if size <= 0:
             return
         clock = self._clock[node_id]
-        my = clock[node_id]
+        my = clock.mine
+        seen = clock.base  # exact at every other node's component
         exempt = self._exempt_depth[node_id] > 0
         # Built on first need -- a report or a new epoch; an access
         # that only extends its node's current epoch needs none.
@@ -254,7 +260,7 @@ class RaceDetector(Hooks):
             wmap = writes.get(unit)
             if wmap:
                 for other, epoch in wmap.items():
-                    if other != node_id and epoch.clock > clock[other]:
+                    if other != node_id and epoch.clock > seen[other]:
                         if site is None:
                             site = self._site(node_id, write, addr, size)
                         self._report(unit, epoch, site, lo, hi, exempt)
@@ -262,7 +268,7 @@ class RaceDetector(Hooks):
                 rmap = reads.get(unit)
                 if rmap:
                     for other, epoch in rmap.items():
-                        if other != node_id and epoch.clock > clock[other]:
+                        if other != node_id and epoch.clock > seen[other]:
                             if site is None:
                                 site = self._site(node_id, write, addr, size)
                             self._report(unit, epoch, site, lo, hi, exempt)
@@ -376,11 +382,9 @@ class RaceDetector(Hooks):
         # is complete here: fold it once, and the countdown is exact.
         entry_clocks, exits, folded = rec
         if folded is None:
-            folded = rec[2] = entry_clocks[0].copy()
-            for entry in entry_clocks[1:]:
-                folded.merge(entry)
+            folded = rec[2] = join(entry_clocks)
         clock = self._clock[node_id]
-        clock.merge(folded)
+        clock.assign(folded)  # the fold dominates the entry clock
         clock.tick(node_id)
         rec[1] = exits = exits + 1
         if exits >= len(entry_clocks):

@@ -16,7 +16,8 @@ acquire time.  The subclasses differ in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Generator, List, Set, Tuple
 
 from repro.core.protocol import CoherenceProtocol
 from repro.core.timestamps import IntervalLog, Plan, VectorClock, merge_plan
@@ -32,7 +33,7 @@ class LRCBase(CoherenceProtocol):
     def __init__(self, machine):
         super().__init__(machine)
         n = machine.params.n_nodes
-        self.vt: List[VectorClock] = [VectorClock(n) for _ in range(n)]
+        self.vt: List[VectorClock] = [VectorClock(n, own=i) for i in range(n)]
         self.ilog = IntervalLog(n)
         #: blocks written since the node's last release (notice sources)
         self.dirty: List[Set[int]] = [set() for _ in range(n)]
@@ -64,9 +65,11 @@ class LRCBase(CoherenceProtocol):
     def current_vt(self, node_id: int) -> Tuple[int, ...]:
         return self.vt[node_id].as_tuple()
 
-    def arrival_vt(self, node_id: int) -> Sequence[int]:
-        """The live components, not a copy: see :meth:`barrier_payloads`."""
-        return self.vt[node_id].v
+    def arrival_vt(self, node_id: int) -> VectorClock:
+        """The live clock object, not a materialised tuple: the manager
+        reads its own component and its shared base in place (see
+        :meth:`barrier_payloads`)."""
+        return self.vt[node_id]
 
     def release_prepare(self, node) -> Generator:
         """Close the current interval (and flush, for HLRC)."""
@@ -91,7 +94,7 @@ class LRCBase(CoherenceProtocol):
         return {"vt": vt, "notices": notices, "planned": planned}, runs
 
     def barrier_payloads(
-        self, vts: Dict[int, Sequence[int]]
+        self, vts: Dict[int, VectorClock]
     ) -> Dict[int, Tuple[Any, int]]:
         """Tailored release payloads around one merged timestamp.
 
@@ -100,41 +103,58 @@ class LRCBase(CoherenceProtocol):
         node ``i``'s own clock.  So ``vt[n][i] <= vt[i][i]`` for every
         pair of nodes (the checker's ``clock-bound`` rule), and the
         column max of a participant ``i``'s column is its own arrival's
-        diagonal entry ``vts[i][i]``.  Only a column with no arrival (a
-        partial barrier) needs the max over the arrivals -- one O(N)
-        formula instead of an O(N^2) column max.
+        diagonal entry: its clock's own component ``vts[i].mine``.  Only
+        a column with no arrival (a partial barrier) needs the max over
+        the arrivals -- one O(N) formula instead of an O(N^2) column
+        max.
 
         A node blocked in the barrier can neither tick nor apply a
         grant, so its clock still equals its arrival: the arrivals are
-        the nodes' live components (:meth:`arrival_vt`), and
-        ``apply_sync`` copies a payload marked ``dominates`` instead of
-        merging it, since the merged timestamp dominates every arrival.
+        the nodes' live clocks (:meth:`arrival_vt`), and ``apply_sync``
+        adopts a payload marked ``dominates`` as its clock's base
+        instead of merging it, since the merged timestamp dominates
+        every arrival.
 
         An arrival's notices depend only on its components at the
         interval log's writers, so arrivals agreeing there share one
         payload: its notices, their run count and the notice plan
         ``apply_sync`` applies are built once per distinct view.  The
-        plan skips no receiver's own intervals because none occur: a
-        participant's own component equals the merged diagonal (the
+        view key is the base's components at the writers, taken once
+        per distinct base, with the owner's own component patched in;
+        no arrival's clock is materialised unless it opens a new view.
+        The plan skips no receiver's own intervals because none occur:
+        a participant's own component equals the merged diagonal (the
         checker's ``barrier-own-notice`` rule asserts it).
         """
         arrivals = vts.values()
         merged = tuple(
-            vts[i][i] if i in vts else max(vt[i] for vt in arrivals)
+            vts[i].mine if i in vts else max(vt[i] for vt in arrivals)
             for i in range(self.params.n_nodes)
         )
         ilog = self.ilog
         writers = ilog.writers
+        n_writers = len(writers)
         checker = self.checker
+        base_keys: Dict[int, Tuple[int, ...]] = {}  # id(base) -> its key
         by_view: Dict[Tuple[int, ...], Tuple[Any, int]] = {}
         out: Dict[int, Tuple[Any, int]] = {}
         for node_id, vt in vts.items():
             if checker is not None:
-                checker.before_notice_batch(node_id, vt)
-            key = tuple(map(vt.__getitem__, writers))
+                checker.before_notice_batch(node_id, vt.as_tuple())
+            base = vt.base  # alive for the whole call, so its id is too
+            key = base_keys.get(id(base))
+            if key is None:
+                key = base_keys[id(base)] = tuple(map(base.__getitem__, writers))
+            own = vt.own
+            k = bisect_left(writers, own)
+            if k < n_writers and writers[k] == own and key[k] != vt.mine:
+                patched = list(key)
+                patched[k] = vt.mine
+                key = tuple(patched)
             shared = by_view.get(key)
             if shared is None:
-                notices, planned, runs = ilog.notices_between(vt, merged)
+                notices, planned, runs = ilog.notices_between(
+                    vt.as_tuple(), merged)
                 shared = by_view[key] = (
                     {
                         "vt": merged,
@@ -147,7 +167,7 @@ class LRCBase(CoherenceProtocol):
             out[node_id] = shared
         return out
 
-    def barrier_released(self, vts: Dict[int, Sequence[int]]) -> None:
+    def barrier_released(self, vts: Dict[int, VectorClock]) -> None:
         """Retire the intervals every node will have seen once this
         barrier's release is applied (see :meth:`IntervalLog.retire`).
 
@@ -161,13 +181,13 @@ class LRCBase(CoherenceProtocol):
         ilog = self.ilog
         writers = ilog.writers
         if len(vts) == self.params.n_nodes:  # every clock becomes merged
-            ilog.retire({w: vts[w][w] for w in writers})
+            ilog.retire({w: vts[w].mine for w in writers})
             return
         arrivals = vts.values()
-        others = [vt.v for j, vt in enumerate(self.vt) if j not in vts]
+        others = [vt.as_tuple() for j, vt in enumerate(self.vt) if j not in vts]
         floor: Dict[int, int] = {}
         for w in writers:
-            merged = vts[w][w] if w in vts else max(vt[w] for vt in arrivals)
+            merged = vts[w].mine if w in vts else max(vt[w] for vt in arrivals)
             floor[w] = min(merged, *(vt[w] for vt in others))
         ilog.retire(floor)
 

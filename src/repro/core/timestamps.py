@@ -9,6 +9,12 @@ granter sends every interval the acquirer has not seen (the vector
 difference), and the acquirer invalidates its copies of the noticed
 blocks.
 
+A clock is a base tuple shared with every clock that adopted the same
+timestamp, plus its owner's own component (:class:`VectorClock`):
+after a barrier all N clocks share one merged tuple, so N clocks cost
+O(N) host memory instead of O(N^2).  The modeled cost, and the wire
+form, stay 8 bytes per component.
+
 The :class:`IntervalLog` is conceptually replicated through these
 messages; we store it centrally for the simulation and charge message
 sizes for the notices actually shipped.
@@ -18,8 +24,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from functools import lru_cache
+from operator import attrgetter, ge
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
@@ -59,87 +65,159 @@ ClockLike = Union[Sequence[int], "VectorClock"]
 _COMPONENT_BYTES = 8
 
 
-def _components(other: ClockLike) -> Sequence[int]:
-    """The component sequence of a clock-or-sequence operand."""
-    if isinstance(other, VectorClock):
-        return other.v  # zero-copy: the loops take any int sequence
-    return other
+@lru_cache(maxsize=None)
+def _zeros(n: int) -> Tuple[int, ...]:
+    """The all-zero base every fresh clock of width ``n`` shares."""
+    return (0,) * n
+
+
+def _replaced(base: Tuple[int, ...], i: int, x: int) -> Tuple[int, ...]:
+    """``base`` with component ``i`` set to ``x``: a new tuple, O(N)."""
+    out = list(base)
+    out[i] = x
+    return tuple(out)
 
 
 class VectorClock:
-    """A mutable dense vector timestamp over ``n`` nodes.
+    """A vector timestamp over ``n`` nodes: a shared base plus its
+    owner's own component.
 
-    One representation serves every machine width: a barrier merges
-    every node's component into every clock, so on barrier programs a
-    dense clock is both the smallest and the fastest form.  Contract:
+    Only node ``i`` ticks component ``i``, and after a full barrier
+    every clock equals the one merged timestamp except for that own
+    component.  So a clock is an immutable *base* tuple, shared by
+    every clock that adopted the same timestamp, and its *owner*'s
+    component ``mine`` beside it: component ``own`` reads ``mine``,
+    every other component ``i`` reads ``base[i]``, and
+    ``base[own] <= mine`` always.  A clock with no owner (a lock's
+    clock in the race detector) has ``own == -1`` and is its base.
+    Contract:
 
-    * ``merge(other)`` -- elementwise max into self;
-    * ``assign(other)`` -- ``merge`` for an ``other`` that dominates self;
+    * ``merge(other)`` -- elementwise max into self; rebuilds the base
+      only when the two bases differ, and adopts the operand's tuple
+      when it dominates;
+    * ``assign(other)`` -- ``merge`` for an ``other`` that dominates
+      self: adopts ``other``'s base by reference, O(1);
     * ``dominates(other)`` -- ``self[i] >= other[i]`` for every i;
-    * ``tick(node)`` -- bump one component (interval start);
-    * ``bytes_used()`` -- modeled storage bytes (8 per component);
+    * ``tick(node)`` -- bump one component (interval start); O(1) for
+      the owner's;
+    * ``bytes_used()`` -- modeled storage bytes (8 per component, the
+      dense wire form: sharing a base is a host-memory saving only);
     * plus ``as_tuple``/``copy``/``__getitem__``/``__len__``.
 
     ``other`` may be any component sequence (the wire form of a clock)
-    or another clock.  The components are a plain list at every width:
-    lists index faster than any typed container in pure python.  Call
-    sites go through the methods, not ``v``.
+    or another clock.  Call sites go through the methods; the fields
+    are read directly only where a hot loop needs one component.
     """
 
-    __slots__ = ("v",)
+    __slots__ = ("base", "own", "mine")
 
-    def __init__(self, n: int):
-        self.v: List[int] = [0] * n
+    def __init__(self, n: int, own: int = -1):
+        self.base: Tuple[int, ...] = _zeros(n)
+        self.own = own
+        self.mine = 0
+
+    @classmethod
+    def of(cls, components: Sequence[int], own: int = -1) -> "VectorClock":
+        """A clock holding ``components`` (adopted when a tuple)."""
+        out = cls.__new__(cls)
+        out.base = tuple(components)
+        out.own = own
+        out.mine = out.base[own] if own >= 0 else 0
+        return out
 
     def copy(self) -> "VectorClock":
         out = VectorClock.__new__(VectorClock)
-        out.v = self.v[:]
+        out.base, out.own, out.mine = self.base, self.own, self.mine
         return out
 
     def merge(self, other: ClockLike) -> None:
-        # Hot path (every grant/barrier application).
-        v = self.v
-        i = 0
-        for x in _components(other):
-            if x > v[i]:
-                v[i] = x
-            i += 1
+        # Hot path (every grant application).
+        theirs: Sequence[int]
+        if isinstance(other, VectorClock):
+            theirs, their_own, their_mine = other.base, other.own, other.mine
+        else:
+            theirs, their_own, their_mine = other, -1, 0
+        base = self.base
+        if theirs is not base:
+            if all(map(ge, theirs, base)):  # most grants: adopt, sharing a tuple
+                base = self.base = tuple(theirs)
+            else:
+                merged = tuple([x if x > y else y for x, y in zip(base, theirs)])
+                if merged != base:
+                    base = self.base = merged
+        own = self.own
+        if own >= 0:
+            x = their_mine if their_own == own else theirs[own]
+            if x > self.mine:
+                self.mine = x
+        if their_own >= 0 and their_own != own and their_mine > base[their_own]:
+            self.base = _replaced(base, their_own, their_mine)
 
     def assign(self, other: ClockLike) -> None:
         """Overwrite self with ``other``, a clock known to dominate it:
-        then ``merge`` would leave exactly ``other``, at a slice copy's
-        cost instead of a per-component loop."""
-        self.v[:] = _components(other)
+        then ``merge`` would leave exactly ``other``.  A tuple (the
+        barrier's merged timestamp) becomes the base by reference, so
+        every participant of a barrier shares one."""
+        if isinstance(other, VectorClock):
+            self.base = other.base
+            theirs = other.own
+            if theirs >= 0 and theirs != self.own and other.mine > self.base[theirs]:
+                self.base = _replaced(self.base, theirs, other.mine)
+        else:
+            self.base = tuple(other)
+        if self.own >= 0:
+            self.mine = other[self.own]
 
     def tick(self, node: int) -> int:
         """Start a new interval for ``node``; returns the new count."""
-        self.v[node] += 1
-        return self.v[node]
+        if node == self.own:
+            self.mine += 1
+            return self.mine
+        x = self.base[node] + 1
+        self.base = _replaced(self.base, node, x)
+        return x
 
     def bytes_used(self) -> int:
-        """Dense cost: every component is materialized."""
-        return _COMPONENT_BYTES * len(self.v)
+        """Dense cost: every component is materialized on the wire."""
+        return _COMPONENT_BYTES * len(self.base)
 
     def __getitem__(self, i: int) -> int:
-        return self.v[i]
+        return self.mine if i == self.own else self.base[i]
 
     def __len__(self) -> int:
-        return len(self.v)
+        return len(self.base)
 
     def as_tuple(self) -> Tuple[int, ...]:
-        return tuple(self.v)
+        own, base = self.own, self.base
+        if own < 0 or base[own] == self.mine:
+            return base
+        return _replaced(base, own, self.mine)
 
     def dominates(self, other: ClockLike) -> bool:
-        v = self.v
-        i = 0
-        for x in _components(other):
-            if v[i] < x:
-                return False
-            i += 1
-        return True
+        if isinstance(other, VectorClock):
+            other = other.as_tuple()
+        return all(map(ge, self.as_tuple(), other))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"VC{self.v}"
+        return f"VC{list(self.as_tuple())}"
+
+
+def join(clocks: Iterable[VectorClock]) -> Tuple[int, ...]:
+    """The elementwise max of ``clocks``, as a tuple.
+
+    Clocks that share a base are folded without materialising any of
+    them: the distinct bases are merged (one pass when they all share
+    one), then each owner's own component is patched in -- exact, since
+    a base never exceeds its clock's own component there."""
+    clocks = list(clocks)
+    bases = iter({id(c.base): c.base for c in clocks}.values())
+    folded = list(next(bases))
+    for base in bases:
+        folded = list(map(max, folded, base))
+    for c in clocks:
+        if c.own >= 0 and c.mine > folded[c.own]:
+            folded[c.own] = c.mine
+    return tuple(folded)
 
 
 def merge_plan(intervals: Iterable[Interval]) -> Plan:
@@ -197,11 +275,13 @@ class IntervalLog:
 
     An interval every node has seen is never read again, so
     :meth:`retire` drops it (TreadMarks collects intervals at barriers
-    the same way).  A retired slot keeps its index and points at the
-    shared empty map, so the slices of :meth:`notices_between` are
-    unchanged; :attr:`floor` is each node's first live index, and no
-    batch may start below it.  :attr:`notice_count` counts every
-    notice ever closed, retired or live.
+    the same way).  The log keeps only each node's live intervals:
+    :attr:`floor` is the index of its first one, so interval ``k`` of
+    node ``i`` sits at ``k - floor[i]`` and every index callers see
+    (:meth:`intervals_of`, :meth:`notices_between`) is unchanged.  No
+    batch may start below the floor; one that does reads the retired
+    intervals as empty.  :attr:`notice_count` counts every notice ever
+    closed, retired or live.
     """
 
     def __init__(self, n_nodes: int):
@@ -229,10 +309,11 @@ class IntervalLog:
         else:
             log.append(_NO_NOTICES)
             self._starts[node].append(())
-        return len(log) - 1
+        return self.floor[node] + len(log) - 1
 
     def intervals(self, node: int) -> Sequence[Interval]:
-        """``node``'s closed intervals in order (read-only view)."""
+        """``node``'s live intervals in order, from index
+        ``floor[node]`` on (read-only view)."""
         return self._log[node]
 
     @property
@@ -241,7 +322,8 @@ class IntervalLog:
         return self._writers
 
     def intervals_of(self, node: int) -> int:
-        return len(self._log[node])
+        """How many intervals ``node`` has closed, retired or live."""
+        return self.floor[node] + len(self._log[node])
 
     def retire(self, floor: Mapping[int, int]) -> None:
         """Retire writer ``w``'s intervals below ``floor[w]``, for every
@@ -249,10 +331,10 @@ class IntervalLog:
         reads them again.  A floor never moves down."""
         log, log_starts, lows = self._log, self._starts, self.floor
         for w, hi in floor.items():
-            lo = lows[w]
-            if hi > lo:
-                log[w][lo:hi] = repeat(_NO_NOTICES, hi - lo)
-                log_starts[w][lo:hi] = repeat((), hi - lo)
+            gone = hi - lows[w]
+            if gone > 0:
+                del log[w][:gone]
+                del log_starts[w][:gone]
                 lows[w] = hi
 
     def notices_between(
@@ -272,10 +354,13 @@ class IntervalLog:
         walked: List[Interval] = []
         planned: List[Interval] = []
         starts: List[Tuple[int, ...]] = []
-        log, log_starts = self._log, self._starts
+        log, log_starts, floor = self._log, self._starts, self.floor
         for i in self._writers:
             lo, hi = seen[i], upto[i]
             if hi > lo:
+                f = floor[i]
+                lo = lo - f if lo > f else 0
+                hi = hi - f if hi > f else 0
                 intervals = log[i][lo:hi]
                 walked += intervals
                 starts += log_starts[i][lo:hi]

@@ -84,32 +84,53 @@ class TestRaceDetector:
         report = checked_run(build, protocol="hlrc", nprocs=2)
         assert report.races_total == 0
 
-    def test_barrier_exit_clocks_match_per_entry_merge(self):
-        """The folded episode clock gives every exit the clock that
-        merging each entry clock in turn (the oracle) gives."""
+    @staticmethod
+    def _check_barrier_exits(shared):
+        """Every exit of a 65-way episode gets the clock that merging
+        each entry clock in turn gives (a plain-list oracle), and the
+        participants leave sharing one base."""
         from repro.check.race import RaceDetector
         from repro.sim.engine import Engine
 
         n = 65
         rng = random.Random(65)
         det = RaceDetector(n, 4, Engine())
-        for clock in det._clock:
-            clock.merge([rng.randrange(9) for _ in range(n)])
+        common = tuple(rng.randrange(9) for _ in range(n))
+        for nid, clock in enumerate(det._clock):
+            if shared:  # as after an earlier barrier, then some releases
+                clock.merge(common)  # adopts the tuple: it dominates
+                assert clock.base is common
+                for _ in range(rng.randrange(3)):
+                    clock.tick(nid)
+            else:
+                clock.merge([rng.randrange(9) for _ in range(n)])
         entries = list(range(n))
         rng.shuffle(entries)
-        before = {nid: det._clock[nid].copy() for nid in entries}
+        before = {nid: det._clock[nid].as_tuple() for nid in entries}
         for nid in entries:
             det.on_barrier_enter(nid, 3, 0)
         exits = list(range(n))
         rng.shuffle(exits)
         for nid in exits:
             det.on_barrier_exit(nid, 3, 0)
-            want = before[nid].copy()
+            want = list(before[nid])
             for other in entries:
-                want.merge(before[other])
-            want.tick(nid)
-            assert det._clock[nid].as_tuple() == want.as_tuple()
+                want = [max(a, b) for a, b in zip(want, before[other])]
+            want[nid] += 1
+            assert det._clock[nid].as_tuple() == tuple(want)
         assert not det._episodes  # the countdown retired the episode
+        assert len({id(c.base) for c in det._clock}) == 1
+
+    def test_barrier_exit_clocks_match_per_entry_merge(self):
+        """The folded episode clock gives every exit the clock that
+        merging each entry clock in turn (the oracle) gives."""
+        self._check_barrier_exits(shared=False)
+
+    def test_barrier_exit_clocks_match_when_entries_share_a_base(self):
+        """The same, when the entry clocks share one base (as after an
+        earlier barrier) and differ only in their owners' components:
+        the fold then merges one base, not 65."""
+        self._check_barrier_exits(shared=True)
 
     def test_post_barrier_race_reports_barrier_context(self, checked_run):
         def build(machine):

@@ -15,7 +15,7 @@ import repro.sync.locks
 from repro import Machine, MachineParams, run_program
 from repro.apps import make_app
 from repro.core.registry import available_protocols
-from repro.core.timestamps import WriteNotice
+from repro.core.timestamps import VectorClock, WriteNotice
 from repro.memory.access_control import INV, RO, RW, AccessControl
 
 
@@ -607,8 +607,9 @@ class TestNoticePlan:
             proto.vt[granter].assign(counts)
             payload, _ = proto.grant_payload(granter, (0,) * self.N, nid)
         else:  # every writer arrives having seen all; the receiver none
-            vts = {o: list(counts) for o in range(self.N) if counts[o]}
-            vts[nid] = [0] * self.N
+            vts = {o: VectorClock.of(counts, own=o)
+                   for o in range(self.N) if counts[o]}
+            vts[nid] = VectorClock(self.N, own=nid)
             payload, _ = proto.barrier_payloads(vts)[nid]
         notices = payload["notices"]
         assert len({wn.block for wn in notices}) < len(notices)  # repeats
@@ -632,7 +633,8 @@ class TestNoticePlan:
             writer, [WriteNotice(b, 1, writer) for b in range(1000)])
         node = m.nodes[nid]
         node.access.set_tag(5000, RO)  # held, but not noticed
-        vts = {writer: [1] + [0] * (self.N - 1), nid: [0] * self.N}
+        vts = {writer: VectorClock.of([1] + [0] * (self.N - 1), own=writer),
+               nid: VectorClock(self.N, own=nid)}
         payload, runs = proto.barrier_payloads(vts)[nid]
         assert (len(payload["notices"]), runs) == (1000, 1)
         calls = []

@@ -1,5 +1,5 @@
-"""The scaling redesign: protocol registry, the dense vector clock at
-every width, wide-machine copysets, tiered hop distances, the scale sweep, and the
+"""The scaling redesign: protocol registry, the shared-base vector clock
+at every width, wide-machine copysets, tiered hop distances, the scale sweep, and the
 bit-identity contract at paper scale (the 16-node pins of
 tests/golden_shas.json; the other golden cells are in tests/test_golden.py)."""
 
@@ -74,37 +74,72 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 def _random_ops(n, seed, steps=300):
     """One seeded op trace, applied to clocks and to plain-list oracles
-    in lockstep; any divergence fails immediately."""
+    in lockstep; any divergence fails immediately.
+
+    Clocks 0-2 are owned (by nodes 0, n // 2 and n - 1) and clock 3 has
+    no owner.  Copies and barrier-style assigns make clocks share one
+    base, and every operand kind occurs: a clock, its wire tuple and a
+    plain list."""
     rng = random.Random(seed)
-    clocks = [VectorClock(n) for _ in range(3)]
-    oracle = [[0] * n for _ in range(3)]
+    clocks = [VectorClock(n, own=0), VectorClock(n, own=n // 2),
+              VectorClock(n, own=n - 1), VectorClock(n)]
+    k = len(clocks)
+    oracle = [[0] * n for _ in range(k)]
     for step in range(steps):
-        i = rng.randrange(3)
-        j = rng.randrange(3)
-        op = rng.randrange(5)
+        i = rng.randrange(k)
+        j = rng.randrange(k)
+        op = rng.randrange(9)
         if op == 0:
-            node = rng.randrange(n)
+            # the owner's own component most of the time
+            own = clocks[i].own
+            node = own if own >= 0 and rng.random() < 0.7 else rng.randrange(n)
             oracle[i][node] += 1
             assert clocks[i].tick(node) == oracle[i][node]
         elif op == 1:
             clocks[i].merge(clocks[j])
             oracle[i] = [max(a, b) for a, b in zip(oracle[i], oracle[j])]
         elif op == 2:
-            # merge the wire form, as a grant or barrier release does
+            # merge the wire form, as a lock grant does
             clocks[i].merge(clocks[j].as_tuple())
             oracle[i] = [max(a, b) for a, b in zip(oracle[i], oracle[j])]
         elif op == 3:
+            # a plain-list operand, dominated by neither side
+            other = [rng.randrange(4) + x for x in oracle[j]]
+            clocks[i].merge(other)
+            oracle[i] = [max(a, b) for a, b in zip(oracle[i], other)]
+        elif op == 4:
             want = all(a >= b for a, b in zip(oracle[i], oracle[j]))
             assert clocks[i].dominates(clocks[j]) == want, (step, i, j)
             assert clocks[i].dominates(tuple(oracle[j])) == want, (step, i, j)
+            assert clocks[i].dominates(list(oracle[j])) == want, (step, i, j)
+        elif op == 5:
+            # a barrier: every clock adopts the join of them all
+            joined = tuple(map(max, *oracle))
+            for c in clocks:
+                c.assign(joined)
+            oracle = [list(joined) for _ in range(k)]
+            assert len({id(c.base) for c in clocks}) == 1
+        elif op == 6:
+            # assign a dominating clock: its join with self
+            if all(a >= b for a, b in zip(oracle[j], oracle[i])):
+                clocks[i].assign(clocks[j])
+                oracle[i] = list(oracle[j])
+        elif op == 7:
+            clocks[i] = clocks[j].copy()
+            oracle[i] = list(oracle[j])
+            assert clocks[i].base is clocks[j].base
         else:
             node = rng.randrange(n)
             assert clocks[i][node] == oracle[i][node]
             copy = clocks[i].copy()
             copy.tick(node)
             assert copy[node] == clocks[i][node] + 1
-        assert clocks[i].as_tuple() == tuple(oracle[i]), step
-        assert len(clocks[i]) == n
+            assert clocks[i].as_tuple() == tuple(oracle[i])  # untouched
+        for c, o in zip(clocks, oracle):
+            assert c.as_tuple() == tuple(o), step
+            assert len(c) == n
+            if c.own >= 0:
+                assert c.base[c.own] <= c.mine  # the representation's bound
 
 
 class TestClockDifferential:
@@ -125,6 +160,41 @@ class TestClockDifferential:
     def test_bytes_used_dense_at_every_width(self):
         for n in (16, 64, 65, 1024):
             assert VectorClock(n).bytes_used() == 8 * n
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_full_barrier_leaves_one_shared_base(self, protocol, n):
+        """After a full barrier every LRC clock is the merged timestamp
+        plus its owner's component: all N clocks share one base tuple,
+        whatever lock grants made them diverge before it.  The modeled
+        bytes stay 8 per component."""
+        from repro import Machine, MachineParams, run_program
+
+        m = Machine(MachineParams(n_nodes=n, granularity=64), protocol=protocol)
+        seg = m.alloc(64 * n, "x")
+        proto = m.protocol
+        barrier_payloads = proto.barrier_payloads
+        arrived = []
+
+        def counting(vts):
+            arrived.append(len({id(vt.base) for vt in vts.values()}))
+            return barrier_payloads(vts)
+
+        proto.barrier_payloads = counting
+
+        def program(dsm, rank, nprocs):
+            yield from dsm.acquire(rank % 4)
+            yield from dsm.touch_write(seg.base + 64 * rank, 8, pattern=rank % 250 + 1)
+            yield from dsm.release(rank % 4)
+            yield from dsm.barrier(0, participants=nprocs)
+
+        run_program(m, program, nprocs=n)
+        clocks = proto.vt
+        assert arrived[0] > 1  # the lock grants gave clocks their own bases
+        assert len({id(vt.base) for vt in clocks}) == 1
+        merged = clocks[0].base
+        assert all(vt.as_tuple() == merged for vt in clocks)
+        assert all(vt.bytes_used() == 8 * n for vt in clocks)
 
 
 # ---------------------------------------------------------------------------

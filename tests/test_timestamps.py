@@ -26,14 +26,12 @@ class TestVectorClock:
         assert vc.as_tuple() == (0, 0, 2, 0)
 
     def test_merge_elementwise_max(self):
-        a = VectorClock(3)
-        a.v = [1, 5, 2]
+        a = VectorClock.of([1, 5, 2])
         a.merge((3, 1, 2))
         assert a.as_tuple() == (3, 5, 2)
 
     def test_assign_equals_merge_of_a_dominating_clock(self):
-        a = VectorClock(3)
-        a.v = [1, 5, 2]
+        a = VectorClock.of([1, 5, 2])
         merged = a.copy()
         merged.merge((3, 5, 4))
         a.assign((3, 5, 4))
@@ -46,8 +44,7 @@ class TestVectorClock:
         assert b.as_tuple() == (0, 0, 0)
 
     def test_dominates(self):
-        a = VectorClock(2)
-        a.v = [2, 3]
+        a = VectorClock.of([2, 3])
         assert a.dominates((2, 3))
         assert a.dominates((1, 0))
         assert not a.dominates((3, 0))
@@ -58,13 +55,12 @@ class TestVectorClock:
     )
     @settings(max_examples=100, deadline=None)
     def test_merge_produces_upper_bound(self, xs, ys):
-        a = VectorClock(4)
-        a.v = list(xs)
+        a = VectorClock.of(xs)
         a.merge(ys)
         assert a.dominates(xs)
         assert a.dominates(ys)
         # least upper bound
-        assert all(v == max(x, y) for v, x, y in zip(a.v, xs, ys))
+        assert all(v == max(x, y) for v, x, y in zip(a.as_tuple(), xs, ys))
 
 
 class TestIntervalLog:
@@ -286,7 +282,8 @@ class TestPlanBuilder:
 
 def _old_barrier_payloads(log, vts, n):
     """The nested-loop column-max merge ``barrier_payloads`` replaced:
-    the oracle."""
+    the oracle, over the arrivals' component tuples."""
+    vts = {nid: vt.as_tuple() for nid, vt in vts.items()}
     merged = [0] * n
     for vt in vts.values():
         for i, x in enumerate(vt):
@@ -353,16 +350,22 @@ class TestBarrierPayloads:
         ``i``'s own component is its column's max -- only node ``i``
         ticks component ``i``, so no node has seen more of ``i``'s
         intervals than ``i`` has closed.  With ``views``, every node
-        first copies one of that many random clocks, so non-writers
-        copying the same one share a view."""
+        first adopts one of that many random timestamps as its clock's
+        base (sharing the tuple, as after a barrier), so non-writers
+        adopting the same one share a view."""
         if views:
-            bases = [[rng.randint(0, c) for c in counts] for _ in range(views)]
-            vts = {nid: list(rng.choice(bases)) for nid in nodes}
+            bases = [tuple(rng.randint(0, c) for c in counts)
+                     for _ in range(views)]
+            picked = {nid: rng.choice(bases) for nid in nodes}
         else:
-            vts = {nid: [rng.randint(0, c) for c in counts] for nid in nodes}
-        for nid, vt in vts.items():
-            vt[nid] = max(other[nid] for other in vts.values())
-        return vts  # live lists, as barrier arrivals carry them
+            picked = {nid: tuple(rng.randint(0, c) for c in counts)
+                      for nid in nodes}
+        vts = {}
+        for nid, base in picked.items():
+            vt = vts[nid] = VectorClock.of(base, own=nid)
+            for _ in range(max(b[nid] for b in picked.values()) - base[nid]):
+                vt.tick(nid)
+        return vts  # live clocks, as barrier arrivals carry them
 
     @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
     @pytest.mark.parametrize("n", [16, 65])
@@ -461,8 +464,9 @@ class TestBarrierPayloads:
         proto = m.protocol
         rng = random.Random(7)
         vts = {nid: tuple(rng.randint(0, 5) for _ in range(n)) for nid in range(n)}
-        merged = proto.barrier_payloads(vts)[0][0]["vt"]
-        assert merged != _old_barrier_payloads(proto.ilog, vts, n)[0][0]["vt"]
+        arrivals = {nid: VectorClock.of(vt, own=nid) for nid, vt in vts.items()}
+        merged = proto.barrier_payloads(arrivals)[0][0]["vt"]
+        assert merged != _old_barrier_payloads(proto.ilog, arrivals, n)[0][0]["vt"]
         for nid, vt in vts.items():
             proto.vt[nid].assign(vt)
         bad = next(nid for nid, vt in vts.items()
@@ -488,7 +492,7 @@ class TestBarrierPayloads:
 
         def wrapped(vts):
             got = barrier_payloads(vts)
-            column_max = tuple(map(max, *vts.values()))
+            column_max = tuple(map(max, *(vt.as_tuple() for vt in vts.values())))
             assert all(p["vt"] == column_max for p, _ in got.values())
             checked.append(len(vts))
             return got
@@ -570,54 +574,74 @@ class TestIntervalRetirement:
         log.retire({0: 2, 1: 0})
         assert log.floor == [2, 0]
         assert log.intervals_of(0) == 4
-        assert [len(iv) for iv in log.intervals(0)] == [0, 0, 2, 2]
+        assert [len(iv) for iv in log.intervals(0)] == [2, 2]  # live ones
         # a batch from the floor on is unchanged
         assert log.notices_between((2, 0), (4, 1), skip=1) == want
         assert log.notice_count == 9  # retired notices still counted
         log.retire({0: 1})  # a floor never moves down
         assert log.floor == [2, 0]
 
-    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
-    def test_live_log_bounded_over_100_barriers(self, protocol):
-        """Each of 100 barrier episodes closes one non-empty interval per
-        node; the log never holds more than one episode's worth, and a
-        run that retires nothing computes the same stats."""
+    @staticmethod
+    def _barrier_episodes(protocol, retire, n=4, episodes=100):
+        """Each of ``episodes`` barrier episodes closes one non-empty
+        interval per node; returns the protocol, the stats and, at each
+        release, the live non-empty intervals and the most interval
+        slots any node's log holds once the release has retired what
+        it can."""
         from repro import Machine, MachineParams, run_program
         from repro.check import install_checkers
 
+        m = Machine(MachineParams(n_nodes=n, granularity=64), protocol=protocol)
+        seg = m.alloc(n * 64, "x")
+        checkers = install_checkers(m, races=False)
+        proto = m.protocol
+        live, slots = [], []
+        released = proto.barrier_released
+
+        def measured(vts):
+            ilog = proto.ilog
+            live.append(sum(1 for i in range(n)
+                            for iv in ilog.intervals(i) if iv))
+            if retire:
+                released(vts)
+            slots.append(max(len(ilog.intervals(i)) for i in range(n)))
+
+        proto.barrier_released = measured
+
+        def program(dsm, rank, nprocs):
+            for e in range(episodes):
+                yield from dsm.touch_write(seg.base + 64 * rank, 8,
+                                           pattern=e % 250 + 1)
+                yield from dsm.barrier(0, participants=nprocs)
+                yield from dsm.touch_read(seg.base + 64 * ((rank + 1) % n), 8)
+
+        stats = run_program(m, program, nprocs=n).stats
+        assert checkers.report().violations_total == 0
+        return proto, stats, live, slots
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_live_log_bounded_over_100_barriers(self, protocol):
+        """The log never holds more than one episode's worth of
+        non-empty intervals, and a run that retires nothing computes
+        the same stats."""
         n, episodes = 4, 100
-
-        def run(retire):
-            m = Machine(MachineParams(n_nodes=n, granularity=64), protocol=protocol)
-            seg = m.alloc(n * 64, "x")
-            checkers = install_checkers(m, races=False)
-            proto = m.protocol
-            live = []
-            released = proto.barrier_released
-
-            def measured(vts):
-                live.append(sum(1 for i in range(n)
-                                for iv in proto.ilog.intervals(i) if iv))
-                if retire:
-                    released(vts)
-
-            proto.barrier_released = measured
-
-            def program(dsm, rank, nprocs):
-                for e in range(episodes):
-                    yield from dsm.touch_write(seg.base + 64 * rank, 8,
-                                               pattern=e % 250 + 1)
-                    yield from dsm.barrier(0, participants=nprocs)
-                    yield from dsm.touch_read(seg.base + 64 * ((rank + 1) % n), 8)
-
-            stats = run_program(m, program, nprocs=n).stats
-            assert checkers.report().violations_total == 0
-            return proto, live, stats
-
-        proto, live, stats = run(retire=True)
+        proto, stats, live, _ = self._barrier_episodes(protocol, retire=True)
         assert len(live) == episodes and max(live) == n
         assert proto.ilog.floor == [episodes] * n  # nothing left live
         assert proto.ilog.notice_count == episodes * n
-        _, unretired, kept = run(retire=False)
+        _, kept, unretired, _ = self._barrier_episodes(protocol, retire=False)
         assert unretired[-1] == episodes * n  # what retirement saves
         assert kept.to_dict() == stats.to_dict()
+
+    @pytest.mark.parametrize("protocol", ["swlrc", "hlrc"])
+    def test_retired_slots_are_dropped_over_100_barriers(self, protocol):
+        """A retired interval leaves no slot behind: each node's log
+        holds only its live intervals, so its length stays bounded
+        over 100 episodes while every index (``intervals_of``) keeps
+        counting."""
+        n, episodes = 4, 100
+        proto, _, _, slots = self._barrier_episodes(protocol, retire=True)
+        assert len(slots) == episodes and max(slots) == 0
+        assert [proto.ilog.intervals_of(i) for i in range(n)] == [episodes] * n
+        _, _, _, kept = self._barrier_episodes(protocol, retire=False)
+        assert kept[-1] == episodes  # every slot, without retirement
