@@ -59,9 +59,6 @@ class SiteContext:
     def region_text(self) -> str:
         return " | ".join(sorted(self.regions)) or "?"
 
-    def locks_text(self) -> str:
-        return "{" + ", ".join(sorted(self.locks)) + "}" if self.locks else "none"
-
 
 def _barrier_label(op: OpNode) -> str:
     return f"barrier({op.args_src[0] if op.args_src else '?'})@{op.line}"

@@ -158,10 +158,7 @@ def install_checkers(
         )
     sanitizer = None
     if invariants:
-        if machine.protocol.checker is not None:
-            raise RuntimeError("an invariant checker is already installed")
         sanitizer = InvariantChecker(machine, max_reports=max_reports)
-        machine.protocol.checker = sanitizer
     # One call, so an existing composite collapses once for both.
     machine.add_hooks(*(h for h in (detector, sanitizer) if h is not None))
     return Checkers(machine, detector, sanitizer)

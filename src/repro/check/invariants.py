@@ -4,8 +4,8 @@ state machine properties each protocol's correctness argument rests on.
 The checks are drawn from the protocol descriptions (paper Section 2)
 and run at the three kinds of quiescent points the protocols define:
 
-**after every protocol message** (wired through
-``CoherenceProtocol.checker`` in :meth:`on_message
+**after every protocol message** (the ``on_protocol_message`` hook,
+fired by :meth:`CoherenceProtocol.on_message
 <repro.core.protocol.CoherenceProtocol.on_message>`), for the touched
 block only and skipping blocks with a transaction in flight:
 
@@ -50,8 +50,8 @@ after ``release_prepare`` for both lock releases and barrier arrivals):
   least the granter's shipped ``pts``, and no cached lease older than
   the new ``pts`` survives the expiry scan.
 
-**before every notice batch** (``before_notice_batch``, called by the
-LRC protocols as they build a lock grant or a barrier release):
+**before every notice batch** (the ``on_notice_batch`` hook, fired by
+the LRC protocols as they build a lock grant or a barrier release):
 
 * both -- retired floor: the requester's clock reaches no writer's
   interval below the interval log's retired floor (a retired slot
@@ -104,8 +104,8 @@ class InvariantViolation:
 
 
 class InvariantChecker(Hooks):
-    """Install via :func:`repro.check.install_checkers`; it registers
-    both as an instrumentation hook and as ``protocol.checker``."""
+    """Install via :func:`repro.check.install_checkers`, which adds it
+    to the machine's hooks like any other observer."""
 
     def __init__(self, machine, max_reports: int = 100):
         self.m = machine
@@ -174,9 +174,9 @@ class InvariantChecker(Hooks):
         return [n.access.tag(block) for n in self.m.nodes]
 
     # ------------------------------------------------------------------
-    # per-message checks (called by CoherenceProtocol.on_message)
+    # per-message checks (on_protocol_message hook)
     # ------------------------------------------------------------------
-    def after_message(self, protocol, node, msg) -> None:
+    def on_protocol_message(self, node_id: int, msg) -> None:
         if self._per_message is not None and msg.block >= 0:
             self._per_message(self, msg.block)
 
@@ -401,9 +401,9 @@ class InvariantChecker(Hooks):
         self._scanned[node_id] = ilog.intervals_of(node_id)
 
     # ------------------------------------------------------------------
-    # notice-batch checks (called by LRCBase as it builds a batch)
+    # notice-batch checks (on_notice_batch hook)
     # ------------------------------------------------------------------
-    def before_notice_batch(self, node_id: int, seen) -> None:
+    def on_notice_batch(self, node_id: int, seen) -> None:
         ilog = self.p.ilog
         floor = ilog.floor
         for w in ilog.writers:

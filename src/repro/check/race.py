@@ -393,8 +393,3 @@ class RaceDetector(Hooks):
             f"after barrier {barrier_id} (episode {episode}) "
             f"@t={self.engine.now:.1f}us"
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def report_count(self) -> int:
-        return self.races_total + self.false_sharing_total

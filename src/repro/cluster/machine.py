@@ -33,7 +33,9 @@ class Machine:
     the wire.  ``faults=None`` (the default) is the trusted legacy
     wire: no transport, no sequence numbers, bit-identical behavior to
     pre-chaos builds.  Either way, all outbound traffic goes through
-    :attr:`send` -- the single seam the transport hooks.
+    :meth:`send` and every arrival at a node through :meth:`_deliver`:
+    the seams the transport slides into and the ``on_send`` /
+    ``on_deliver`` hooks observe.
     """
 
     def __init__(
@@ -63,8 +65,9 @@ class Machine:
             self.fault_plan = None
             self.transport = None
             self.network = Network(self.engine, params, self.stats, self._deliver)
-            #: bound per-instance so the hot path pays no routing test
-            self.send = self.network.send
+            #: where :meth:`send` hands a message: the wire, or the
+            #: reliable transport under a fault plan
+            self._send = self.network.send
         else:
             self.fault_plan = FaultPlan(faults, params.n_nodes)
             self.stats.enable_transport()
@@ -75,7 +78,7 @@ class Machine:
             # Wire arrivals detour through the transport (ack/dedup/
             # resequence) before reaching the nodes.
             self.network.set_deliver(self.transport.on_wire)
-            self.send = self.transport.send
+            self._send = self.transport.send
         # Imported lazily to avoid a cycle (protocols import memory/net).
         from repro.core import make_protocol
         from repro.sync import BarrierService, LockService
@@ -95,7 +98,17 @@ class Machine:
     # ------------------------------------------------------------------
     # message plumbing
     # ------------------------------------------------------------------
+    def send(self, msg: Message) -> None:
+        """The seam every node's outbound message goes through."""
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.on_send(msg)
+        self._send(msg)
+
     def _deliver(self, msg: Message) -> None:
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.on_deliver(msg)
         self.nodes[msg.dst].deliver(msg)
 
     #: public alias used by the reliable transport once it has decided
@@ -165,8 +178,8 @@ class Machine:
                 roff : roff + length
             ]
 
-    def run(self, until: Optional[float] = None) -> float:
-        return self.engine.run(until=until)
+    def run(self) -> float:
+        return self.engine.run()
 
     def close(self) -> None:
         """Break the back-references that make a machine a reference
@@ -181,11 +194,10 @@ class Machine:
         the machine can no longer dispatch a message.  Calling it again
         is harmless; calling it while the engine runs raises.
         """
-        # engine -> policy and machine -> hooks/checkers, which hold
-        # the machine
+        # engine -> policy and machine -> hooks (checkers, timeline),
+        # which hold the machine
         self.engine.set_policy(None)
         self.hooks = None
-        self.protocol.checker = None
         # the wiring callbacks bound to this machine or its services
         for node in self.nodes:
             node._handle_message = None

@@ -27,7 +27,7 @@ Importing this package registers every protocol with
 consumers (CLI, harness, model checker) derive their choices from.
 """
 
-from repro.core.protocol import PROTOCOLS, CoherenceProtocol, make_protocol
+from repro.core.protocol import CoherenceProtocol, make_protocol
 from repro.core.registry import (
     available_protocols,
     get_protocol,
@@ -49,7 +49,6 @@ __all__ = [
     "DelayedSCProtocol",
     "ERCProtocol",
     "TardisProtocol",
-    "PROTOCOLS",
     "make_protocol",
     "register_protocol",
     "get_protocol",

@@ -87,8 +87,9 @@ class LRCBase(CoherenceProtocol):
         own (see :meth:`apply_sync`)."""
         if acq_vt is None:
             acq_vt = (0,) * self.params.n_nodes
-        if self.checker is not None:
-            self.checker.before_notice_batch(acquirer, acq_vt)
+        hooks = self.m.hooks
+        if hooks is not None:
+            hooks.on_notice_batch(acquirer, acq_vt)
         vt = self.vt[granter_id].as_tuple()
         notices, planned, runs = self.ilog.notices_between(acq_vt, vt, acquirer)
         return {"vt": vt, "notices": notices, "planned": planned}, runs
@@ -134,13 +135,13 @@ class LRCBase(CoherenceProtocol):
         ilog = self.ilog
         writers = ilog.writers
         n_writers = len(writers)
-        checker = self.checker
+        hooks = self.m.hooks
         base_keys: Dict[int, Tuple[int, ...]] = {}  # id(base) -> its key
         by_view: Dict[Tuple[int, ...], Tuple[Any, int]] = {}
         out: Dict[int, Tuple[Any, int]] = {}
         for node_id, vt in vts.items():
-            if checker is not None:
-                checker.before_notice_batch(node_id, vt.as_tuple())
+            if hooks is not None:
+                hooks.on_notice_batch(node_id, vt)
             base = vt.base  # alive for the whole call, so its id is too
             key = base_keys.get(id(base))
             if key is None:

@@ -52,10 +52,6 @@ class CoherenceProtocol:
         self.params = machine.params
         self.stats = machine.stats
         self.home = machine.home
-        #: optional invariant sanitizer (repro.check); called after
-        #: every handled message.  None keeps the dispatch hot path a
-        #: single attribute test.
-        self.checker = None
         self._handlers: Dict[str, Callable] = {}
         self._register_handlers()
 
@@ -197,8 +193,9 @@ class CoherenceProtocol:
         if handler is None:
             raise KeyError(f"{self.name}: no handler for message type {msg.mtype!r}")
         handler(node, msg)
-        if self.checker is not None:
-            self.checker.after_message(self, node, msg)
+        hooks = self.m.hooks
+        if hooks is not None:
+            hooks.on_protocol_message(node.id, msg)
 
     def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """Setup-time hook: a block was declaratively placed at a home
@@ -262,12 +259,6 @@ class CoherenceProtocol:
         blocks, merge timestamps."""
         return
         yield  # pragma: no cover
-
-
-#: live name -> class view over the registry (legacy alias; the
-#: authoritative store is repro.core.registry, filled in by the
-#: @register decorations the repro.core.__init__ imports trigger)
-PROTOCOLS: Dict[str, type] = _registry.CLASSES
 
 
 def register(cls) -> type:

@@ -44,10 +44,6 @@ class ProtocolInfo:
 
 _REGISTRY: Dict[str, ProtocolInfo] = {}
 
-#: live name -> class view (kept in lock-step with the registry; the
-#: legacy ``repro.core.protocol.PROTOCOLS`` name aliases this dict)
-CLASSES: Dict[str, type] = {}
-
 
 def register_protocol(name: str, cls: type, *, memory_model: str,
                       uses_notices: bool) -> type:
@@ -66,7 +62,6 @@ def register_protocol(name: str, cls: type, *, memory_model: str,
         name=name, cls=cls, memory_model=memory_model,
         uses_notices=uses_notices,
     )
-    CLASSES[name] = cls
     return cls
 
 

@@ -4,19 +4,29 @@ Lives at the package root (not under ``repro.runtime``) because it must
 be importable from anywhere -- including ``repro.stats``, which package
 inits pull in before the runtime exists -- without creating a cycle.
 
-The runtime and synchronization services call these hooks at every
-observation point an external tool could care about: region accesses,
-write faults, lock acquire/release, barrier entry/exit, and the
-protocol-level sync payload application.  The base class is a no-op on
-every method, so a hook implementation overrides only what it needs
-(:class:`~repro.stats.classify.AccessTrace` records region shapes; the
-:mod:`repro.check` race detector consumes the full set).
+This is the machine's one observation seam: every in-tree observer
+(the :mod:`repro.check` race detector and invariant sanitizer, the mc
+footprint recorder, :class:`~repro.stats.timeline.Timeline`,
+:class:`~repro.stats.classify.AccessTrace`) subscribes here, and none
+patches a machine method.  The observation points are
+
+* application side: region accesses, write faults, lock
+  acquire/release, barrier entry/exit, ``assume_disjoint`` scopes;
+* protocol side: sync payload application, the end of a release's
+  preparation, every handled protocol message, and every LRC notice
+  batch about to be built;
+* message side: a node handing a message to the machine's send seam,
+  and a message reaching its destination node.
+
+The base class is a no-op on every method, so a hook implementation
+overrides only what it needs.
 
 Design notes
 ------------
 * ``Machine.hooks`` is ``None`` by default; the hot paths test that one
   attribute instead of duck-typing with ``getattr``.  A simulation with
-  no hooks installed pays a single attribute load per region operation.
+  no hooks installed pays a single attribute load per region operation,
+  handled protocol message, send and delivery.
 * Hooks *observe* -- they must not yield simulated time, send messages,
   or mutate machine state.  Installing hooks therefore never perturbs
   event ordering: a hooked run produces bit-identical stats to an
@@ -63,19 +73,26 @@ class Hooks:
         that the original program keeps element-disjoint or
         phase-ordered, so conflict checkers must not flag them."""
 
+    def on_protocol_message(self, node_id: int, msg: Any) -> None:
+        """The coherence protocol's handler for ``msg`` ran on the
+        node (lock and barrier messages are not protocol messages)."""
+
+    def on_notice_batch(self, node_id: int, seen: Any) -> None:
+        """An LRC protocol is about to build a notice batch for the
+        node, starting after the intervals its timestamp ``seen`` (a
+        tuple or the live clock; index it, never keep it) covers."""
+
+    def on_send(self, msg: Any) -> None:
+        """A node handed ``msg`` to the machine's send seam (transport
+        frames -- retransmits, acks -- are not node sends)."""
+
+    def on_deliver(self, msg: Any) -> None:
+        """``msg`` reached its destination node, about to be handled
+        (under a fault plan: in order and exactly once)."""
+
 
 #: Every observation point of the interface, in declaration order.
-HOOK_METHODS = (
-    "on_region",
-    "on_write_fault",
-    "on_acquire",
-    "on_release",
-    "on_barrier_enter",
-    "on_barrier_exit",
-    "on_sync_applied",
-    "on_release_done",
-    "on_assume_disjoint",
-)
+HOOK_METHODS = tuple(name for name in vars(Hooks) if name.startswith("on_"))
 
 
 def _noop(*_args: Any) -> None:

@@ -81,8 +81,3 @@ class AddressSpace:
     @property
     def segments(self) -> List[Segment]:
         return list(self._ordered)
-
-    @property
-    def high_water(self) -> int:
-        """One past the highest allocated address."""
-        return self._next

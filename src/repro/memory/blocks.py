@@ -34,9 +34,6 @@ class BlockSpace:
             raise ValueError("negative address")
         return addr // self.granularity
 
-    def base_of(self, block: int) -> int:
-        return block * self.granularity
-
     def page_of_block(self, block: int) -> int:
         return (block * self.granularity) // PAGE_SIZE
 

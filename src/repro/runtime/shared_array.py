@@ -217,9 +217,6 @@ class SharedArray:
             raise IndexError(f"index {index} out of range [0, {self.length})")
         return self.segment.base + index * self.itemsize
 
-    def nbytes_of(self, count: int) -> int:
-        return count * self.itemsize
-
     # ------------------------------------------------------------------
     # element access
     # ------------------------------------------------------------------
@@ -304,8 +301,3 @@ class SharedMatrix:
     def init(self, values) -> None:
         raw = pack_values(values, (self.rows, self.cols), self.dtype)
         self.machine.init_data(self.segment.base, raw)
-
-    def place_rows(self, start: int, stop: int, node: int) -> None:
-        if stop <= start:
-            return
-        self.machine.place(self.addr(start, 0), (stop - start) * self.row_bytes, node)

@@ -19,10 +19,10 @@ CPython speed at the cost of some repetition:
   call, and because ``seq`` is unique the comparison never reaches the
   third element, so nothing on the hot path needs ``__lt__``.
 * :meth:`post` is :meth:`schedule` without the cancellation handle.
-  Nothing inside the simulator ever cancels (futures resolve exactly
-  once, messages always arrive), so the internal callers avoid one
-  object allocation per event; the ``handle`` slot of their entries is
-  ``None``.
+  Only the reliable transport's retransmit timers are ever cancelled
+  (futures resolve exactly once, messages always arrive), so every
+  other internal caller avoids one object allocation per event; the
+  ``handle`` slot of their entries is ``None``.
 * Zero-delay events (the overwhelmingly common case: future
   resolutions, process kicks, local deliveries) skip the heap entirely
   and go through a FIFO deque.  Within one call to :meth:`run`,
@@ -30,8 +30,9 @@ CPython speed at the cost of some repetition:
   ``(time, seq)`` and a two-way tuple compare against the heap head
   merges the two lanes in exactly the order a single heap would have
   produced.  (``schedule``/``post`` still verify the invariant and fall
-  back to the heap, so pathological ``run(until=past)`` uses stay
-  correct.)
+  back to the heap, so the lanes stay sorted even when time moves
+  backward: a native run resuming the leftovers of a policy run that
+  dispatched out of timestamp order.)
 * :meth:`run` keeps the queues and the event counter in locals and
   writes the counter back once, in a ``finally``.
 
@@ -44,8 +45,8 @@ switches to a loop that keeps the whole ready set in one live list
 sorted by ``(time, seq)``: each dispatch moves in only what the last
 callback queued in the two lanes, asks the policy to choose from the
 list, and deletes the chosen entry -- so a step costs
-O(events it queued), not O(ready set).  When that loop stops (at
-``until``, or by raising) the list's entries go back to the heap.
+O(events it queued), not O(ready set).  When that loop stops by
+raising, the list's entries go back to the heap.
 Without a policy (the default, and every production run) the fast
 two-lane merge above is untouched, and :class:`DefaultPolicy` is
 written to reproduce that merge order exactly -- one event at a time,
@@ -100,11 +101,6 @@ class ScheduledEvent:
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
         self.cancelled = True
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -211,23 +207,6 @@ class Engine:
     def policy(self) -> Optional[SchedulerPolicy]:
         return self._policy
 
-    def ready_events(self) -> "list[_Entry]":
-        """Snapshot of queued, non-cancelled entries, sorted by (time, seq).
-
-        The returned list is fresh; mutating it does not affect the
-        engine.  The entries themselves are the engine's live tuples.
-        Called from a callback during a policy run, it also lists the
-        entries the policy loop holds.  (The policy loop itself never
-        calls this: it keeps its own sorted list.)
-        """
-        entries = [e for e in self._ready if _entry_live(e)]
-        entries.extend(e for e in self._fifo if _entry_live(e))
-        entries.extend(e for e in self._queue if _entry_live(e))
-        # (time, seq) is unique, so the natural tuple order never
-        # compares the handles or callables behind it.
-        entries.sort()
-        return entries
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -235,8 +214,9 @@ class Engine:
         """:meth:`schedule` without a cancellation handle.
 
         The internal fast path: one tuple, no event object.  Use it
-        whenever the caller never cancels (which is everything inside
-        the simulator).  Ordering is identical to ``schedule``.
+        whenever the caller never cancels (everything inside the
+        simulator but the reliable transport's retransmit timers).
+        Ordering is identical to ``schedule``.
         """
         now = self._now
         seq = self._seq
@@ -270,8 +250,9 @@ class Engine:
                 ev = ScheduledEvent(now, seq, fn, args)
                 fifo.append((now, seq, ev, fn, args))
                 return ev
-            # Time moved backward under the deque (run(until=past));
-            # keep the fast lane sorted by routing through the heap.
+            # Time moved backward under the deque (a native run
+            # resuming a reordering policy run's leftovers); keep the
+            # fast lane sorted by routing through the heap.
             time = now
         elif delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -320,8 +301,8 @@ class Engine:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains (or until time ``until``).
+    def run(self) -> float:
+        """Run until the queue drains.
 
         Returns the final simulation time.  Raises
         :class:`SimulationError` if the event budget is exhausted, which
@@ -331,7 +312,7 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         if self._policy is not None:
-            return self._run_policy(until)
+            return self._run_policy()
         self._running = True
         prev_active = _ACTIVE
         _ACTIVE = self
@@ -342,71 +323,48 @@ class Engine:
         events_run = self._events_run
         max_events = self._max_events
         try:
-            if until is None:
-                while True:
-                    if fifo:
-                        if queue and queue[0] < fifo[0]:
-                            entry = pop(queue)
-                        else:
-                            # Batched same-instant dispatch: drain the
-                            # FIFO run at this timestamp without
-                            # re-arbitrating the lanes per event.
-                            # During the drain every new entry lands
-                            # either in the heap with time > tnow or at
-                            # the FIFO tail with time == tnow.  Only a
-                            # heap entry with (time, seq) below a FIFO
-                            # entry at tnow could preempt the run, and
-                            # no such entry can appear after the drain
-                            # starts -- so comparing against the heap
-                            # head captured here reproduces exactly the
-                            # order the per-event merge would have
-                            # produced.
-                            entry = popleft()
-                            tnow = entry[0]
-                            qh = queue[0] if queue else None
-                            while True:
-                                ev = entry[2]
-                                if ev is None or not ev.cancelled:
-                                    self._now = tnow
-                                    events_run += 1
-                                    if events_run > max_events:
-                                        raise SimulationError(
-                                            f"event budget exhausted "
-                                            f"({max_events} events); "
-                                            "likely protocol livelock"
-                                        )
-                                    entry[3](*entry[4])
-                                if fifo:
-                                    entry = fifo[0]
-                                    if entry[0] == tnow and (
-                                        qh is None or entry < qh
-                                    ):
-                                        popleft()
-                                        continue
-                                break
-                            continue
-                    elif queue:
-                        entry = pop(queue)
-                    else:
-                        break
-                    ev = entry[2]
-                    if ev is not None and ev.cancelled:
-                        continue
-                    self._now = entry[0]
-                    events_run += 1
-                    if events_run > max_events:
-                        raise SimulationError(
-                            f"event budget exhausted ({max_events} events); "
-                            "likely protocol livelock"
-                        )
-                    entry[3](*entry[4])
-                return self._now
             while True:
                 if fifo:
                     if queue and queue[0] < fifo[0]:
                         entry = pop(queue)
                     else:
+                        # Batched same-instant dispatch: drain the
+                        # FIFO run at this timestamp without
+                        # re-arbitrating the lanes per event.
+                        # During the drain every new entry lands
+                        # either in the heap with time > tnow or at
+                        # the FIFO tail with time == tnow.  Only a
+                        # heap entry with (time, seq) below a FIFO
+                        # entry at tnow could preempt the run, and
+                        # no such entry can appear after the drain
+                        # starts -- so comparing against the heap
+                        # head captured here reproduces exactly the
+                        # order the per-event merge would have
+                        # produced.
                         entry = popleft()
+                        tnow = entry[0]
+                        qh = queue[0] if queue else None
+                        while True:
+                            ev = entry[2]
+                            if ev is None or not ev.cancelled:
+                                self._now = tnow
+                                events_run += 1
+                                if events_run > max_events:
+                                    raise SimulationError(
+                                        f"event budget exhausted "
+                                        f"({max_events} events); "
+                                        "likely protocol livelock"
+                                    )
+                                entry[3](*entry[4])
+                            if fifo:
+                                entry = fifo[0]
+                                if entry[0] == tnow and (
+                                    qh is None or entry < qh
+                                ):
+                                    popleft()
+                                    continue
+                            break
+                        continue
                 elif queue:
                     entry = pop(queue)
                 else:
@@ -414,11 +372,6 @@ class Engine:
                 ev = entry[2]
                 if ev is not None and ev.cancelled:
                     continue
-                if entry[0] > until:
-                    # Put it back; we stopped early.
-                    heapq.heappush(queue, entry)
-                    self._now = until
-                    return until
                 self._now = entry[0]
                 events_run += 1
                 if events_run > max_events:
@@ -427,15 +380,13 @@ class Engine:
                         "likely protocol livelock"
                     )
                 entry[3](*entry[4])
-            if until > self._now:
-                self._now = until
             return self._now
         finally:
             _ACTIVE = prev_active
             self._events_run = events_run
             self._running = False
 
-    def _run_policy(self, until: Optional[float]) -> float:
+    def _run_policy(self) -> float:
         """The policy-driven event loop (see :class:`SchedulerPolicy`).
 
         The ready set is :attr:`_ready`, one list kept sorted by
@@ -445,9 +396,9 @@ class Engine:
         :meth:`interrupt` raises there); after it, the chosen entry is
         deleted from the list.  Entries with a cancellation handle are
         counted, so the list is re-filtered for late cancellations only
-        while it holds one.  When the loop stops -- at ``until`` or by
-        raising -- the list's entries go back to the heap, where the
-        native loop, :attr:`pending` and a later run find them.
+        while it holds one.  When the loop stops by raising, the list's
+        entries go back to the heap, where the native loop,
+        :attr:`pending` and a later run find them.
 
         Time is set to the chosen entry's timestamp but never moved
         backwards -- a policy that reorders events across timestamps
@@ -499,9 +450,6 @@ class Engine:
                 if not ready:
                     break
                 entry = choose(ready)
-                if until is not None and entry[0] > until:
-                    self._now = until
-                    return until
                 if ready[0] is entry:
                     del ready[0]
                 else:
@@ -523,8 +471,6 @@ class Engine:
                     )
                 entry[3](*entry[4])
                 executed(entry)
-            if until is not None and until > self._now:
-                self._now = until
             return self._now
         finally:
             if ready:
@@ -534,30 +480,6 @@ class Engine:
             _ACTIVE = prev_active
             self._events_run = events_run
             self._running = False
-
-    def step(self) -> bool:
-        """Run a single event in native (time, seq) order.
-
-        Returns False when the queue is empty (the call is then a
-        no-op: time does not advance and nothing is consumed).
-        Installed policies are not consulted -- ``step`` is a debugging
-        aid for walking the native schedule.
-        """
-        queue = self._queue
-        fifo = self._fifo
-        while queue or fifo:
-            if fifo and not (queue and queue[0] < fifo[0]):
-                entry = fifo.popleft()
-            else:
-                entry = heapq.heappop(queue)
-            ev = entry[2]
-            if ev is not None and ev.cancelled:
-                continue
-            self._now = entry[0]
-            self._events_run += 1
-            entry[3](*entry[4])
-            return True
-        return False
 
     @property
     def pending(self) -> int:

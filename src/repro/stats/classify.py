@@ -52,8 +52,6 @@ class AccessTrace(Hooks):
     read_bytes: int = 0
     write_accesses: int = 0
     write_bytes: int = 0
-    #: histogram of region-access sizes (for the median)
-    sizes: Counter = field(default_factory=Counter)
     #: histogram of read-access sizes (communication-inducing accesses)
     read_sizes: Counter = field(default_factory=Counter)
 
@@ -69,7 +67,6 @@ class AccessTrace(Hooks):
         self.writers_per_block.setdefault(block, set()).add(node)
 
     def record_region(self, size: int, write: bool) -> None:
-        self.sizes[size] += 1
         if write:
             self.write_accesses += 1
             self.write_bytes += size
@@ -119,11 +116,6 @@ class AccessTrace(Hooks):
             if seen >= mid:
                 return float(size)
         return 0.0  # pragma: no cover
-
-    @property
-    def median_access_bytes(self) -> float:
-        """Median region-access size (all accesses)."""
-        return self._median(self.sizes)
 
     @property
     def median_read_bytes(self) -> float:

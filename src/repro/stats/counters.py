@@ -81,10 +81,6 @@ class NodeStats:
     lock_acquires: int = 0
     barriers: int = 0
 
-    @property
-    def sync_wait_us(self) -> float:
-        return self.lock_wait_us + self.barrier_wait_us
-
     def to_dict(self) -> Dict:
         # vars() does not work on slotted instances.
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,10 +1,20 @@
 """Event timeline recording and rendering.
 
 An optional tracing facility for debugging protocol behaviour: attach a
-:class:`Timeline` to a machine and every message send/delivery, fault,
-and synchronization event is recorded with its simulated timestamp.
-The ASCII renderer draws a per-node lane chart -- the tool we reach for
+:class:`Timeline` to a machine and every message a node sends and every
+message a node receives is recorded with its simulated timestamp.  The
+ASCII renderer draws a per-node lane chart -- the tool we reach for
 when a transfer chain or a lock hand-off looks wrong.
+
+A timeline is an ordinary :class:`~repro.hooks.Hooks` subscriber (the
+``on_send`` and ``on_deliver`` observation points), so it records
+node-level traffic only.  Under a fault plan that means one send and one
+receive per message, as on the trusted wire: the reliable transport's
+acks, retransmits and suppressed duplicates never reach a node and are
+not logged (the transport's own counters report them).  A timeline that
+wrapped the network's delivery callback instead would log every wire
+arrival, acks and duplicates included, as a receive with no matching
+send.
 
 Recording is strictly opt-in (zero overhead otherwise) and bounded
 (`max_events`), so it can be left attached to long runs.
@@ -15,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.hooks import Hooks
+
 
 @dataclass(frozen=True)
 class TimelineEvent:
@@ -24,8 +36,9 @@ class TimelineEvent:
     label: str
 
 
-class Timeline:
-    """Bounded in-memory event log for one machine."""
+class Timeline(Hooks):
+    """Bounded in-memory event log for one machine; installs itself as
+    one of the machine's hooks."""
 
     def __init__(self, machine, max_events: int = 100_000,
                  message_filter: Optional[Callable[[str], bool]] = None):
@@ -34,7 +47,7 @@ class Timeline:
         self.events: List[TimelineEvent] = []
         self.dropped = 0
         self._filter = message_filter
-        self._install(machine)
+        machine.add_hooks(self)
 
     # ------------------------------------------------------------------
     def record(self, node: int, kind: str, label: str) -> None:
@@ -45,29 +58,13 @@ class Timeline:
             TimelineEvent(self.machine.engine.now, node, kind, label)
         )
 
-    def _install(self, machine) -> None:
-        # Wrap the machine's send seam (not network.send directly):
-        # protocol/sync code routes through machine.send, which under a
-        # fault plan is the reliable transport's entry point.
-        orig_send = machine.send
+    def on_send(self, msg) -> None:
+        if self._filter is None or self._filter(msg.mtype):
+            self.record(msg.src, "send", f"{msg.mtype}->{msg.dst} b={msg.block}")
 
-        def traced_send(msg):
-            if self._filter is None or self._filter(msg.mtype):
-                self.record(msg.src, "send",
-                            f"{msg.mtype}->{msg.dst} b={msg.block}")
-            orig_send(msg)
-
-        machine.send = traced_send
-
-        orig_deliver = machine.network._deliver
-
-        def traced_deliver(msg):
-            if self._filter is None or self._filter(msg.mtype):
-                self.record(msg.dst, "recv",
-                            f"{msg.mtype}<-{msg.src} b={msg.block}")
-            orig_deliver(msg)
-
-        machine.network._deliver = traced_deliver
+    def on_deliver(self, msg) -> None:
+        if self._filter is None or self._filter(msg.mtype):
+            self.record(msg.dst, "recv", f"{msg.mtype}<-{msg.src} b={msg.block}")
 
     # ------------------------------------------------------------------
     # queries

@@ -17,6 +17,7 @@ from repro.cluster.config import MachineParams
 from repro.cluster.machine import Machine
 from repro.exec import ResultCache, config_from_dict, config_to_dict, execute_many
 from repro.harness.experiment import RunConfig, run_experiment
+from repro.hooks import Hooks
 from repro.net.faultplan import FaultPlan, FaultSpec
 from repro.net.reliable import ACK_MTYPE, TransportError
 from repro.perf.micros import _stats_sha
@@ -97,15 +98,55 @@ class TestMachineWiring:
     def test_fault_free_machine_has_no_transport(self):
         m = Machine(MachineParams(n_nodes=2, granularity=1024))
         assert m.transport is None and m.fault_plan is None
-        assert m.send == m.network.send
+        assert m._send == m.network.send
         assert "transport" not in m.stats.to_dict()
 
     def test_chaos_machine_routes_through_transport(self):
         m = Machine(MachineParams(n_nodes=2, granularity=1024), faults=CHAOS)
         assert m.transport is not None
-        assert m.send == m.transport.send
+        assert m._send == m.transport.send
         assert m.network._deliver == m.transport.on_wire
         assert "transport" in m.stats.to_dict()
+
+
+class _MessageCounts(Hooks):
+    def __init__(self):
+        self.sent = self.delivered = self.handled = 0
+
+    def on_send(self, msg):
+        self.sent += 1
+
+    def on_deliver(self, msg):
+        self.delivered += 1
+
+    def on_protocol_message(self, node_id, msg):
+        self.handled += 1
+
+
+@pytest.mark.parametrize("faults", [None, CHAOS], ids=["trusted", "chaos"])
+def test_hooks_see_each_node_message_sent_and_delivered_once(faults):
+    """``on_send``/``on_deliver`` observe node-level traffic: on the
+    trusted wire and through the reliable transport (drops, duplicates,
+    reorders, acks) alike, every message a node sends reaches its
+    destination exactly once."""
+    from repro.apps import make_app
+    from repro.runtime.program import run_program
+
+    m = Machine(MachineParams(n_nodes=4, granularity=1024),
+                protocol="hlrc", faults=faults)
+    counts = _MessageCounts()
+    m.add_hooks(counts)
+    app = make_app("lu", "tiny")
+    app.setup(m)
+    run_program(m, app.program, nprocs=4)
+    assert counts.sent > 0 and counts.handled > 0
+    assert counts.delivered == counts.sent
+    s = m.stats
+    if faults is None:
+        assert counts.sent == s.total_messages + s.local_msgs
+    else:  # the wire also carried acks, retransmits and duplicates
+        assert s.transport.retransmits > 0 and s.transport.dup_suppressed > 0
+        assert s.total_messages > counts.sent
 
 
 class TestReliableTransport:

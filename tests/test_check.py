@@ -459,6 +459,17 @@ class TestInvariantInjection:
         assert "below its retired floor" in v.detail
         assert (2, 0) in granted  # the notice is gone from the grant
 
+    def test_sanitizer_reachable_only_through_hooks(self):
+        """The sanitizer is one more hooks subscriber: the protocol
+        holds no reference to it."""
+        from repro.check import InvariantChecker
+
+        m = _machine(protocol="hlrc", n=2)
+        checkers = install_checkers(m)
+        assert checkers.invariants in m.hooks.hooks
+        assert not any(isinstance(v, InvariantChecker)
+                       for v in vars(m.protocol).values())
+
     def test_clean_cells_report_nothing(self):
         for protocol in PROTOCOLS:
             _, checkers = self._run_app_cell(protocol)
@@ -700,6 +711,43 @@ class App:
         }
         # driven, assigned, non-generator, and noqa'd calls stay clean
         assert all("yield from" not in text[x.line - 1] for x in findings)
+
+    SEAMS = '''\
+def observe(machine, engine, hook):
+    machine.send = hook
+    machine.network._deliver = hook
+    engine.post = hook
+    engine.schedule, engine.schedule_at = hook, hook
+    setattr(engine, "post", hook)
+    machine.sendall = hook
+    quiet = machine.send = hook  # noqa: SIM008
+    return quiet
+
+
+class Owner:
+    def __init__(self, send, deliver):
+        self.send = send
+        self._deliver = deliver
+        setattr(self, "schedule", send)
+'''
+
+    def test_lint_flags_patched_seams(self, tmp_path):
+        lint = _load_lint()
+        pkg = tmp_path / "repro" / "stats"
+        pkg.mkdir(parents=True)
+        f = pkg / "observer.py"
+        f.write_text(self.SEAMS)
+        findings = lint.lint_file(f)
+        assert [x.code for x in findings] == ["SIM008"] * 6
+        text = self.SEAMS.splitlines()
+        assert {x.line for x in findings} == set(range(2, 7))
+        assert all("self." not in text[x.line - 1] for x in findings)
+        # outside the repro package (the benchmark's outside-in spans)
+        # the rule does not apply
+        other = tmp_path / "bench" / "spans.py"
+        other.parent.mkdir()
+        other.write_text(self.SEAMS)
+        assert lint.lint_file(other) == []
 
     def test_source_tree_is_clean(self):
         lint = _load_lint()

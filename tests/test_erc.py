@@ -12,10 +12,10 @@ def make(g=4096, n=4):
 
 
 def test_registered():
-    from repro.core import PROTOCOLS
+    from repro.core import available_protocols, get_protocol
 
-    assert "erc" in PROTOCOLS
-    assert not PROTOCOLS["erc"].uses_notices  # acquires carry nothing
+    assert "erc" in available_protocols()
+    assert not get_protocol("erc").uses_notices  # acquires carry nothing
 
 
 @pytest.mark.parametrize("g", [64, 256, 1024, 4096])

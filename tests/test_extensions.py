@@ -19,9 +19,9 @@ from repro.stats.counters import memory_utilization
 
 class TestDelayedConsistency:
     def test_registered(self):
-        from repro.core import PROTOCOLS
+        from repro.core import available_protocols
 
-        assert "dc" in PROTOCOLS
+        assert "dc" in available_protocols()
 
     @pytest.mark.parametrize("g", [64, 4096])
     def test_coherent_across_barriers(self, g):

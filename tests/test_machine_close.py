@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.core.protocol import PROTOCOLS
+from repro.core.registry import available_protocols
 from repro.harness.experiment import RunConfig, run_experiment
 from repro.mc import LITMUS, Explorer
 from repro.mc.scheduler import format_trace
@@ -42,7 +42,7 @@ def _cyclic_garbage(run) -> int:
             gc.enable()
 
 
-@pytest.mark.parametrize("proto", sorted(PROTOCOLS))
+@pytest.mark.parametrize("proto", available_protocols())
 @pytest.mark.parametrize("cell", ["native", "mc", "chaos"])
 def test_close_leaves_no_cyclic_garbage(cell, proto):
     run = {

@@ -580,15 +580,15 @@ def test_broken_protocol_registration_is_mc_scoped():
     import sys
 
     # Importing repro.mc (done above) registers the canary protocol...
-    from repro.core.protocol import PROTOCOLS
+    from repro.core.registry import available_protocols
 
-    assert "swlrc-broken" in PROTOCOLS
+    assert "swlrc-broken" in available_protocols()
     # ...but a process that never imports repro.mc must not see it:
     # the production experiment matrix can't pick it up by accident.
     out = subprocess.run(
         [sys.executable, "-c",
-         "import repro.harness.cli; import repro.core.protocol as p; "
-         "print('swlrc-broken' in p.PROTOCOLS)"],
+         "import repro.harness.cli; import repro.core.registry as r; "
+         "print('swlrc-broken' in r.available_protocols())"],
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"

@@ -5,7 +5,6 @@ HLRC/SW-LRC state tables."""
 import random
 from collections import deque
 
-import numpy as np
 import pytest
 
 import repro.core.sc

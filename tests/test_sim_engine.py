@@ -68,25 +68,6 @@ def test_cancel_is_idempotent():
     eng.run()
 
 
-def test_run_until_stops_early_and_preserves_events():
-    eng = Engine()
-    hits = []
-    eng.schedule(1.0, hits.append, 1)
-    eng.schedule(10.0, hits.append, 2)
-    eng.run(until=5.0)
-    assert hits == [1]
-    assert eng.now == 5.0
-    eng.run()
-    assert hits == [1, 2]
-    assert eng.now == 10.0
-
-
-def test_run_until_advances_clock_even_with_empty_queue():
-    eng = Engine()
-    eng.run(until=42.0)
-    assert eng.now == 42.0
-
-
 def test_schedule_at_absolute_time():
     eng = Engine()
     hits = []
@@ -200,18 +181,6 @@ def test_event_budget_detects_livelock():
         eng.run()
 
 
-def test_step_runs_one_event():
-    eng = Engine()
-    hits = []
-    eng.schedule(1.0, hits.append, 1)
-    eng.schedule(2.0, hits.append, 2)
-    assert eng.step()
-    assert hits == [1]
-    assert eng.step()
-    assert hits == [1, 2]
-    assert not eng.step()
-
-
 def test_events_run_counter():
     eng = Engine()
     for i in range(5):
@@ -274,7 +243,7 @@ def test_pending_ignores_cancelled_fifo_entries():
 
 
 # ---------------------------------------------------------------------------
-# interrupt between runs / step at an empty heap
+# interrupt between runs
 # ---------------------------------------------------------------------------
 
 class _Boom(Exception):
@@ -305,23 +274,6 @@ def test_interrupt_while_idle_precedes_same_instant_events():
     eng.schedule(0.0, lambda: None)
     with pytest.raises(_Boom):
         eng.run()
-
-
-def test_step_at_empty_heap_is_noop():
-    eng = Engine()
-    eng.schedule(1.0, lambda: None)
-    eng.run()
-    before = (eng.now, eng.events_run, eng.pending)
-    assert eng.step() is False
-    assert (eng.now, eng.events_run, eng.pending) == before
-
-
-def test_step_skips_cancelled_entries_and_reports_empty():
-    eng = Engine()
-    ev = eng.schedule(1.0, lambda: None)
-    ev.cancel()
-    assert eng.step() is False
-    assert eng.now == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +331,6 @@ def test_policy_executed_sees_every_dispatch():
     assert len(rec.seen) == 3
 
 
-def test_ready_events_excludes_cancelled_and_sorts():
-    eng = Engine()
-    eng.schedule(2.0, lambda: None)
-    ev = eng.schedule(1.0, lambda: None)
-    eng.schedule(3.0, lambda: None)
-    ev.cancel()
-    ready = eng.ready_events()
-    assert [e[0] for e in ready] == [2.0, 3.0]
-    assert ready == sorted(ready, key=lambda e: (e[0], e[1]))
-
-
 def test_set_policy_while_running_rejected():
     eng = Engine()
 
@@ -399,19 +340,6 @@ def test_set_policy_while_running_rejected():
 
     eng.schedule(0.0, inner)
     eng.run()
-
-
-def test_policy_run_until_stops_early():
-    eng = Engine()
-    eng.set_policy(DefaultPolicy())
-    hits = []
-    eng.schedule(1.0, hits.append, 1)
-    eng.schedule(5.0, hits.append, 2)
-    assert eng.run(until=2.0) == 2.0
-    assert hits == [1]
-    assert eng.pending == 1
-    eng.run()
-    assert hits == [1, 2]
 
 
 class _NoRepr:
@@ -506,34 +434,12 @@ def test_policy_never_offers_entry_cancelled_mid_run():
     assert ("victim",) in pick.offered[0]
 
 
-def test_policy_run_until_leaves_entries_to_native_run():
-    eng = Engine()
-    order = []
-    eng.post(1.0, order.append, "a")
-    eng.post(4.0, order.append, "d")
-    eng.post(3.0, order.append, "c1")
-    eng.post(3.0, order.append, "c2")
-    eng.post(2.0, lambda: eng.post(0.0, order.append, "b"))
-    eng.set_policy(DefaultPolicy())
-    assert eng.run(until=2.5) == 2.5
-    assert order == ["a", "b"]
-    # the policy loop's leftovers are back in the engine's lanes
-    assert eng.pending == 3
-    assert [(e[0], e[4]) for e in eng.ready_events()] == [
-        (3.0, ("c1",)), (3.0, ("c2",)), (4.0, ("d",))]
-    assert not eng._ready
-    eng.set_policy(None)
-    eng.run()
-    assert order == ["a", "b", "c1", "c2", "d"]
-
-
-def test_ready_events_inside_policy_callback_sees_policy_list():
+def test_pending_inside_policy_callback_counts_policy_list():
     eng = Engine()
     seen = []
 
     def probe():
         eng.post(0.0, lambda: None)  # queued by this very callback
-        seen.append([(e[0], e[1]) for e in eng.ready_events()])
         seen.append(eng.pending)
 
     eng.post(1.0, probe)
@@ -542,7 +448,7 @@ def test_ready_events_inside_policy_callback_sees_policy_list():
     eng.set_policy(DefaultPolicy())
     eng.run()
     # the policy list's two later entries plus the one just queued
-    assert seen == [[(1.0, 3), (2.0, 1), (3.0, 2)], 3]
+    assert seen == [3]
 
 
 def test_interrupt_during_policy_run_raises_at_next_dispatch():
@@ -568,18 +474,3 @@ def test_interrupt_during_policy_run_raises_at_next_dispatch():
     assert eng.pending == 2 and not eng._ready
     eng.run()
     assert hits == ["fire", "same instant", "later"]
-
-
-def test_ready_events_skips_cancelled_in_both_lanes():
-    eng = Engine()
-    live = []
-    for i in range(6):
-        # even i: zero-delay lane, odd i: heap lane
-        ev = eng.schedule(0.0 if i % 2 == 0 else float(i), lambda: None)
-        if i in (2, 3):
-            ev.cancel()
-        else:
-            live.append((ev.time, ev.seq))
-    assert eng._fifo and eng._queue
-    ready = eng.ready_events()
-    assert [(e[0], e[1]) for e in ready] == sorted(live)

@@ -1,10 +1,9 @@
 """Tests for the event-timeline recorder."""
 
 import numpy as np
-import pytest
 
 from repro import Machine, MachineParams, SharedArray, run_program
-from repro.stats.timeline import Timeline, TimelineEvent
+from repro.stats.timeline import Timeline
 
 
 def run_traced(protocol="sc", **tl_kwargs):
@@ -92,6 +91,18 @@ class TestRendering:
         s = tl.summary()
         assert s["events"] == len(tl.events)
         assert s["kind_send"] > 0
+
+
+class TestSubscriber:
+    def test_timeline_patches_no_seam(self):
+        """A timeline subscribes through the hooks bus: the machine's
+        send seam and the network's delivery callback stay as built."""
+        m = Machine(MachineParams(n_nodes=4, granularity=1024))
+        send, deliver = m.send, m.network._deliver
+        tl = Timeline(m)
+        assert m.send == send and "send" not in vars(m)
+        assert m.network._deliver is deliver
+        assert m.hooks is tl
 
 
 class TestNoInterference:

@@ -53,6 +53,13 @@ deterministic and the protocol engine sound:
   inside it (accesses, waits, protocol traffic) silently never
   happens.  This is the same bug class the ``repro.analyze`` CFG
   builder models: a dropped generator contributes no footprint.
+* **SIM008** -- replacing another object's message seam or scheduler
+  (assigning, or ``setattr``-ing, ``send``, ``_deliver``, ``post``,
+  ``schedule`` or ``schedule_at`` on anything but ``self``) anywhere in
+  the ``repro`` package.  Observers subscribe through ``repro.hooks``
+  (``on_send``, ``on_deliver``, ...); a patch is a second observation
+  path that the hooks' composition cannot see and that breaks when the
+  wiring behind the seam changes.
 
 The AST/visitor/noqa/reporting core is shared with the static labeling
 checker in ``repro.analyze`` (see ``repro/analyze/core.py``); both
@@ -123,6 +130,10 @@ ORDER_FREE = {"sum", "len", "min", "max", "any", "all", "set",
 #: SIM006: calls in a loop body that mean "this loop schedules events"
 SCHEDULING_CALLS = {"send", "schedule", "call_soon", "post",
                     "send_message", "deliver", "broadcast"}
+
+#: SIM008: seams only their owner may rebind: the machine's message
+#: entry and delivery points and the engine's schedulers
+SEAM_ATTRS = {"send", "_deliver", "post", "schedule", "schedule_at"}
 
 #: SIM007: generator methods of the runtime Dsm API -- a bare
 #: ``dsm.<op>(...)`` statement drops the generator and its effects
@@ -207,11 +218,21 @@ def _class_set_attrs(node: ast.ClassDef) -> Tuple[set, set]:
     return set_attrs, dictset_attrs
 
 
+def _foreign_seam(attr: str, owner: ast.AST) -> bool:
+    """True when ``owner.attr`` names a seam on an object that is not
+    ``self``."""
+    return attr in SEAM_ATTRS and not (
+        isinstance(owner, ast.Name) and owner.id == "self"
+    )
+
+
 class _Linter(ast.NodeVisitor):
-    def __init__(self, path: Path, in_sim: bool, is_engine: bool):
+    def __init__(self, path: Path, in_sim: bool, is_engine: bool,
+                 in_package: bool):
         self.path = path
         self.in_sim = in_sim
         self.is_engine = is_engine
+        self.in_package = in_package
         self.findings: List[Finding] = []
         #: (class node, {method name: def node}, set attrs, dict-of-set
         #: attrs) stack
@@ -337,12 +358,48 @@ class _Linter(ast.NodeVisitor):
                         )
                     return
 
+    # -- SIM008: patching another object's seam ------------------------
+    def _check_seam_targets(self, targets: List[ast.AST]) -> None:
+        for tgt in targets:
+            if isinstance(tgt, (ast.Tuple, ast.List)):
+                self._check_seam_targets(tgt.elts)
+            elif isinstance(tgt, ast.Attribute) and _foreign_seam(
+                tgt.attr, tgt.value
+            ):
+                self._flag_seam(tgt, dotted(tgt) or tgt.attr)
+
+    def _flag_seam(self, node: ast.AST, what: str) -> None:
+        self.flag(
+            node, "SIM008",
+            f"assignment to {what} replaces another object's seam; "
+            "observe through repro.hooks instead of patching",
+        )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if self.in_package:
+            self._check_seam_targets(node.targets)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if self.in_package:
+            self._check_seam_targets([node.target])
+        self.generic_visit(node)
+
     # -- SIM001 / SIM002: calls ----------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         name = dotted(node.func)
         if name and self.in_sim:
             self._check_wall_clock(node, name)
             self._check_random(node, name)
+        if (
+            self.in_package
+            and name == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+            and _foreign_seam(node.args[1].value, node.args[0])
+        ):
+            self._flag_seam(node, f"setattr(..., {node.args[1].value!r})")
         if name and name.split(".")[-1] in ORDER_FREE:
             for arg in node.args:
                 if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
@@ -480,6 +537,7 @@ def lint_file(path: Path) -> List[Finding]:
         path,
         in_sim=any(p in posix for p in SIM_PACKAGES),
         is_engine=posix.endswith("repro/sim/engine.py"),
+        in_package="repro/" in posix,
     )
     linter.visit(tree)
     return filter_noqa(linter.findings, source)
