@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 
 #: The coherence granularities evaluated by the paper.
@@ -216,3 +216,33 @@ def hops_between(a: int, b: int, n_nodes: Optional[int] = None) -> int:
     if pa // _LEAVES_PER_SPINE == pb // _LEAVES_PER_SPINE:
         return 4
     return 6
+
+
+def switch_hop_table(n_nodes: int, hop_us: float) -> List[List[float]]:
+    """Hop latency between every pair of switches of an ``n_nodes``
+    machine: entry ``[a][b]`` is ``hops_between(6a, 6b, n_nodes) *
+    hop_us``, the latency between any host on switch ``a`` and any on
+    switch ``b``.
+
+    In the tiered fabric a row is four runs of equal cost (across core
+    groups, own core group, own spine group, own leaf), so each row is
+    filled by slice assignment instead of one ``hops_between`` call per
+    entry: at 1024 nodes that is 171 rows instead of 29,241 calls.
+    """
+    n_switches = switch_of(n_nodes - 1) + 1 if n_nodes else 0
+    if n_nodes <= LINE_TOPOLOGY_MAX_NODES:
+        return [[abs(a - b) * hop_us for b in range(n_switches)]
+                for a in range(n_switches)]
+    # one float per tier, shared by every row
+    tier_us = [hops * hop_us for hops in (0, 2, 4, 6)]
+    core = _LEAVES_PER_SPINE * _LEAVES_PER_SPINE
+    table = []
+    for a in range(n_switches):
+        row = [tier_us[3]] * n_switches
+        for width, cost in ((core, tier_us[2]), (_LEAVES_PER_SPINE, tier_us[1])):
+            lo = a - a % width
+            hi = min(lo + width, n_switches)
+            row[lo:hi] = [cost] * (hi - lo)
+        row[a] = tier_us[0]
+        table.append(row)
+    return table

@@ -75,7 +75,13 @@ class Cpu:
 
 
 class Node:
-    """One workstation of the simulated cluster."""
+    """One workstation of the simulated cluster.
+
+    The notification delays :meth:`deliver` charges are read from
+    ``params`` once, at construction: nothing assigns a
+    :class:`~repro.cluster.config.MachineParams` field after a machine
+    is built.
+    """
 
     def __init__(
         self,
@@ -98,6 +104,12 @@ class Node:
         self.poll_dilation = poll_dilation
         self._handler_busy_until = 0.0
         self._polling = params.mechanism is NotificationMechanism.POLLING
+        # notification delay by what the node is doing at arrival
+        self._blocked_delay_us = params.blocked_poll_us
+        self._computing_delay_us = (
+            params.poll_backedge_gap_us + params.poll_round_trip_us
+            if self._polling else params.interrupt_us
+        )
 
     # ------------------------------------------------------------------
     # message arrival
@@ -105,16 +117,15 @@ class Node:
     def deliver(self, msg: Message) -> None:
         """Called by the network at wire-arrival time."""
         now = self.engine.now
-        p = self.params
         computing = self.cpu.state == COMPUTE
-        if not computing:
-            delay = p.blocked_poll_us
-        elif self._polling:
-            delay = p.poll_backedge_gap_us + p.poll_round_trip_us
-        else:
-            delay = p.interrupt_us
+        start = now + (
+            self._computing_delay_us if computing else self._blocked_delay_us
+        )
+        busy = self._handler_busy_until
+        if start < busy:
+            start = busy
         cost = msg.handle_cost_us
-        done = max(now + delay, self._handler_busy_until) + cost
+        done = start + cost
         self._handler_busy_until = done
         self.node_stats.handler_us += cost
         if computing:

@@ -52,6 +52,9 @@ class CoherenceProtocol:
         self.params = machine.params
         self.stats = machine.stats
         self.home = machine.home
+        #: the default handler cost of :meth:`send`, read once per
+        #: machine (params do not change after a build)
+        self._handler_base_us = machine.params.handler_base_us
         self._handlers: Dict[str, Callable] = {}
         self._register_handlers()
 
@@ -77,17 +80,10 @@ class CoherenceProtocol:
         cost: Optional[float] = None,
         reply_to: Optional[Future] = None,
     ) -> None:
-        msg = Message(
-            src=src,
-            dst=dst,
-            mtype=mtype,
-            size_bytes=size,
-            block=block,
-            payload=payload,
-            handle_cost_us=self.params.handler_base_us if cost is None else cost,
-            reply_to=reply_to,
-        )
-        self.m.send(msg)
+        self.m.send(Message(
+            src, dst, mtype, size, block, payload,
+            self._handler_base_us if cost is None else cost, reply_to,
+        ))
 
     def data_reply_cost(self) -> float:
         """Handler cost of receiving a whole-block data message."""
@@ -112,29 +108,20 @@ class CoherenceProtocol:
         if actual == node.id:
             return False
         self.stats.forwarded_requests += 1
-        requester, inner = self.requester_of(msg)
         # The forward physically leaves *this* node; the original
-        # requester travels inside the payload so the eventual reply
-        # goes straight back to it (and teaches it the real home).
-        fwd = Message(
-            src=node.id,
-            dst=actual,
-            mtype=msg.mtype,
-            size_bytes=msg.size_bytes,
-            block=msg.block,
-            payload={"__fwd_src": requester, "inner": inner},
-            handle_cost_us=msg.handle_cost_us,
-            reply_to=msg.reply_to,
-        )
-        self.m.send(fwd)
+        # requester travels as its origin so the eventual reply goes
+        # straight back to it (and teaches it the real home).
+        self.m.send(Message(
+            node.id, actual, msg.mtype, msg.size_bytes, msg.block, msg.payload,
+            msg.handle_cost_us, msg.reply_to, origin=self.requester_of(msg)[0],
+        ))
         return True
 
     @staticmethod
     def requester_of(msg: Message) -> Tuple[int, Any]:
         """Unwrap a possibly-forwarded request: (requester, payload)."""
-        if isinstance(msg.payload, dict) and "__fwd_src" in msg.payload:
-            return msg.payload["__fwd_src"], msg.payload["inner"]
-        return msg.src, msg.payload
+        origin = msg.origin
+        return (msg.src if origin < 0 else origin), msg.payload
 
     def maybe_claim_first_touch(self, node_id: int, block: int, store: bool) -> Generator:
         """First-touch home migration for unclaimed blocks (Section 2).

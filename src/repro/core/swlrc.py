@@ -349,17 +349,10 @@ class SWLRCProtocol(LRCBase):
         else:
             target = self.home.home_or_static(block)
         self.stats.forwarded_requests += 1
-        fwd = Message(
-            src=node.id,
-            dst=target,
-            mtype="rread_req",
-            size_bytes=msg.size_bytes,
-            block=block,
-            payload={"__fwd_src": requester, "inner": None},
-            handle_cost_us=msg.handle_cost_us,
-            reply_to=msg.reply_to,
-        )
-        self.m.send(fwd)
+        self.m.send(Message(
+            node.id, target, "rread_req", msg.size_bytes, block, None,
+            msg.handle_cost_us, msg.reply_to, origin=requester,
+        ))
 
     # ==================================================================
     # release / notices

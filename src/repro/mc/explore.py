@@ -150,6 +150,53 @@ class _Frame:
         self.hb = 0
 
 
+class _RaceIndex:
+    """The race analysis's index of a trace prefix: each step's trace
+    index by seq, and for each resource the mask of steps whose
+    footprint holds it (plus the mask of steps with the
+    conflicts-with-everything footprint).
+
+    An execution replays the previous one's first ``start`` steps, so
+    the index is carried over: :meth:`truncate` forgets the old suffix
+    and the fresh suffix is added on top.
+    """
+
+    __slots__ = ("index_of", "touch", "glob", "trace", "n")
+
+    def __init__(self) -> None:
+        self.index_of: Dict[int, int] = {}
+        self.touch: Dict[tuple, int] = {}
+        self.glob = 0
+        #: the trace indexed last, and how many of its steps are indexed
+        self.trace: Sequence[Step] = ()
+        self.n = 0
+
+    def truncate(self, n: int) -> None:
+        """Forget every step from trace index ``n`` on."""
+        if n >= self.n:
+            return
+        index_of, old = self.index_of, self.trace
+        for k in range(n, self.n):
+            del index_of[old[k].seq]
+        keep = (1 << n) - 1
+        touch = self.touch
+        for r in touch:
+            touch[r] &= keep
+        self.glob &= keep
+        self.n = n
+
+
+class _FrameStack(list):
+    """The DFS's frames, one per trace step, carrying the race index of
+    the trace they record from one execution to the next."""
+
+    __slots__ = ("races",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.races = _RaceIndex()
+
+
 def _flatten(results) -> tuple:
     return tuple(x for r in results for x in (r if r is not None else ()))
 
@@ -261,7 +308,10 @@ class Explorer:
         Only steps ``j >= start`` are analysed.  The steps before
         ``start`` replay the previous execution's prefix: that
         execution already added their backtrack points (re-adding them
-        is a no-op) and left each one's hb mask on its frame.
+        is a no-op) and left each one's hb mask on its frame.  A
+        :class:`_FrameStack` also carries their race index, so only the
+        fresh suffix is indexed; a plain list of frames is indexed from
+        step 0.
 
         ``hb[j]`` is the bitmask of trace indices that happen-before
         ``j`` through dependence and event-creation edges, transitively
@@ -273,12 +323,11 @@ class Explorer:
         ``cov`` and other than its parent; every creation ancestor
         beyond the parent lies in the parent's hb, hence in ``cov``.
         """
-        index_of = {st.seq: k for k, st in enumerate(trace)}
-        # resource -> mask of steps whose footprint holds it; glob:
-        # steps with the conflicts-with-everything footprint
-        touch: Dict[tuple, int] = {}
-        glob = 0
-        for j, st in enumerate(trace):
+        ix = getattr(frames, "races", None) or _RaceIndex()
+        ix.truncate(start)
+        index_of, touch, glob = ix.index_of, ix.touch, ix.glob
+        for j in range(ix.n, len(trace)):
+            st = trace[j]
             res = st.resources
             bit = 1 << j
             if j >= start:
@@ -319,10 +368,14 @@ class Explorer:
                         frame.todo.update(enabled)
                     elif cand != frame.chosen:
                         frame.todo.add(cand)
+            index_of[st.seq] = j
             if GLOBAL in res:
                 glob |= bit
             for r in res:
                 touch[r] = touch.get(r, 0) | bit
+        ix.glob = glob
+        ix.trace = trace
+        ix.n = len(trace)
 
     # ------------------------------------------------------------------
     # the DFS loop
@@ -335,7 +388,7 @@ class Explorer:
             dpor=self.dpor,
         )
         prefix: List[int] = []
-        frames: List[_Frame] = []
+        frames: List[_Frame] = _FrameStack()
         sleep: dict = {}
         sleep_from = 0
         reuse: List[Step] = []

@@ -8,12 +8,14 @@ is what triggers demand mapping and first-touch home assignment.
 
 The table is a dense per-node byte array (one tag byte per block id)
 that grows geometrically on first touch of a high block id and never
-shrinks.  Alongside it a plain ``set`` of readable block ids -- exactly
-the blocks with a non-zero tag -- is maintained, so the region hot path
-keeps its one-C-call membership test (``permits_read`` is a bound
-``set.__contains__``) and bulk sweeps (checker audits,
-``blocks_with_access``) cost O(k log k) in the k tagged blocks rather
-than O(capacity).  Bulk sweeps iterate in ascending block id.
+shrinks.  Alongside it two plain sets are maintained: the readable
+block ids (exactly the blocks with a non-zero tag) and the writable
+ones (exactly the RW blocks).  The region hot path therefore checks a
+block with one C call for either access (``permits_read`` and
+``permits_write`` are bound ``set.__contains__``), and bulk sweeps
+(checker audits, ``blocks_with_access``) cost O(k log k) in the k
+tagged blocks rather than O(capacity).  Bulk sweeps iterate in
+ascending block id.
 """
 
 from __future__ import annotations
@@ -35,14 +37,18 @@ def tag_name(tag: int) -> str:
 class AccessControl:
     """Per-node block tag table (one instance per node)."""
 
-    __slots__ = ("_tags", "_readable", "permits_read")
+    __slots__ = ("_tags", "_readable", "_writable", "permits_read", "permits_write")
 
     def __init__(self, capacity: int = 0) -> None:
         self._tags = bytearray(capacity)
         #: invariant: exactly the block ids whose tag is non-zero
         self._readable: set = set()
+        #: invariant: exactly the block ids whose tag is RW
+        self._writable: set = set()
         #: bound fast path: a block permits reads iff it has any tag
         self.permits_read = self._readable.__contains__
+        #: bound fast path: a block permits writes iff its tag is RW
+        self.permits_write = self._writable.__contains__
 
     # ------------------------------------------------------------------
     # single-block operations (the hot path)
@@ -53,9 +59,7 @@ class AccessControl:
 
     def permits(self, block: int, write: bool) -> bool:
         """Does the current tag allow the access (no fault)?"""
-        t = self._tags
-        tg = t[block] if 0 <= block < len(t) else INV
-        return tg == RW or (tg == RO and not write)
+        return block in (self._writable if write else self._readable)
 
     def set_tag(self, block: int, tag: int) -> None:
         if tag not in (INV, RO, RW):
@@ -71,6 +75,10 @@ class AccessControl:
             self._readable.discard(block)
         else:
             self._readable.add(block)
+        if tag == RW:
+            self._writable.add(block)
+        else:
+            self._writable.discard(block)
 
     def invalidate(self, block: int) -> bool:
         """Drop to INVALID.  Returns True if the block had any access."""
@@ -78,6 +86,7 @@ class AccessControl:
         if 0 <= block < len(t) and t[block]:
             t[block] = INV
             self._readable.discard(block)
+            self._writable.discard(block)
             return True
         return False
 
@@ -86,6 +95,7 @@ class AccessControl:
         t = self._tags
         if 0 <= block < len(t) and t[block] == RW:
             t[block] = RO
+            self._writable.discard(block)
             return True
         return False
 

@@ -21,27 +21,57 @@ HEADER_BYTES = 16
 CONTROL_BYTES = 8
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
-    """One network message."""
+    """One network message.
+
+    ``__init__`` is written out rather than generated: one message is
+    built per protocol send, and the generated ``__init__`` plus a
+    ``__post_init__`` for the header clamp cost two frames where one
+    does.  The dataclass still supplies ``__eq__``.
+    """
 
     src: int
     dst: int
     mtype: str
     size_bytes: int
-    block: int = -1
-    payload: Any = None
+    block: int
+    payload: Any
     #: CPU time the receiver's handler consumes
-    handle_cost_us: float = 3.0
+    handle_cost_us: float
     #: future resolved by the receiver (request/response correlation)
-    reply_to: Optional[Future] = None
+    reply_to: Optional[Future]
     #: per-(src, dst)-link sequence number stamped by the reliable
     #: transport (repro.net.reliable); -1 on the trusted legacy wire
-    seq: int = -1
+    seq: int
+    #: the node a forwarded request came from first (its reply goes
+    #: straight back there); -1 when the request was not forwarded, so
+    #: the requester is ``src``
+    origin: int
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < HEADER_BYTES:
-            self.size_bytes = HEADER_BYTES
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        mtype: str,
+        size_bytes: int,
+        block: int = -1,
+        payload: Any = None,
+        handle_cost_us: float = 3.0,
+        reply_to: Optional[Future] = None,
+        seq: int = -1,
+        origin: int = -1,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.mtype = mtype
+        self.size_bytes = size_bytes if size_bytes >= HEADER_BYTES else HEADER_BYTES
+        self.block = block
+        self.payload = payload
+        self.handle_cost_us = handle_cost_us
+        self.reply_to = reply_to
+        self.seq = seq
+        self.origin = origin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.config import MachineParams, hops_between, switch_of
+from repro.cluster.config import MachineParams, switch_hop_table, switch_of
 from repro.net.faultplan import FaultPlan
 from repro.net.message import Message
 from repro.sim.engine import Engine
@@ -79,23 +79,21 @@ class Network:
         self._deliver = deliver
         #: fault plan; None = the trusted wire (zero overhead)
         self._faults = faults
+        n = params.n_nodes
+        self._n_nodes = n
+        #: the per-type wire counters, bound once: every remote send
+        #: bumps both
+        self._msg_count = stats.msg_count
+        self._msg_bytes = stats.msg_bytes
         #: per-node time at which the NIC becomes free to inject
-        self._nic_free: List[float] = [0.0] * params.n_nodes
+        self._nic_free: List[float] = [0.0] * n
         #: hop latency precomputed per (src switch, dst switch) -- the
         #: topology is static, so no reason to recompute switch
         #: distances per send.  Indexing by switch keeps the table
         #: O((N/6)^2) instead of O(N^2): a 1024-node machine needs a
         #: 171x171 table, not a million-entry one.
-        n = params.n_nodes
         self._switch: List[int] = [switch_of(a) for a in range(n)]
-        n_switches = self._switch[-1] + 1 if n else 0
-        self._hop_us: List[List[float]] = [
-            # Representative hosts a*6 / b*6: hop count is a function
-            # of the switch pair only.
-            [hops_between(a * 6, b * 6, n) * params.switch_hop_us
-             for b in range(n_switches)]
-            for a in range(n_switches)
-        ]
+        self._hop_us: List[List[float]] = switch_hop_table(n, params.switch_hop_us)
         #: per-size (latency, occupancy) -- both are pure functions of
         #: size and the static machine params, and a cell only ever sees
         #: a handful of distinct message sizes (control sizes, the
@@ -104,29 +102,45 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Inject a message; schedules its delivery at the destination."""
-        if not (0 <= msg.src < self.params.n_nodes):
-            raise ValueError(f"bad src {msg.src}")
-        if not (0 <= msg.dst < self.params.n_nodes):
-            raise ValueError(f"bad dst {msg.dst}")
+        src = msg.src
+        dst = msg.dst
+        n = self._n_nodes
+        if not (0 <= src < n):
+            raise ValueError(f"bad src {src}")
+        if not (0 <= dst < n):
+            raise ValueError(f"bad dst {dst}")
 
         now = self.engine.now
-        if msg.src == msg.dst:
+        if src == dst:
             self.stats.local_msgs += 1
             self.engine.post(LOCAL_DELIVERY_US, self._deliver, msg)
             return
 
-        self.stats.record_message(msg.mtype, msg.size_bytes)
-
+        # Per-type wire counters.  After the first message of a type
+        # these are plain dict item ops (Counter.__missing__ never
+        # fires), and the membership test keeps it that way.
+        mtype = msg.mtype
         size = msg.size_bytes
+        count = self._msg_count
+        if mtype in count:
+            count[mtype] += 1
+            self._msg_bytes[mtype] += size
+        else:
+            count[mtype] = 1
+            self._msg_bytes[mtype] = size
+
         cost = self._cost_by_size.get(size)
         if cost is None:
             p = self.params
             cost = (p.one_way_latency_us(size), p.nic_occupancy_us(size))
             self._cost_by_size[size] = cost
-        start = max(now, self._nic_free[msg.src])
-        self._nic_free[msg.src] = start + cost[1]
+        nic_free = self._nic_free
+        start = nic_free[src]
+        if start < now:
+            start = now
+        nic_free[src] = start + cost[1]
         sw = self._switch
-        latency = cost[0] + self._hop_us[sw[msg.src]][sw[msg.dst]]
+        latency = cost[0] + self._hop_us[sw[src]][sw[dst]]
         if self._faults is not None:
             self._faulty_send(msg, start, latency)
             return

@@ -61,7 +61,9 @@ class Dsm:
     def _ensure(self, block: int, write: bool) -> Generator:
         node = self.node
         p = self.params
-        while not node.access.permits(block, write):
+        access = node.access
+        permits = access.permits_write if write else access.permits_read
+        while not permits(block):
             # Fault exception dispatch + requester-side protocol entry.
             # (Fault counting happens inside the protocols, which
             # distinguish real coherence faults from cheap node-local
@@ -99,9 +101,9 @@ class Dsm:
         hooks = self.machine.hooks
         if hooks is not None:
             hooks.on_region(node.id, addr, len(data), True)
-        permits = node.access.permits
+        permits_write = node.access.permits_write
         for block, off, roff, length in self._bs.block_slices(addr, len(data)):
-            if not permits(block, True):
+            if not permits_write(block):
                 yield from self._ensure(block, write=True)
             node.store.block(block)[off : off + length] = data[roff : roff + length]
 
@@ -129,12 +131,17 @@ class Dsm:
         hooks = self.machine.hooks
         if hooks is not None:
             hooks.on_region(node.id, addr, size, True)
-        permits = node.access.permits
+        permits_write = node.access.permits_write
+        if pattern < 0:
+            for block in self._bs.blocks_in_region(addr, size):
+                if not permits_write(block):
+                    yield from self._ensure(block, write=True)
+            return
+        fill = bytes((pattern & 0xFF,))
         for block, off, roff, length in self._bs.block_slices(addr, size):
-            if not permits(block, True):
+            if not permits_write(block):
                 yield from self._ensure(block, write=True)
-            if pattern >= 0:
-                node.store.block(block)[off : off + length] = bytes((pattern & 0xFF,)) * length
+            node.store.block(block)[off : off + length] = fill * length
 
     # ------------------------------------------------------------------
     # checker annotations

@@ -134,18 +134,6 @@ class Stats:
     # ------------------------------------------------------------------
     # recording helpers
     # ------------------------------------------------------------------
-    def record_message(self, mtype: str, size_bytes: int) -> None:
-        # Called once per wire message.  After the first message of a
-        # type these are plain dict item ops (Counter.__missing__ never
-        # fires), and the membership test keeps it that way.
-        mc = self.msg_count
-        if mtype in mc:
-            mc[mtype] += 1
-            self.msg_bytes[mtype] += size_bytes
-        else:
-            mc[mtype] = 1
-            self.msg_bytes[mtype] = size_bytes
-
     def record_read_fault(self, node: int) -> None:
         self.nodes[node].read_faults += 1
 

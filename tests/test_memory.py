@@ -174,6 +174,36 @@ class TestAccessControl:
         with pytest.raises(ValueError):
             AccessControl().set_tag(1, 5)
 
+    @given(ops=st.lists(
+        st.tuples(
+            st.sampled_from(("set", "invalidate", "downgrade")),
+            # past the 64-entry initial capacity and a doubling or two
+            st.integers(min_value=0, max_value=300),
+            st.sampled_from((INV, RO, RW)),
+        ),
+        max_size=80,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_paths_track_tags(self, ops):
+        """``permits_write`` holds exactly for RW blocks and
+        ``permits_read`` exactly for non-INV ones, whatever sequence of
+        tag changes (including blocks past the table's capacity) led
+        there."""
+        ac = AccessControl()
+        for op, block, tag in ops:
+            if op == "set":
+                ac.set_tag(block, tag)
+            elif op == "invalidate":
+                ac.invalidate(block)
+            else:
+                ac.downgrade(block)
+            for b in range(0, 320):
+                t = ac.tag(b)
+                assert ac.permits_write(b) == (t == RW), (b, t)
+                assert ac.permits_read(b) == (t != INV), (b, t)
+                assert ac.permits(b, True) == ac.permits_write(b)
+                assert ac.permits(b, False) == ac.permits_read(b)
+
     def test_tag_names(self):
         assert tag_name(INV) == "INV"
         assert tag_name(RO) == "RO"

@@ -30,6 +30,20 @@ class TestMessage:
         msg = Message(src=0, dst=1, mtype="x", size_bytes=2)
         assert msg.size_bytes == HEADER_BYTES
 
+    def test_positional_construction_clamps_to_header(self):
+        msg = Message(0, 1, "x", 4)
+        assert msg.size_bytes == 16 == HEADER_BYTES
+        assert (msg.block, msg.payload, msg.reply_to, msg.seq) == (-1, None, None, -1)
+        assert msg.handle_cost_us == 3.0
+
+    def test_origin_defaults_to_unforwarded(self):
+        assert Message(0, 1, "x", 24).origin == -1
+        assert Message(0, 1, "x", 24, origin=3).origin == 3
+
+    def test_equality_covers_every_field(self):
+        assert Message(0, 1, "x", 24) == Message(0, 1, "x", 24)
+        assert Message(0, 1, "x", 24) != Message(0, 1, "x", 24, origin=2)
+
     def test_size_helpers(self):
         assert control_size() == HEADER_BYTES + CONTROL_BYTES
         assert data_size(4096) == HEADER_BYTES + 4096

@@ -115,6 +115,54 @@ class TestForwarding:
         assert r.stats.forwarded_requests >= 1
         assert m.home.cached_home(reader, block) == owner
 
+    @pytest.mark.parametrize("protocol", ["sc", "swlrc", "hlrc", "tardis"])
+    def test_forward_carries_origin_and_reply_skips_forwarder(self, protocol):
+        """A forwarded request names its first sender in ``origin``
+        (the payload is passed through unwrapped), and the reply goes
+        from the real home straight back to that sender."""
+        from repro.hooks import Hooks
+
+        m = make(protocol)
+        seg = m.alloc(8192, "x")
+        block = seg.base // 1024
+        static = m.home.static_home(block)
+        owner = (static + 1) % 4
+        reader = (static + 2) % 4
+        m.place(seg.base, 1024, owner)
+        sent = []
+
+        class Record(Hooks):
+            def on_send(self, msg):
+                sent.append(msg)
+
+        m.add_hooks(Record())
+
+        def program(dsm, rank, nprocs):
+            if rank == reader:
+                yield from dsm.touch_read(seg.base, 64)
+            yield from dsm.barrier(0, participants=nprocs)
+
+        r = run_program(m, program, nprocs=4)
+        forwarded = [x for x in sent if x.origin >= 0]
+        assert len(forwarded) == r.stats.forwarded_requests >= 1
+        for fwd in forwarded:
+            assert fwd.origin == reader and fwd.src == static
+            assert fwd.dst == owner and fwd.block == block
+            assert not isinstance(fwd.payload, dict) or "inner" not in fwd.payload
+            assert any(x.src == owner and x.dst == reader and x.reply_to is fwd.reply_to
+                       for x in sent)
+        assert all(x.origin == -1 for x in sent if x not in forwarded)
+
+    def test_requester_of_reads_origin(self):
+        from repro.core.protocol import CoherenceProtocol
+        from repro.net.message import Message
+
+        payload = {"k": 1}
+        direct = Message(2, 0, "read_req", 24, 5, payload)
+        assert CoherenceProtocol.requester_of(direct) == (2, payload)
+        fwd = Message(1, 0, "read_req", 24, 5, payload, origin=3)
+        assert CoherenceProtocol.requester_of(fwd) == (3, payload)
+
     def test_second_request_goes_direct(self):
         m = make("hlrc")
         seg = m.alloc(8192, "x")

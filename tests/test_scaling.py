@@ -294,6 +294,34 @@ class TestHopDistances:
                 expect = hops_between(a, b, n) * params.switch_hop_us
                 assert net._hop_us[switch_of(a)][switch_of(b)] == expect
 
+    @pytest.mark.parametrize("n", [1, 6, 16, 32, 33, 64, 1024])
+    def test_network_hop_table_equals_helper_pairwise(self, n):
+        """The slice-filled table holds exactly ``hops_between * hop``:
+        every host pair below 1024 nodes, a sample of pairs at 1024."""
+        import random
+
+        from repro.cluster.config import MachineParams, switch_of
+        from repro.net.myrinet import Network
+        from repro.sim.engine import Engine
+        from repro.stats.counters import Stats
+
+        params = MachineParams(n_nodes=n)
+        net = Network(Engine(), params, Stats(n), lambda m: None)
+        n_switches = switch_of(n - 1) + 1
+        assert len(net._hop_us) == n_switches
+        assert all(len(row) == n_switches for row in net._hop_us)
+        if n < 1024:
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+        else:
+            rng = random.Random(1024)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20_000)]
+            pairs += [(0, b) for b in range(n)] + [(n - 1, b) for b in range(n)]
+        hop = params.switch_hop_us
+        for a, b in pairs:
+            want = hops_between(a, b, n) * hop
+            got = net._hop_us[switch_of(a)][switch_of(b)]
+            assert got == want and type(got) is type(want), (a, b)
+
 
 # ---------------------------------------------------------------------------
 # scale sweep
