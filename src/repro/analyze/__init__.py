@@ -1,14 +1,15 @@
 """Static analysis of DSM application programs (``repro.analyze``).
 
-This package verifies, *before any simulation runs*, that the app
-programs in ``repro.apps`` are properly labeled: every conflicting
+This package verifies, *before any measured simulation runs*, that the
+app programs in ``repro.apps`` are properly labeled: every conflicting
 shared access ordered by acquire/release/barrier synchronization or
 covered by a justified ``assume_disjoint`` annotation.  Relaxed
 consistency (SW-LRC / HLRC) only promises SC results for properly
 labeled programs, so this is the validity precondition for every
 number the simulator produces.
 
-``repro.analyze`` reads *source*; everything that post-processes
+``repro.analyze`` reads *source* (plus the footprints of one tiny
+run); everything that post-processes
 *results* (tables, classification, cost-model sensitivity) lives in
 ``repro.harness`` and ``repro.stats``.
 
@@ -21,7 +22,8 @@ Layers (see docs/ANALYSIS_STATIC.md):
 * ``dataflow``   -- lockset + barrier-region dataflow -> per-site
                     synchronization contexts
 * ``footprint``  -- small-scope concretization: per-rank byte-interval
-                    footprints from a recording DSM stub
+                    footprints recorded through the hooks of a real
+                    tiny-machine run
 * ``drf``        -- the labeling checker (ANA1xx) + assume_disjoint
                     audit
 * ``falseshare`` -- static false-sharing prediction per granularity

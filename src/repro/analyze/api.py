@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analyze import drf
@@ -117,7 +118,7 @@ def _wants_both_modes(app_cls: type) -> bool:
         if not file:
             continue
         try:
-            if "uses_notices" in open(file).read():
+            if "uses_notices" in Path(file).read_text():
                 return True
         except OSError:
             continue
@@ -148,7 +149,7 @@ def _apply_noqa(findings: List[Finding]) -> Tuple[List[Finding], List[Finding]]:
         path = str(f.path)
         if path not in sources:
             try:
-                sources[path] = open(path).read()
+                sources[path] = Path(path).read_text()
             except OSError:
                 sources[path] = ""
         if filter_noqa([f], sources[path]):

@@ -30,6 +30,7 @@ import ast
 import re
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analyze.core import Finding
@@ -178,7 +179,7 @@ class CfgBuilder:
     def _module_tree(self, file: str) -> Optional[ast.Module]:
         if file not in self._source_cache:
             try:
-                source = open(file).read()
+                source = Path(file).read_text()
                 self._source_cache[file] = (source, ast.parse(source, filename=file))
             except (OSError, SyntaxError):
                 self._source_cache[file] = ("", None)  # type: ignore[assignment]

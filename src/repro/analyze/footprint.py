@@ -2,24 +2,25 @@
 
 The labeling checker needs concrete byte ranges and concrete lock ids
 -- "``100 + owner``" only becomes checkable once ``owner`` has a
-value.  This module runs each app program against a **recording DSM
-stub**: no simulator engine, no protocol, no timing -- just the
-``runtime/dsm.py`` generator API surface, recording every access into
-per-rank, per-synchronization-segment byte-interval sets.
+value.  :func:`explore` runs each app program on a **real tiny
+machine** -- the simulator itself, sc for the SC-family mode and hlrc
+for the LRC mode, at 4096-byte blocks -- with a
+:class:`FootprintRecorder` subscribed to its hooks, recording every
+access into per-rank, per-synchronization-segment byte-interval sets.
 
-The driver is a canonical round-robin coroutine scheduler: every rank
-advances one DSM operation per turn, blocked ranks park on FIFO lock
-queues or barrier arrival sets.  This is *one* schedule, but the
-verdicts never depend on which one: the checker only uses
+The run follows the machine's own schedule.  That is *one* schedule,
+but the verdicts never depend on which one: the checker only uses
 schedule-independent order (barrier episodes and common locksets),
-never the accidental interleaving the driver happened to produce.
-The near-lockstep interleaving only matters for *realism* of
-value-dependent control flow (task queues drain evenly, steals happen
-at the tail, like a real run).
+never the accidental interleaving the run happened to produce.  The
+schedule only decides which value-dependent paths execute -- under
+real timing, task queues drain unevenly and work-stealing apps steal,
+like a full-size run.
 
 A stuck exploration is itself a finding: ranks parked forever on a
 barrier is phase skew (ANA102), on a lock it is a lost release
-(ANA106).
+(ANA106), and so are a release of a lock the rank does not hold and a
+lock still held when its rank finishes.  Any other crash, or the event
+budget running out, leaves the analysis incomplete (ANA107).
 
 Segments
 --------
@@ -33,29 +34,19 @@ schedule-independent happens-before between segments.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.memory.address_space import AddressSpace
-
-#: files whose frames are skipped when attributing an access to app
-#: source (this module and the stdlib contextmanager plumbing)
-_PLUMBING = ("repro/analyze/", "contextlib.py")
-
-
-def _app_site() -> Tuple[str, int, str]:
-    """(file, line, function) of the innermost app-code frame."""
-    frame = sys._getframe(2)
-    while frame is not None:
-        fname = frame.f_code.co_filename.replace("\\", "/")
-        if (not any(p in fname for p in _PLUMBING)
-                or fname.endswith("/canary.py")):  # the planted app IS app code
-            return (fname, frame.f_lineno, frame.f_code.co_name)
-        frame = frame.f_back
-    return ("<unknown>", 0, "?")
+from repro.check.race import app_site, is_plumbing
+from repro.cluster.config import MachineParams
+from repro.cluster.machine import Machine
+from repro.hooks import Hooks
+from repro.runtime.program import Deadlock, run_program
+from repro.sim.engine import SimulationError
+from repro.sim.process import Process, ProcessCrashed
+from repro.sync.barriers import BarrierService
+from repro.sync.locks import LockService
 
 
 class IntervalSet:
@@ -181,8 +172,6 @@ class Exploration:
     stalls: List[Stall] = field(default_factory=list)
     lock_errors: List[LockError] = field(default_factory=list)
     crashes: List[Tuple[int, str]] = field(default_factory=list)
-    #: named segment placements from setup(), for reporting
-    placements: List[Tuple[int, int, int]] = field(default_factory=list)
     n_ops: int = 0
 
     def segments_by_rank(self) -> List[List[Segment]]:
@@ -192,30 +181,32 @@ class Exploration:
         return out
 
 
-class _Recorder:
-    """Shared recording state across all ranks of one exploration."""
+class FootprintRecorder(Hooks):
+    """Hooks subscriber recording one run's footprints into ``result``."""
 
     def __init__(self, result: Exploration):
         self.result = result
         self._site_ids: Dict[Tuple[str, int, str], int] = {}
         self._disjoint_ids: Dict[Tuple[str, int, str], int] = {}
         n = result.nprocs
-        self.clocks: List[List[int]] = [[0] * n for _ in range(n)]
-        for r in range(n):
-            self.clocks[r][r] = 1
+        #: barrier-only vector clock per rank (replaced, never mutated)
+        self.clocks: List[Tuple[int, ...]] = [
+            tuple(int(i == r) for i in range(n)) for r in range(n)]
         self.held: List[List[int]] = [[] for _ in range(n)]
         self.disjoint: List[List[int]] = [[] for _ in range(n)]
         self._seg: List[Optional[Segment]] = [None] * n
         self._seg_count = [0] * n
+        #: (barrier_id, episode) -> clocks of the ranks that entered it
+        self._entries: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
 
-    def site_id(self, site: Tuple[str, int, str]) -> int:
+    def _site_id(self, site: Tuple[str, int, str]) -> int:
         sid = self._site_ids.get(site)
         if sid is None:
             sid = self._site_ids[site] = len(self.result.sites)
             self.result.sites.append(site)
         return sid
 
-    def disjoint_id(self, site: Tuple[str, int, str]) -> int:
+    def _disjoint_id(self, site: Tuple[str, int, str]) -> int:
         did = self._disjoint_ids.get(site)
         if did is None:
             did = self._disjoint_ids[site] = len(self.result.disjoint_sites)
@@ -223,16 +214,13 @@ class _Recorder:
             self.result.disjoint_entered.append(0)
         return did
 
-    def _cut(self, rank: int) -> None:
-        self._seg[rank] = None
-
-    def segment(self, rank: int) -> Segment:
+    def _segment(self, rank: int) -> Segment:
         seg = self._seg[rank]
         if seg is None:
             seg = Segment(
                 rank,
                 self._seg_count[rank],
-                tuple(self.clocks[rank]),
+                self.clocks[rank],
                 frozenset(self.held[rank]),
                 tuple(self.disjoint[rank]),
             )
@@ -241,284 +229,169 @@ class _Recorder:
             self.result.segments.append(seg)
         return seg
 
-    # -- recording callbacks from the stub -----------------------------
+    # -- hook interface --------------------------------------------------
 
-    def access(self, rank: int, site: Tuple[str, int, str], is_write: bool,
-               addr: int, size: int) -> None:
+    def on_region(self, node_id: int, addr: int, size: int, write: bool) -> None:
         if size <= 0:
             return
         self.result.n_ops += 1
-        self.segment(rank).add(self.site_id(site), is_write, addr, addr + size)
+        self._segment(node_id).add(
+            self._site_id(app_site()), write, addr, addr + size)
 
-    def lock_acquired(self, rank: int, lock: int) -> None:
-        self.held[rank].append(lock)
-        self._cut(rank)
+    def on_acquire(self, node_id: int, lock_id: int) -> None:
+        self.held[node_id].append(lock_id)
+        self._seg[node_id] = None
 
-    def lock_released(self, rank: int, lock: int) -> None:
-        if lock in self.held[rank]:
-            self.held[rank].remove(lock)
-        self._cut(rank)
+    def on_release(self, node_id: int, lock_id: int) -> None:
+        self.held[node_id].remove(lock_id)  # fires only for a held lock
+        self._seg[node_id] = None
 
-    def barrier_exit(self, rank: int, merged: Sequence[int]) -> None:
-        clock = [max(a, b) for a, b in zip(self.clocks[rank], merged)]
-        clock[rank] += 1
-        self.clocks[rank] = clock
-        self._cut(rank)
+    def on_barrier_enter(self, node_id: int, barrier_id: int, episode: int) -> None:
+        self._entries.setdefault((barrier_id, episode), []).append(
+            self.clocks[node_id])
 
-    def disjoint_enter(self, rank: int, site: Tuple[str, int, str]) -> None:
-        did = self.disjoint_id(site)
-        self.result.disjoint_entered[did] += 1
-        self.disjoint[rank].append(did)
-        self._cut(rank)
+    def on_barrier_exit(self, node_id: int, barrier_id: int, episode: int) -> None:
+        # The manager releases an episode only once every participant
+        # has arrived, so its entry list is complete at any exit.
+        clock = [max(c) for c in zip(*self._entries[(barrier_id, episode)])]
+        clock[node_id] += 1
+        self.clocks[node_id] = tuple(clock)
+        self._seg[node_id] = None
 
-    def disjoint_exit(self, rank: int) -> None:
-        if self.disjoint[rank]:
-            self.disjoint[rank].pop()
-        self._cut(rank)
-
-
-class _StaticParams:
-    """The parameter surface apps read during setup/program."""
-
-    def __init__(self, n_nodes: int, granularity: int):
-        self.n_nodes = n_nodes
-        self.granularity = granularity
+    def on_assume_disjoint(self, node_id: int, active: bool, reason: str) -> None:
+        if active:
+            file, line, _ = app_site()
+            did = self._disjoint_id((file, line, reason))
+            self.result.disjoint_entered[did] += 1
+            self.disjoint[node_id].append(did)
+        else:
+            self.disjoint[node_id].pop()
+        self._seg[node_id] = None
 
 
-class _StaticProtocol:
-    def __init__(self, uses_notices: bool):
-        self.uses_notices = uses_notices
-        self.name = "static-lrc" if uses_notices else "static-sc"
+#: event budget of one exploration run -- a backstop against runaway
+#: programs, far above what any tiny-scale app needs
+MAX_EVENTS = 5_000_000
+
+_ACQUIRE = LockService.acquire.__code__
+_RELEASE = LockService.release.__code__
+_BARRIER = BarrierService.barrier.__code__
 
 
-class StaticMachine:
-    """Allocation + placement surface for ``app.setup(machine)``.
-
-    Uses the real :class:`AddressSpace`, so segment addresses and
-    page alignment match what a simulated run would see -- the
-    false-sharing predictor folds *these* addresses against each
-    granularity.
-    """
-
-    def __init__(self, nprocs: int, granularity: int = 4096,
-                 lrc_mode: bool = False):
-        self.params = _StaticParams(nprocs, granularity)
-        self.space = AddressSpace()
-        self.protocol = _StaticProtocol(lrc_mode)
-        self.placements: List[Tuple[int, int, int]] = []
-
-    def alloc(self, size: int, name: str, align: Optional[int] = None):
-        if align is None:
-            return self.space.alloc(size, name)
-        return self.space.alloc(size, name, align=align)
-
-    def place(self, addr: int, size: int, node: int) -> None:
-        self.placements.append((addr, size, node))
-
-    def place_segment(self, seg, node: int) -> None:
-        self.placements.append((seg.base, seg.size, node))
-
-    def init_data(self, *a, **kw) -> None:
-        pass
+def _rank(proc: Process) -> int:
+    return int(proc.name[len("rank"):])  # run_program names them rank<r>
 
 
-class StaticDsm:
-    """Recording stand-in for :class:`repro.runtime.dsm.Dsm`.
-
-    Access methods are generator functions that record on first
-    ``next()`` -- exactly the semantics that make a missing
-    ``yield from`` (SIM007) a real bug: an undriven generator records
-    nothing, matching the runtime where it simulates nothing.
-
-    Synchronization methods yield a marker tuple to the exploration
-    driver, which implements FIFO lock grants and barrier episodes.
-    """
-
-    def __init__(self, machine: StaticMachine, rank: int, rec: _Recorder):
-        self.machine = machine
-        self.rank = rank
-        self.params = machine.params
-        self._rec = rec
-
-    @property
-    def node_id(self) -> int:
-        return self.rank
-
-    @property
-    def now(self) -> float:
-        return 0.0
-
-    def compute(self, us: float):
-        return iter(())
-
-    def read(self, addr: int, size: int):
-        self._rec.access(self.rank, _app_site(), False, addr, size)
-        yield ("step",)
-        return bytearray(size)
-
-    def write(self, addr: int, data):
-        self._rec.access(self.rank, _app_site(), True, addr, len(data))
-        yield ("step",)
-
-    def touch_read(self, addr: int, size: int):
-        self._rec.access(self.rank, _app_site(), False, addr, size)
-        yield ("step",)
-
-    def touch_write(self, addr: int, size: int, *, pattern: int = -1):
-        self._rec.access(self.rank, _app_site(), True, addr, size)
-        yield ("step",)
-
-    def assume_disjoint(self, reason: str):
-        return _DisjointScope(self._rec, self.rank)
-
-    def acquire(self, lock_id: int):
-        yield ("acquire", int(lock_id), _app_site())
-        self._rec.lock_acquired(self.rank, int(lock_id))
-
-    def release(self, lock_id: int):
-        yield ("release", int(lock_id), _app_site())
-        self._rec.lock_released(self.rank, int(lock_id))
-
-    def barrier(self, barrier_id: int, participants: Optional[int] = None):
-        episode: dict = {}
-        yield ("barrier", int(barrier_id), participants, _app_site(), episode)
-        self._rec.barrier_exit(self.rank, episode["merged"])
+def _chain(gen) -> Iterator:
+    """Frames of a parked generator's ``yield from`` chain, outermost
+    first."""
+    while getattr(gen, "gi_frame", None) is not None:
+        yield gen.gi_frame
+        gen = gen.gi_yieldfrom
 
 
-class _DisjointScope:
-    """Synchronous context manager mirroring ``Dsm.assume_disjoint``."""
-
-    __slots__ = ("_rec", "_rank")
-
-    def __init__(self, rec: _Recorder, rank: int):
-        self._rec = rec
-        self._rank = rank
-
-    def __enter__(self):
-        self._rec.disjoint_enter(self._rank, _app_site())
-        return self
-
-    def __exit__(self, *exc):
-        self._rec.disjoint_exit(self._rank)
-        return False
+def _innermost_app(frames) -> Tuple[str, int, str]:
+    """(file, line, function) of the innermost app frame among
+    ``(frame, line)`` pairs listed outermost first."""
+    site = ("<unknown>", 0, "?")
+    for frame, line in frames:
+        code = frame.f_code
+        if not is_plumbing(code):
+            site = (code.co_filename, line, code.co_name)
+    return site
 
 
-#: hard cap on driver steps -- a backstop against runaway programs,
-#: far above what any tiny-scale app needs
-MAX_STEPS = 5_000_000
-
-
-def explore(app, nprocs: int = 4, *, granularity: int = 4096,
-            lrc_mode: bool = False) -> Exploration:
-    """Run ``app`` (an Application instance) through the recording
-    stub under the canonical scheduler and return its footprints."""
-    result = Exploration(nprocs=nprocs, lrc_mode=lrc_mode)
-    machine = StaticMachine(nprocs, granularity=granularity, lrc_mode=lrc_mode)
-    app.setup(machine)
-    result.placements = machine.placements
-    rec = _Recorder(result)
-    gens = [app.program(StaticDsm(machine, r, rec), r, nprocs)
-            for r in range(nprocs)]
-    ready = deque(range(nprocs))
-    state = ["ready"] * nprocs  # ready | lock | barrier | done | crashed
-    wait_info: List[Optional[tuple]] = [None] * nprocs
-    lock_holder: Dict[int, int] = {}
-    lock_waiters: Dict[int, deque] = {}
-    bar_arrivals: Dict[int, list] = {}  # bid -> [(rank, episode dict)]
-    steps = 0
-
-    def wake(rank: int) -> None:
-        state[rank] = "ready"
-        wait_info[rank] = None
-        ready.append(rank)
-
-    while ready and steps < MAX_STEPS:
-        steps += 1
-        rank = ready.popleft()
-        try:
-            item = next(gens[rank])
-        except StopIteration:
-            state[rank] = "done"
-            continue
-        except Exception as exc:  # app bug: surface, don't crash the tool
-            state[rank] = "crashed"
-            result.crashes.append((rank, f"{type(exc).__name__}: {exc}"))
-            continue
-        tag = item[0] if isinstance(item, tuple) and item else None
-        if tag == "acquire":
-            _, lock, site = item
-            if lock not in lock_holder:
-                lock_holder[lock] = rank
-                ready.append(rank)  # resumes past the yield, records grant
-            else:
-                state[rank] = "lock"
-                wait_info[rank] = (lock, site)
-                lock_waiters.setdefault(lock, deque()).append(rank)
-        elif tag == "release":
-            _, lock, site = item
-            if lock_holder.get(lock) != rank:
-                result.lock_errors.append(LockError(
-                    rank, lock,
-                    f"release of lock {lock} not held by rank {rank}", site))
-            else:
-                del lock_holder[lock]
-                waiters = lock_waiters.get(lock)
-                if waiters:
-                    nxt = waiters.popleft()
-                    lock_holder[lock] = nxt
-                    wake(nxt)
-            ready.append(rank)
-        elif tag == "barrier":
-            _, bid, participants, site, episode = item
-            need = participants if participants is not None else nprocs
-            arrivals = bar_arrivals.setdefault(bid, [])
-            arrivals.append((rank, episode))
-            state[rank] = "barrier"
-            wait_info[rank] = (bid, site)
-            if len(arrivals) >= need:
-                merged = [0] * nprocs
-                for r, _ in arrivals:
-                    for i, v in enumerate(rec.clocks[r]):
-                        if v > merged[i]:
-                            merged[i] = v
-                for r, ep in arrivals:
-                    ep["merged"] = merged
-                    wake(r)
-                bar_arrivals[bid] = []
-        else:  # ("step",) or a stray plain yield from app code
-            ready.append(rank)
-
-    # -- stall / leak detection ----------------------------------------
-    for rank in range(nprocs):
-        if state[rank] == "lock":
-            lock, site = wait_info[rank]
-            holder = lock_holder.get(lock)
+def _record_stalls(machine: Machine, parked: List[Process],
+                   result: Exploration) -> None:
+    """What each rank parked at the deadlock waits for, and where."""
+    n = result.nprocs
+    absent = sorted(set(range(n)) - {_rank(p) for p in parked})
+    holders = machine.locks.holders()
+    for proc in parked:
+        rank = _rank(proc)
+        frames = list(_chain(proc.generator))
+        site = _innermost_app((f, f.f_lineno) for f in frames)
+        wait = next((f for f in frames if f.f_code in (_ACQUIRE, _BARRIER)),
+                    None)
+        if wait is None:
+            result.crashes.append(
+                (rank, "parked forever outside any lock or barrier wait"))
+        elif wait.f_code is _ACQUIRE:
+            lock = wait.f_locals["lock_id"]
             result.stalls.append(Stall(
                 rank, "lock",
-                f"waiting forever for lock {lock} (held by rank {holder})",
-                site))
-        elif state[rank] == "barrier":
-            bid, site = wait_info[rank]
-            n_arrived = len(bar_arrivals.get(bid, []))
-            absent = [r for r in range(nprocs)
-                      if state[r] in ("done", "crashed")]
+                f"waiting forever for lock {lock} (held by rank "
+                f"{holders.get(lock)})", site))
+        else:
+            bid, episode = wait.f_locals["barrier_id"], wait.f_locals["episode"]
             result.stalls.append(Stall(
                 rank, "barrier",
-                f"waiting forever at barrier({bid}) with {n_arrived}/"
-                f"{nprocs} arrivals (ranks {absent} never arrive)",
-                site))
-    for lock, holder in sorted(lock_holder.items()):
-        if state[holder] == "done":
+                f"waiting forever at barrier({bid}) with "
+                f"{machine.barriers.arrivals(bid, episode)}/{n} arrivals "
+                f"(ranks {absent} never arrive)", site))
+
+
+def _record_crash(exc: ProcessCrashed, result: Exploration) -> None:
+    """A release of a lock the rank does not hold is a lock error at
+    the release's app line; any other crash leaves the run incomplete."""
+    rank = _rank(exc.process)
+    cause = exc.__cause__
+    frames = []
+    tb = cause.__traceback__
+    while tb is not None:
+        frames.append((tb.tb_frame, tb.tb_lineno))
+        tb = tb.tb_next
+    raiser = frames[-1][0]
+    if raiser.f_code is _RELEASE:
+        lock = raiser.f_locals["lock_id"]
+        result.lock_errors.append(LockError(
+            rank, lock, f"release of lock {lock} not held by rank {rank}",
+            _innermost_app(frames)))
+    else:
+        result.crashes.append((rank, f"{type(cause).__name__}: {cause}"))
+
+
+def explore(app, nprocs: int = 4, *, lrc_mode: bool = False) -> Exploration:
+    """Run ``app`` (an Application instance) on a tiny ``nprocs``-node
+    machine under a :class:`FootprintRecorder` and return its
+    footprints and structural outcome."""
+    result = Exploration(nprocs=nprocs, lrc_mode=lrc_mode)
+    machine = Machine(MachineParams(n_nodes=nprocs, granularity=4096),
+                      protocol="hlrc" if lrc_mode else "sc",
+                      max_events=MAX_EVENTS)
+    try:
+        machine.add_hooks(FootprintRecorder(result))
+        app.setup(machine)
+        _run(machine, app, result)
+    finally:
+        machine.close()
+    return result
+
+
+def _run(machine: Machine, app, result: Exploration) -> None:
+    """Run the program to its end and record how it ended."""
+    parked: List[Process] = []
+    try:
+        run_program(machine, app.program, result.nprocs)
+    except Deadlock as exc:
+        parked = exc.unfinished
+        _record_stalls(machine, parked, result)
+    except ProcessCrashed as exc:
+        _record_crash(exc, result)
+        return
+    except SimulationError as exc:  # the event budget ran out
+        result.crashes.append((-1, str(exc)))
+        return
+    finished = set(range(result.nprocs)) - {_rank(p) for p in parked}
+    for lock, holder in sorted(machine.locks.holders().items()):
+        if holder in finished:
             result.lock_errors.append(LockError(
                 holder, lock,
                 f"lock {lock} still held by rank {holder} at program end "
                 "(missing release)", ("<end>", 0, "?")))
-    if steps >= MAX_STEPS:
-        result.crashes.append((-1, f"exploration exceeded {MAX_STEPS} steps"))
-    return result
 
 
 __all__ = [
     "IntervalSet", "Segment", "ordered", "Exploration", "Stall", "LockError",
-    "StaticMachine", "StaticDsm", "explore",
+    "FootprintRecorder", "explore",
 ]

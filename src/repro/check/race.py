@@ -68,9 +68,12 @@ MAX_RANGES = 16
 
 #: source paths whose frames are skipped when attributing an access to
 #: application code (the runtime plumbing between the app generator and
-#: the hook callback); apps and test programs live outside these
+#: the hook callback, the stdlib context-manager machinery of
+#: ``assume_disjoint``, and the hook subscribers that attribute); apps
+#: and test programs live outside these
 _PLUMBING = ("/repro/runtime/", "/repro/check/", "/repro/sync/",
-             "/repro/sim/", "/repro/cluster/", "/repro/hooks")
+             "/repro/sim/", "/repro/cluster/", "/repro/hooks",
+             "/contextlib.py", "/repro/analyze/footprint.py")
 
 
 def resolve_unit(granularity, block_bytes: int) -> int:
@@ -88,44 +91,37 @@ def resolve_unit(granularity, block_bytes: int) -> int:
         ) from None
 
 
-#: code object -> None for runtime plumbing (see :data:`_PLUMBING`),
-#: else the basename of its source file; filled on first sight, so the
-#: stack walk of each access matches strings once per function
-_CODE_FILES: Dict[CodeType, Optional[str]] = {}
+#: code object -> True for runtime plumbing (see :data:`_PLUMBING`);
+#: filled on first sight, so each stack walk matches strings once per
+#: function
+_PLUMBING_CODES: Dict[CodeType, bool] = {}
 
 
-def _app_file(code: CodeType) -> Optional[str]:
-    """Basename of ``code``'s source file, or None for plumbing."""
+def is_plumbing(code: CodeType) -> bool:
+    """True when ``code`` belongs to the runtime plumbing."""
     try:
-        return _CODE_FILES[code]
+        return _PLUMBING_CODES[code]
     except KeyError:
         filename = code.co_filename.replace("\\", "/")
-        name = (None if any(p in filename for p in _PLUMBING)
-                else filename.rsplit("/", 1)[-1])
-        _CODE_FILES[code] = name
-        return name
+        hit = _PLUMBING_CODES[code] = any(p in filename for p in _PLUMBING)
+        return hit
 
 
-def _app_location() -> str:
-    """Source location of the innermost application frame.
+def app_site() -> Tuple[str, int, str]:
+    """``(file, line, function)`` of the innermost application frame.
 
     Generator resumption pushes the whole ``yield from`` chain onto the
-    stack, so walking ``f_back`` from here passes through the runtime
-    plumbing and reaches the app generator that issued the access.
+    stack, so walking ``f_back`` from a hook callback passes through the
+    runtime plumbing and reaches the app generator that issued the
+    access (or entered the ``assume_disjoint`` scope).
     """
     f = sys._getframe(1)
-    fallback = None
     while f is not None:
         code = f.f_code
-        name = _app_file(code)
-        if name is not None:
-            return f"{name}:{f.f_lineno} in {code.co_name}"
-        fallback = f
+        if not is_plumbing(code):
+            return (code.co_filename, f.f_lineno, code.co_name)
         f = f.f_back
-    if fallback is not None:  # pragma: no cover - plumbing-only stack
-        return (f"{fallback.f_code.co_filename.rsplit('/', 1)[-1]}:"
-                f"{fallback.f_lineno} in {fallback.f_code.co_name}")
-    return "<unknown>"  # pragma: no cover
+    return ("<unknown>", 0, "?")  # pragma: no cover - plumbing-only stack
 
 
 @dataclass(frozen=True)
@@ -290,13 +286,14 @@ class RaceDetector(Hooks):
     def _site(self, node_id: int, write: bool, addr: int, size: int) -> AccessSite:
         """The :class:`AccessSite` of the access being checked (called
         from inside :meth:`on_region`, while its frames are live)."""
+        file, line, func = app_site()
         return AccessSite(
             node=node_id,
             write=write,
             addr=addr,
             size=size,
             time_us=self.engine.now,
-            location=_app_location(),
+            location=f"{file.rsplit('/', 1)[-1]}:{line} in {func}",
             sync_context=self._context[node_id],
         )
 

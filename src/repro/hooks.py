@@ -6,7 +6,9 @@ inits pull in before the runtime exists -- without creating a cycle.
 
 This is the machine's one observation seam: every in-tree observer
 (the :mod:`repro.check` race detector and invariant sanitizer, the mc
-footprint recorder, :class:`~repro.stats.timeline.Timeline`,
+footprint recorder, the static analyzer's
+:class:`~repro.analyze.footprint.FootprintRecorder`,
+:class:`~repro.stats.timeline.Timeline`,
 :class:`~repro.stats.classify.AccessTrace`) subscribes here, and none
 patches a machine method.  The observation points are
 

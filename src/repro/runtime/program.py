@@ -11,12 +11,21 @@ section becomes ``stats.parallel_time_us``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.machine import Machine
 from repro.runtime.dsm import Dsm
 from repro.sim.process import Process
 from repro.stats.counters import Stats
+
+
+class Deadlock(RuntimeError):
+    """The engine drained while processes were still parked; they are
+    :attr:`unfinished`, in rank order (process ``rank<r>`` runs rank r)."""
+
+    def __init__(self, message: str, unfinished: Sequence[Process] = ()):
+        super().__init__(message)
+        self.unfinished = list(unfinished)
 
 
 @dataclass
@@ -57,11 +66,12 @@ def run_program(
         gen = program(dsm, rank, n, **kwargs)
         procs.append(Process(machine.engine, gen, name=f"rank{rank}"))
     machine.run()
-    unfinished = [p.name for p in procs if not p.finished]
+    unfinished = [p for p in procs if not p.finished]
     if unfinished:
-        raise RuntimeError(
-            f"deadlock: processes never finished: {unfinished} "
-            f"(simulated t={machine.engine.now:.1f}us)"
+        raise Deadlock(
+            f"deadlock: processes never finished: {[p.name for p in unfinished]} "
+            f"(simulated t={machine.engine.now:.1f}us)",
+            unfinished,
         )
     elapsed = machine.engine.now - start
     machine.stats.parallel_time_us = elapsed

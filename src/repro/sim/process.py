@@ -22,7 +22,12 @@ from repro.sim.engine import Engine, SimulationError
 
 
 class ProcessCrashed(SimulationError):
-    """A process generator raised; the original traceback is chained."""
+    """A process generator raised; the original exception is chained
+    (``__cause__``) and the crashed :class:`Process` is :attr:`process`."""
+
+    def __init__(self, message: str, process: Optional["Process"] = None):
+        super().__init__(message)
+        self.process = process
 
 
 class Future:
@@ -143,6 +148,12 @@ class Process:
         engine.post(0.0, self._step, None)
 
     @property
+    def generator(self) -> Generator:
+        """The wrapped generator; while the process is parked, its
+        ``gi_yieldfrom`` chain ends at the effect it waits on."""
+        return self._gen
+
+    @property
     def completion(self) -> Future:
         """Future resolved (with the generator's return value) at exit."""
         if self._completion is None:
@@ -167,7 +178,8 @@ class Process:
             return
         except Exception as exc:  # noqa: BLE001 - rewrap with process name
             self.finished = True
-            raise ProcessCrashed(f"process {self.name!r} crashed: {exc!r}") from exc
+            raise ProcessCrashed(
+                f"process {self.name!r} crashed: {exc!r}", self) from exc
         if type(effect) is float:
             if effect < 0.0:
                 raise SimulationError(f"process {self.name!r} slept negative time {effect}")

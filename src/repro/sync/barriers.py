@@ -48,6 +48,11 @@ class BarrierService:
     def manager_of(self, barrier_id: int) -> int:
         return barrier_id % self.params.n_nodes
 
+    def arrivals(self, barrier_id: int, episode: int) -> int:
+        """Arrivals the manager holds for an episode not yet released."""
+        ep = self._episodes.get((barrier_id, episode))
+        return 0 if ep is None else len(ep.arrivals)
+
     # ------------------------------------------------------------------
     # application side
     # ------------------------------------------------------------------

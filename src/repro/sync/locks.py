@@ -90,6 +90,11 @@ class LockService:
             self._holder[key] = st
         return st
 
+    def holders(self) -> Dict[int, int]:
+        """Lock id -> the node holding it, for every lock held now."""
+        return {lock: nid for (nid, lock), st in self._holder.items()
+                if st.holding}
+
     # ------------------------------------------------------------------
     # application side (generators)
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ Three layers of assurance:
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
@@ -27,6 +28,13 @@ NPROCS = 4
 
 def codes(analysis):
     return sorted({f.code for f in analysis.findings})
+
+
+def _line_of(app_cls, text):
+    """Line number of the first line of ``app_cls.program`` containing
+    ``text``."""
+    lines, start = inspect.getsourcelines(app_cls.program)
+    return start + next(i for i, ln in enumerate(lines) if text in ln)
 
 
 # ======================================================================
@@ -58,6 +66,30 @@ class MissingRelease(_PlantedBase):
         yield from dsm.touch_write(self.data.addr(0), 64, pattern=1)
         if rank != 0:
             yield from dsm.release(7)
+
+
+class UnheldRelease(_PlantedBase):
+    """The last rank releases a lock it never acquired."""
+
+    name = "planted-unheld-release"
+
+    def program(self, dsm, rank, nprocs):
+        yield from dsm.barrier(0)
+        if rank == nprocs - 1:
+            yield from dsm.release(3)
+        yield from dsm.touch_write(self.data.addr(rank * 64), 64, pattern=1)
+
+
+class MidProgramCrash(_PlantedBase):
+    """Rank 2 raises between its barriers."""
+
+    name = "planted-mid-program-crash"
+
+    def program(self, dsm, rank, nprocs):
+        yield from dsm.barrier(0)
+        if rank == 2:
+            raise ValueError("planted failure")
+        yield from dsm.barrier(1)
 
 
 class PhaseSkew(_PlantedBase):
@@ -143,6 +175,22 @@ class TestPlantedBugs:
         msgs = " | ".join(f.message for f in a.findings)
         assert "never released" in msgs or "still held" in msgs
 
+    def test_unheld_release_is_ana106_at_the_release(self):
+        a = analyze_app(UnheldRelease, nprocs=NPROCS)
+        assert codes(a) == ["ANA106"]
+        (f,) = a.findings
+        assert f.message == (
+            f"release of lock 3 not held by rank {NPROCS - 1}")
+        assert f.line == _line_of(UnheldRelease, "yield from dsm.release(3)")
+
+    def test_mid_program_crash_is_ana107_naming_the_rank(self):
+        a = analyze_app(MidProgramCrash, nprocs=NPROCS)
+        assert codes(a) == ["ANA107"]
+        (f,) = a.findings
+        assert f.message.startswith(
+            "rank 2 crashed during footprint exploration: ValueError")
+        assert "planted failure" in f.message
+
     def test_phase_skew_is_ana102(self):
         a = analyze_app(PhaseSkew, nprocs=NPROCS)
         assert "ANA102" in codes(a)
@@ -166,6 +214,9 @@ class TestPlantedBugs:
         a = analyze_app(StaleDisjoint, nprocs=NPROCS)
         assert codes(a) == ["ANA104"]
         assert "unnecessary" in a.findings[0].message
+        # the scope is named by its reason, not its enclosing function
+        assert ('assume_disjoint("leftover from an old sharing pattern")'
+                in a.findings[0].message)
 
     def test_overbroad_disjoint_is_ana105(self):
         a = analyze_app(OverbroadDisjoint, nprocs=NPROCS)
@@ -198,6 +249,14 @@ class TestCorpus:
         for name in ("barnes-original", "barnes-parttree", "barnes-spatial"):
             assert [m.lrc_mode for m in by_name[name].modes] == [False, True]
         assert [m.lrc_mode for m in by_name["lu"].modes] == [False]
+
+    def test_work_stealing_path_is_explored(self, corpus):
+        # Under the machine's real schedule a rank that drains its own
+        # queue steals under the victim's queue lock, which cuts extra
+        # segments; a schedule where no rank ever steals leaves one
+        # segment per rank.
+        (sc,) = {a.name: a for a in corpus.apps}["volrend-original"].modes
+        assert sc.n_segments > NPROCS
 
     def test_annotations_all_justified(self, corpus):
         """Every assume_disjoint in the corpus exempts real pairs
@@ -305,9 +364,34 @@ class TestExploration:
         assert e.n_ops > 0
 
     def test_missing_release_stalls_other_ranks(self):
+        # How many ranks get lock 7 before rank 0 keeps it depends on
+        # the grant order; what holds on every schedule: each rank that
+        # got the lock wrote under it, and every other rank is stalled
+        # on lock 7, which rank 0 still holds at its end.
         e = explore(MissingRelease(scale="tiny"), NPROCS)
-        assert [s.kind for s in e.stalls] == ["lock"] * (NPROCS - 1)
-        assert any("still held" in err.message for err in e.lock_errors)
+        got_lock = {seg.rank for seg in e.segments}
+        assert 0 in got_lock
+        assert {s.rank for s in e.stalls} == set(range(NPROCS)) - got_lock
+        assert e.stalls
+        for s in e.stalls:
+            assert s.kind == "lock"
+            assert s.detail == "waiting forever for lock 7 (held by rank 0)"
+        assert [(err.rank, err.lock) for err in e.lock_errors] == [(0, 7)]
+        assert "still held" in e.lock_errors[0].message
+
+    def test_rank_parked_outside_sync_is_incomplete(self):
+        from repro.sim.process import Future
+
+        class ParkedOnOwnFuture(_PlantedBase):
+            def program(self, dsm, rank, nprocs):
+                yield from dsm.barrier(0)
+                if rank == 1:
+                    yield Future(dsm.machine.engine)  # never resolved
+
+        e = explore(ParkedOnOwnFuture(scale="tiny"), NPROCS)
+        assert not e.stalls and not e.lock_errors
+        assert e.crashes == [
+            (1, "parked forever outside any lock or barrier wait")]
 
 
 # ======================================================================
