@@ -35,7 +35,9 @@ def golden_configs() -> List[RunConfig]:
     4 nodes: lu, ocean-rowwise x the same x polling/interrupt (the cells
     the DefaultPolicy check re-runs); 128 and 1024 nodes at 1 KB blocks,
     above the wide-copyset (sorted fan-out, group headers) and
-    tiered-fabric switch points."""
+    tiered-fabric switch points; 4 nodes again for the two extension
+    protocols erc and dc, with barnes-original's fine-grain locks added
+    to lu and ocean-rowwise."""
     protos = scaling_protocols()
     return [
         RunConfig(app=app, protocol=p, granularity=g, nprocs=16, scale="tiny")
@@ -54,6 +56,13 @@ def golden_configs() -> List[RunConfig]:
         for n in (128, 1024)
         for app in ("lu", "ocean-rowwise")
         for p in protos
+    ] + [
+        RunConfig(app=app, protocol=p, granularity=g, mechanism=mech,
+                  nprocs=4, scale="tiny")
+        for app in ("lu", "ocean-rowwise", "barnes-original")
+        for p in ("erc", "dc")
+        for g in GRANULARITIES
+        for mech in ("polling", "interrupt")
     ]
 
 
