@@ -74,12 +74,10 @@ class DelayedSCProtocol(SCProtocol):
         self._flush_scheduled[node.id] = False
         pending, self._delayed[node.id] = self._delayed[node.id], []
         for msg in pending:
-            super_handler = {
-                "inval": super()._h_inval,
-                "recall_ro": super()._h_recall_ro,
-                "recall_inv": super()._h_recall_inv,
-            }[msg.mtype]
-            super_handler(node, msg)
+            if msg.mtype == "inval":
+                super()._h_inval(node, msg)
+            else:
+                super()._h_recall(node, msg)
 
     # ------------------------------------------------------------------
     # deferred message types
@@ -88,13 +86,9 @@ class DelayedSCProtocol(SCProtocol):
         if not self._maybe_delay(node, msg):
             super()._h_inval(node, msg)
 
-    def _h_recall_ro(self, node, msg: Message) -> None:
+    def _h_recall(self, node, msg: Message) -> None:
         if not self._maybe_delay(node, msg):
-            super()._h_recall_ro(node, msg)
-
-    def _h_recall_inv(self, node, msg: Message) -> None:
-        if not self._maybe_delay(node, msg):
-            super()._h_recall_inv(node, msg)
+            super()._h_recall(node, msg)
 
     # ------------------------------------------------------------------
     # synchronization points flush eagerly (this is what keeps the

@@ -1,4 +1,5 @@
-"""Twin/diff machinery for the multiple-writer HLRC protocol.
+"""Twin/diff machinery of the home-based multiple-writer protocols
+(HLRC, and ERC, which shares it with coherence moved to the release).
 
 Before the first write to a block in an interval, the writer snapshots
 a *twin* (clean copy).  At release time the dirty copy is word-compared
@@ -11,6 +12,9 @@ last-applier-wins behavior).
 Run extraction (:func:`diff_runs`) is the hot path of the HLRC
 simulation: a whole-buffer memcmp, then one big-int XOR of the two
 copies and a regex scan for its non-zero runs, all of it in C.
+
+The protocol layer both run on top of these functions -- fetch, twin,
+diff and their costs -- is :class:`~repro.core.hlrc.HomeDiffMixin`.
 """
 
 from __future__ import annotations

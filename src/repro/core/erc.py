@@ -29,17 +29,23 @@ write is ever lost.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Set
 
-from repro.core.diff import apply_diff, create_diff
-from repro.core.protocol import CoherenceProtocol, register
-from repro.memory.access_control import INV, RO, RW
+from repro.core.diff import create_diff
+from repro.core.hlrc import HomeDiffMixin
+from repro.core.protocol import register
+from repro.memory.access_control import INV, RO
 from repro.net.message import HEADER_BYTES, Message
-from repro.sim.process import CountdownLatch, Future
+from repro.sim.process import CountdownLatch
 
 
 @register
-class ERCProtocol(CoherenceProtocol):
+class ERCProtocol(HomeDiffMixin):
+    """Faults, twins, diffs and the fetch service come from
+    :class:`~repro.core.hlrc.HomeDiffMixin`, with no clocks; this class
+    adds the home's copyset, the eager release and the fences that keep
+    faults and fetches consistent with its invalidations."""
+
     name = "erc"
     memory_model = "lrc"
     uses_notices = False
@@ -47,16 +53,14 @@ class ERCProtocol(CoherenceProtocol):
 
     def __init__(self, machine):
         super().__init__(machine)
-        n = machine.params.n_nodes
-        self.twins: List[Dict[int, bytearray]] = [dict() for _ in range(n)]
-        self.dirty: List[Set[int]] = [set() for _ in range(n)]
+        self.dirty: List[Set[int]] = [set() for _ in range(machine.params.n_nodes)]
         #: home-side copyset per block: nodes holding a cached copy
         self.copyset: Dict[int, Set[int]] = {}
         #: (node, block) faults in flight + those an inval raced past
         self._inflight: Set[tuple] = set()
         self._poisoned: Set[tuple] = set()
         #: home-side open invalidation transactions per block, and the
-        #: fetch requests parked until they close (see _h_fetch_req)
+        #: fetch requests parked until they close (see _serve_fetch)
         self._storms: Dict[int, int] = {}
         self._parked: Dict[int, List[Message]] = {}
 
@@ -73,82 +77,42 @@ class ERCProtocol(CoherenceProtocol):
             }
         )
 
-    def _is_home(self, node_id: int, block: int) -> bool:
-        return self.home.home_or_static(block) == node_id
-
-    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
-        if prev is not None:
-            self.m.nodes[prev].access.invalidate(block)
-        self.m.nodes[home_id].access.set_tag(block, RO)
-
     # ==================================================================
-    # faults (app context)
+    # faults (app context): fenced against release-time invalidations
     # ==================================================================
-    def read_fault(self, node, block: int) -> Generator:
-        if self._is_home(node.id, block):
-            self.stats.record_local_reopen(node.id)
-            self.home.claim_first_touch(block, node.id)
-            yield self.params.tag_change_us
-            node.access.set_tag(block, RO)
-            return
-        self.stats.record_read_fault(node.id)
-        yield from self._fetch(node, block, RO)
-
-    def write_fault(self, node, block: int) -> Generator:
-        yield from self.maybe_claim_first_touch(node.id, block, store=True)
-        if self._is_home(node.id, block):
-            self.stats.record_local_reopen(node.id)
-            self.dirty[node.id].add(block)
-            yield self.params.tag_change_us
-            node.access.set_tag(block, RW)
-            return
-        self.stats.record_write_fault(node.id)
+    def _base_copy(self, node, block: int) -> Generator:
         key = (node.id, block)
         while True:
             self._poisoned.discard(key)
             self._inflight.add(key)
             if node.access.tag(block) == INV:
-                yield from self._fetch(node, block, RO, track=False)
-            if block not in self.twins[node.id]:
-                self.twins[node.id][block] = node.store.snapshot(block)
-                self.stats.twins_created += 1
-                yield (self.params.twin_fixed_us
-                       + self.params.twin_per_byte_us * self.params.granularity)
+                # The plain fetch: this loop fences it and the twin.
+                yield from super()._fetch(node, block, RO)
+            yield from self._twin(node, block)
             self._inflight.discard(key)
-            if key in self._poisoned:
-                # A release-time invalidation raced our fetch/twin: our
-                # base copy is stale.  Drop it and retry on the fresh
-                # home contents (the invalidation's piggyback already
-                # carried away nothing -- we had not written yet).
-                self._poisoned.discard(key)
-                self.twins[node.id].pop(block, None)
-                node.access.invalidate(block)
-                continue
-            break
-        self.dirty[node.id].add(block)
-        node.access.set_tag(block, RW)
-        yield self.params.tag_change_us
-
-    def _fetch(self, node, block: int, tag: int, track: bool = True) -> Generator:
-        key = (node.id, block)
-        if track:
+            if key not in self._poisoned:
+                return
+            # A release-time invalidation raced our fetch/twin: our base
+            # copy is stale.  Drop it and retry on the fresh home
+            # contents (the invalidation's piggyback already carried
+            # away nothing -- we had not written yet).
             self._poisoned.discard(key)
-            self._inflight.add(key)
-        fut = Future(self.engine)
-        self.send(node.id, self.route_home(node.id, block), "fetch_req",
-                  block=block, reply_to=fut)
-        reply = yield from node.wait(fut, "fault_wait_us")
-        self.home.learn(node.id, block, reply["home"])
-        node.store.install(block, reply["data"])
-        node.access.set_tag(block, tag)
-        if track:
-            self._inflight.discard(key)
-            if key in self._poisoned:
-                # The copy we fetched was snapshotted before a diff
-                # that the racing invalidation covers: usable for the
-                # access that faulted, but not cacheable.
-                self._poisoned.discard(key)
-                self.engine.post(0.0, self._late_invalidate, node, block)
+            self.twins[node.id].pop(block, None)
+            node.access.invalidate(block)
+
+    def _fetch(self, node, block: int, tag: int) -> Generator:
+        """A read miss's fetch, fenced against a racing invalidation."""
+        key = (node.id, block)
+        self._poisoned.discard(key)
+        self._inflight.add(key)
+        yield from super()._fetch(node, block, tag)
+        self._inflight.discard(key)
+        if key in self._poisoned:
+            # The copy we fetched was snapshotted before a diff that the
+            # racing invalidation covers: usable for the access that
+            # faulted, but not cacheable.
+            self._poisoned.discard(key)
+            self.engine.post(0.0, self._late_invalidate, node, block)
 
     def _late_invalidate(self, node, block: int) -> None:
         if node.access.invalidate(block):
@@ -158,7 +122,6 @@ class ERCProtocol(CoherenceProtocol):
     # the eager release (app context)
     # ==================================================================
     def release_prepare(self, node) -> Generator:
-        p = self.params
         dirty = self.dirty[node.id]
         if not dirty:
             return
@@ -173,19 +136,14 @@ class ERCProtocol(CoherenceProtocol):
             if twin is None:
                 # Our changes were already merged by a piggybacked ack.
                 continue
-            diff = create_diff(block, node.store.block(block), twin)
-            yield (p.diff_create_fixed_us
-                   + p.diff_create_per_byte_us * p.granularity)
-            self.stats.diffs_created += 1
+            diff = yield from self._diff(node, block, twin)
             # Downgrade, never upgrade: a concurrent release's
             # invalidation may have dropped our tag during the
             # diff-create sleep, and re-opening it would leave a stale
             # readable copy.
             node.access.downgrade(block)
-            if diff.empty:
-                continue
-            self.stats.diff_bytes += diff.payload_bytes
-            pending.append((block, diff))
+            if diff is not None:
+                pending.append((block, diff))
         dirty.clear()
         if not pending:
             return
@@ -197,28 +155,20 @@ class ERCProtocol(CoherenceProtocol):
                 self._invalidate_copies(self.m.nodes[node.id], block,
                                         node.id, latch)
             else:
-                wire = diff.wire_bytes if diff else 0
                 self.send(
                     node.id, home_id, "erc_flush",
-                    size=HEADER_BYTES + wire,
+                    size=HEADER_BYTES + (diff.wire_bytes if diff else 0),
                     block=block,
                     payload={"diff": diff, "latch": latch, "writer": node.id},
-                    cost=p.handler_base_us + p.diff_apply_fixed_us
-                    + p.diff_apply_per_byte_us
-                    * (diff.payload_bytes if diff else 0),
+                    cost=self._diff_apply_cost(diff.payload_bytes if diff else 0),
                 )
         yield from node.wait(latch, "fault_wait_us")
 
     # ==================================================================
     # handlers
     # ==================================================================
-    def _h_fetch_req(self, node, msg: Message) -> None:
+    def _serve_fetch(self, node, msg: Message) -> None:
         block = msg.block
-        if not self.home.is_claimed(block):
-            if self.home.static_home(block) == node.id:
-                self.home.claim_first_touch(block, node.id)
-        if self.forward_if_not_home(node, msg):
-            return
         if self._storms.get(block):
             # An eager-release invalidation transaction is open for this
             # block: a snapshot taken now could miss a concurrent
@@ -229,23 +179,14 @@ class ERCProtocol(CoherenceProtocol):
             return
         requester, _ = self.requester_of(msg)
         self.copyset.setdefault(block, set()).add(requester)
-        self.send(
-            node.id, requester, "fetch_reply",
-            size=HEADER_BYTES + self.params.granularity,
-            block=block,
-            payload={"home": node.id, "data": node.store.snapshot(block)},
-            cost=self.data_reply_cost(),
-            reply_to=msg.reply_to,
-        )
+        super()._serve_fetch(node, msg)
 
     def _h_flush(self, node, msg: Message) -> None:
         """Home: apply the writer's diff, then eagerly invalidate every
         other cached copy before acknowledging the release."""
         payload = msg.payload
-        diff = payload["diff"]
-        if diff is not None:
-            apply_diff(node.store.block(msg.block), diff)
-            self.stats.diffs_applied += 1
+        if payload["diff"] is not None:
+            self._apply_diff(node, msg.block, payload["diff"])
         self._invalidate_copies(node, msg.block, payload["writer"],
                                 payload["latch"], remote_ack=msg.src)
 
@@ -343,8 +284,7 @@ class ERCProtocol(CoherenceProtocol):
         ctx = msg.payload["ctx"]
         piggy = msg.payload["diff"]
         if piggy is not None:
-            apply_diff(node.store.block(msg.block), piggy)
-            self.stats.diffs_applied += 1
+            self._apply_diff(node, msg.block, piggy)
             ctx["stale"] = True
         ctx["remaining"] -= 1
         if ctx["remaining"] == 0:

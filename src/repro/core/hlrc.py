@@ -19,61 +19,56 @@ A node that receives a notice for a block it has *dirty* (concurrent
 writers under different locks) flushes its own diff before
 invalidating, so no local writes are ever lost; the block stays in the
 interval's dirty set so the next release still advertises it.
+
+Everything but the release and the notices -- faults, twins, diffs and
+the home's fetch service -- is :class:`HomeDiffMixin`, which ERC
+shares.  It calls :func:`create_diff` / :func:`apply_diff` through this
+module, the names the cell benchmark's span timer wraps for the diff
+layer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Dict, Generator, Iterable, List, Set
 
-from repro.core.diff import apply_diff, create_diff
+from repro.core.diff import Diff, apply_diff, create_diff
 from repro.core.lrc_base import LRCBase
-from repro.core.protocol import register
+from repro.core.protocol import CoherenceProtocol, register
 from repro.core.timestamps import WriteNotice
 from repro.memory.access_control import INV, RO, RW
 from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import CountdownLatch, Future
 
 
-@register
-class HLRCProtocol(LRCBase):
-    name = "hlrc"
+class HomeDiffMixin(CoherenceProtocol):
+    """The home-based multiple-writer layer HLRC and ERC share: a miss
+    fetches the whole block from its home, the home writes its master
+    copy in place, and any other writer twins its clean copy and later
+    ships the diff home.
+
+    The protocols differ in what follows a release -- HLRC sends write
+    notices that invalidate at the acquire, ERC's homes invalidate
+    every other copy eagerly -- and ERC fences its faults and fetches
+    against those invalidations by overriding :meth:`_fetch`,
+    :meth:`_base_copy` and :meth:`_serve_fetch`.
+    """
+
+    #: per-node blocks written since the node's last release
+    dirty: List[Set[int]]
 
     def __init__(self, machine):
         super().__init__(machine)
-        n = machine.params.n_nodes
-        #: per-node twins for blocks with unflushed modifications
-        self.twins: List[Dict[int, bytearray]] = [dict() for _ in range(n)]
-        #: per-node interval counter per block (notice versions)
-        self._epoch: List[Dict[int, int]] = [dict() for _ in range(n)]
-
-    def _register_handlers(self) -> None:
-        self._register_common()
-        self._handlers.update(
-            {
-                "fetch_req": self._h_fetch_req,
-                "fetch_reply": self._h_generic_ack,
-                "diff": self._h_diff,
-                "diff_ack": self._h_diff_ack,
-            }
-        )
+        #: per-node twins of blocks with unflushed modifications
+        self.twins: List[Dict[int, bytearray]] = [
+            dict() for _ in range(machine.params.n_nodes)
+        ]
 
     # ==================================================================
     # faults (app context)
     # ==================================================================
-    def _is_home(self, node_id: int, block: int) -> bool:
-        return self.home.home_or_static(block) == node_id
-
-    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
-        """The home's copy is current by construction, but stays RO so
-        the home's own writes are detected (dirty set -> notices).
-        Re-placement revokes the previous home's access."""
-        if prev is not None:
-            self.m.nodes[prev].access.invalidate(block)
-        self.m.nodes[home_id].access.set_tag(block, RO)
-
     def read_fault(self, node, block: int) -> Generator:
-        # Loads never claim a home under HLRC; an unclaimed block is
-        # claimed by its static home when the fetch arrives there.
+        # Loads never claim a home; an unclaimed block is claimed by its
+        # static home when the fetch arrives there.
         if self._is_home(node.id, block):
             self.stats.record_local_reopen(node.id)
             self.home.claim_first_touch(block, node.id)
@@ -96,17 +91,27 @@ class HLRCProtocol(LRCBase):
             node.access.set_tag(block, RW)
             return
         self.stats.record_write_fault(node.id)
-        if node.access.tag(block) == INV:
-            yield from self._fetch(node, block, RO)
-        # Twin the clean copy, then open the block for writing.
-        if block not in self.twins[node.id]:
-            self.twins[node.id][block] = node.store.snapshot(block)
-            self.stats.twins_created += 1
-            yield (self.params.twin_fixed_us
-                   + self.params.twin_per_byte_us * self.params.granularity)
+        yield from self._base_copy(node, block)
         self.dirty[node.id].add(block)
         node.access.set_tag(block, RW)
         yield self.params.tag_change_us
+
+    def _base_copy(self, node, block: int) -> Generator:
+        """A remote writer's clean copy, fetched if missing, and its
+        twin."""
+        if node.access.tag(block) == INV:
+            yield from self._fetch(node, block, RO)
+        yield from self._twin(node, block)
+
+    def _twin(self, node, block: int) -> Generator:
+        """Snapshot the clean copy before the interval's first write to
+        it (a block twinned already keeps its twin)."""
+        twins = self.twins[node.id]
+        if block not in twins:
+            twins[block] = node.store.snapshot(block)
+            self.stats.twins_created += 1
+            p = self.params
+            yield p.twin_fixed_us + p.twin_per_byte_us * p.granularity
 
     def _fetch(self, node, block: int, tag: int) -> Generator:
         """Whole-block fetch from the home."""
@@ -124,10 +129,92 @@ class HLRCProtocol(LRCBase):
         node.access.set_tag(block, tag)
 
     # ==================================================================
+    # diffs
+    # ==================================================================
+    def _diff(self, node, block: int, twin) -> Generator:
+        """Diff the node's copy of ``block`` against ``twin``, charging
+        the compare; returns the diff, or None when nothing changed."""
+        p = self.params
+        diff = create_diff(block, node.store.block(block), twin)
+        yield p.diff_create_fixed_us + p.diff_create_per_byte_us * p.granularity
+        self.stats.diffs_created += 1
+        if diff.empty:
+            return None
+        self.stats.diff_bytes += diff.payload_bytes
+        return diff
+
+    def _diff_apply_cost(self, nbytes: int) -> float:
+        """Home handler cost of a diff message carrying ``nbytes`` of
+        changed data."""
+        p = self.params
+        return (p.handler_base_us + p.diff_apply_fixed_us
+                + p.diff_apply_per_byte_us * nbytes)
+
+    def _apply_diff(self, node, block: int, diff: Diff) -> None:
+        """Merge a writer's diff into this node's copy of ``block``."""
+        apply_diff(node.store.block(block), diff)
+        self.stats.diffs_applied += 1
+
+    # ==================================================================
+    # the home's fetch service (handler context)
+    # ==================================================================
+    def _h_fetch_req(self, node, msg: Message) -> None:
+        block = msg.block
+        if not self.home.is_claimed(block):
+            # First (load) touch lands at the static home, which keeps
+            # the block (reads do not migrate homes).
+            if self.home.static_home(block) == node.id:
+                self.home.claim_first_touch(block, node.id)
+        if self.forward_if_not_home(node, msg):
+            return
+        self._serve_fetch(node, msg)
+
+    def _serve_fetch(self, node, msg: Message) -> None:
+        """The home replies with its whole copy of the block."""
+        requester, _ = self.requester_of(msg)
+        self.send(
+            node.id,
+            requester,
+            "fetch_reply",
+            size=HEADER_BYTES + self.params.granularity,
+            block=msg.block,
+            payload={"home": node.id, "data": node.store.snapshot(msg.block)},
+            cost=self.data_reply_cost(),
+            reply_to=msg.reply_to,
+        )
+
+
+@register
+class HLRCProtocol(HomeDiffMixin, LRCBase):
+    """Faults, twins, diffs and the fetch service come from
+    :class:`HomeDiffMixin`; the home's copy starts
+    readable but write-protected (the base ``on_place``), so its own
+    writes are detected (dirty set -> notices)."""
+
+    name = "hlrc"
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        #: per-node interval counter per block (notice versions)
+        self._epoch: List[Dict[int, int]] = [
+            dict() for _ in range(machine.params.n_nodes)
+        ]
+
+    def _register_handlers(self) -> None:
+        self._register_common()
+        self._handlers.update(
+            {
+                "fetch_req": self._h_fetch_req,
+                "fetch_reply": self._h_generic_ack,
+                "diff": self._h_diff,
+                "diff_ack": self._h_diff_ack,
+            }
+        )
+
+    # ==================================================================
     # release: eager diff flush (app context)
     # ==================================================================
     def _release_flush(self, node) -> Generator:
-        p = self.params
         notices: List[WriteNotice] = []
         dirty = self.dirty[node.id]
         if not dirty:
@@ -149,33 +236,32 @@ class HLRCProtocol(LRCBase):
                 # the notice list must still cover it.
                 notices.append(WriteNotice(block, epoch, node.id))
                 continue
-            diff = create_diff(block, node.store.block(block), twin)
-            yield p.diff_create_fixed_us + p.diff_create_per_byte_us * p.granularity
-            self.stats.diffs_created += 1
-            if diff.empty:
-                # Nothing actually changed; no one needs an invalidation.
-                node.access.set_tag(block, RO)
-                continue
-            self.stats.diff_bytes += diff.payload_bytes
-            pending_sends.append((block, diff))
-            notices.append(WriteNotice(block, epoch, node.id))
+            diff = yield from self._diff(node, block, twin)
+            if diff is not None:
+                # (An unchanged block needs no one's invalidation.)
+                pending_sends.append((block, diff))
+                notices.append(WriteNotice(block, epoch, node.id))
             node.access.set_tag(block, RO)
         if pending_sends:
             latch = CountdownLatch(self.engine, len(pending_sends))
             for block, diff in pending_sends:
-                self.send(
-                    node.id,
-                    self.route_home(node.id, block),
-                    "diff",
-                    size=HEADER_BYTES + diff.wire_bytes,
-                    block=block,
-                    payload={"diff": diff, "latch": latch},
-                    cost=p.handler_base_us + p.diff_apply_fixed_us
-                    + p.diff_apply_per_byte_us * diff.payload_bytes,
-                )
+                self._send_diff(node, block, diff, latch)
             yield from node.wait(latch, "fault_wait_us")
         dirty.clear()
         return notices
+
+    def _send_diff(self, node, block: int, diff: Diff, ack) -> None:
+        """Ship a diff to the block's home; ``ack`` (a latch or a
+        future) completes when the home has applied it."""
+        self.send(
+            node.id,
+            self.route_home(node.id, block),
+            "diff",
+            size=HEADER_BYTES + diff.wire_bytes,
+            block=block,
+            payload={"diff": diff, "ack": ack},
+            cost=self._diff_apply_cost(diff.payload_bytes),
+        )
 
     # ==================================================================
     # notice application (app context, from apply_sync)
@@ -210,63 +296,26 @@ class HLRCProtocol(LRCBase):
                 stats.invalidations += 1
 
     def _flush_one(self, node, block: int) -> Generator:
-        p = self.params
         twin = self.twins[node.id].pop(block)
-        diff = create_diff(block, node.store.block(block), twin)
-        yield p.diff_create_fixed_us + p.diff_create_per_byte_us * p.granularity
-        self.stats.diffs_created += 1
-        if diff.empty:
+        diff = yield from self._diff(node, block, twin)
+        if diff is None:
             return
-        self.stats.diff_bytes += diff.payload_bytes
         fut = Future(self.engine)
-        self.send(
-            node.id,
-            self.route_home(node.id, block),
-            "diff",
-            size=HEADER_BYTES + diff.wire_bytes,
-            block=block,
-            payload={"diff": diff, "future": fut},
-            cost=p.handler_base_us + p.diff_apply_fixed_us
-            + p.diff_apply_per_byte_us * diff.payload_bytes,
-        )
+        self._send_diff(node, block, diff, fut)
         yield from node.wait(fut, "fault_wait_us")
 
     # ==================================================================
     # handlers
     # ==================================================================
-    def _h_fetch_req(self, node, msg: Message) -> None:
-        block = msg.block
-        if not self.home.is_claimed(block):
-            # First (load) touch lands at the static home, which keeps
-            # the block (reads do not migrate homes under HLRC).
-            if self.home.static_home(block) == node.id:
-                self.home.claim_first_touch(block, node.id)
-        if self.forward_if_not_home(node, msg):
-            return
-        requester, _ = self.requester_of(msg)
-        self.send(
-            node.id,
-            requester,
-            "fetch_reply",
-            size=HEADER_BYTES + self.params.granularity,
-            block=block,
-            payload={"home": node.id, "data": node.store.snapshot(block)},
-            cost=self.data_reply_cost(),
-            reply_to=msg.reply_to,
-        )
-
     def _h_diff(self, node, msg: Message) -> None:
         payload = msg.payload
-        diff = payload["diff"]
-        apply_diff(node.store.block(msg.block), diff)
-        self.stats.diffs_applied += 1
-        ack_target = payload.get("latch") or payload.get("future")
+        self._apply_diff(node, msg.block, payload["diff"])
         self.send(
             node.id,
             msg.src,
             "diff_ack",
             block=msg.block,
-            payload={"ack": ack_target},
+            payload={"ack": payload["ack"]},
         )
 
     @staticmethod

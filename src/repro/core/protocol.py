@@ -1,6 +1,8 @@
 """Coherence-protocol base class: fault entry points, home routing with
-first-touch claims and stale-hint forwarding, and the synchronization
-hooks that let the lock/barrier services piggyback protocol actions.
+first-touch claims and stale-hint forwarding, the synchronization
+hooks that let the lock/barrier services piggyback protocol actions,
+and :class:`HomeEntry`, the per-block transaction queue every
+serializing home shares.
 
 Contract
 --------
@@ -18,22 +20,59 @@ The DSM runtime calls, from the application process (generators):
 The machine calls ``on_message(node, msg)`` from the handler context
 for every protocol message type the subclass registered.
 
-Sub-classes: :class:`~repro.core.sc.SCProtocol`,
+Sub-classes: :class:`~repro.core.sc.SCProtocol` (and its delayed
+variant :class:`~repro.core.delayed.DelayedSCProtocol`),
 :class:`~repro.core.swlrc.SWLRCProtocol`,
-:class:`~repro.core.hlrc.HLRCProtocol`.
+:class:`~repro.core.hlrc.HLRCProtocol`,
+:class:`~repro.core.erc.ERCProtocol` and
+:class:`~repro.core.tardis.TardisProtocol`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, Generator, Optional, Tuple
 
 from repro.core import registry as _registry
+from repro.memory.access_control import RO
 from repro.net.message import CONTROL_BYTES, HEADER_BYTES, Message
 from repro.sim.process import Future
 
 
+@dataclass(slots=True)
+class HomeEntry:
+    """A home's per-block transaction state: ``busy`` while one is
+    open, and the requests that arrived meanwhile, which start in
+    arrival order as transactions close.
+
+    ``pending`` stays None until a request first queues: almost no
+    block ever sees two transactions at once."""
+
+    busy: bool = False
+    pending: Optional[Deque[Message]] = None
+
+    def park(self, msg: Message) -> bool:
+        """Queue ``msg`` behind the open transaction; False (nothing
+        queued) when none is open and ``msg`` may start now."""
+        if not self.busy:
+            return False
+        if self.pending is None:
+            self.pending = deque()
+        self.pending.append(msg)
+        return True
+
+    def close(self) -> Optional[Message]:
+        """Close the open transaction; the queued request to start next,
+        or None."""
+        self.busy = False
+        if self.pending:
+            return self.pending.popleft()
+        return None
+
+
 class CoherenceProtocol:
-    """Shared plumbing for the three protocols."""
+    """Shared plumbing of every registered protocol."""
 
     name = "base"
     #: consistency contract for the model checker's litmus catalog:
@@ -93,6 +132,9 @@ class CoherenceProtocol:
     # ------------------------------------------------------------------
     # home routing
     # ------------------------------------------------------------------
+    def _is_home(self, node_id: int, block: int) -> bool:
+        return self.home.home_or_static(block) == node_id
+
     def route_home(self, node_id: int, block: int) -> int:
         """Where this node should send a home-directed request."""
         return self.home.route_target(node_id, block)
@@ -186,11 +228,15 @@ class CoherenceProtocol:
 
     def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
         """Setup-time hook: a block was declaratively placed at a home
-        (models the init-phase first touch).  Protocols initialize the
-        home's access tag / directory state here.  ``prev`` is the
-        block's previous placed home when it differs from ``home_id``
-        (else None): the only node whose state for the block they must
-        revoke (see :meth:`Machine.place`)."""
+        (models the init-phase first touch).  ``prev`` is the block's
+        previous placed home when it differs from ``home_id`` (else
+        None), the only node whose copy is revoked (see
+        :meth:`Machine.place`).  The home's copy is readable but
+        write-protected, so its own writes fault (locally) and are seen;
+        ownership and leases are only taken at run time."""
+        if prev is not None:
+            self.m.nodes[prev].access.invalidate(block)
+        self.m.nodes[home_id].access.set_tag(block, RO)
 
     # ------------------------------------------------------------------
     # fault entry points (app context)

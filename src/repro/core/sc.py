@@ -20,11 +20,10 @@ else, using node-local messages (no wire cost) for its own misses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Generator, Optional, Set
+from typing import Dict, Generator, Optional, Set
 
-from repro.core.protocol import CoherenceProtocol, register
+from repro.core.protocol import CoherenceProtocol, HomeEntry, register
 from repro.memory.access_control import RO, RW
 from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import CountdownLatch, Future
@@ -51,16 +50,12 @@ def copyset_bytes(sharers: Set[int], n_nodes: int) -> int:
 
 
 @dataclass(slots=True)
-class DirEntry:
-    """Home-side directory state for one block.
-
-    ``pending`` stays None until a request first queues behind a busy
-    transaction."""
+class DirEntry(HomeEntry):
+    """Home-side directory state for one block, serialized by its
+    :class:`HomeEntry` queue."""
 
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
-    busy: bool = False
-    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -96,13 +91,13 @@ class SCProtocol(CoherenceProtocol):
         self._register_common()
         self._handlers.update(
             {
-                "read_req": self._h_read_req,
-                "write_req": self._h_write_req,
+                "read_req": self._h_req,
+                "write_req": self._h_req,
                 "read_reply": self._h_data_reply,
                 "write_reply": self._h_data_reply,
                 "upgrade_reply": self._h_generic_ack,
-                "recall_ro": self._h_recall_ro,
-                "recall_inv": self._h_recall_inv,
+                "recall_ro": self._h_recall,
+                "recall_inv": self._h_recall,
                 "writeback": self._h_writeback,
                 "inval": self._h_inval,
                 "inval_ack": self._h_inval_ack,
@@ -126,7 +121,6 @@ class SCProtocol(CoherenceProtocol):
         self._owned.add((home_id, block))
         self.m.nodes[home_id].access.set_tag(block, RW)
 
-
     def _entry(self, block: int) -> DirEntry:
         e = self.dir.get(block)
         if e is None:
@@ -138,52 +132,41 @@ class SCProtocol(CoherenceProtocol):
     # application-side fault handling
     # ==================================================================
     def read_fault(self, node, block: int) -> Generator:
-        yield from self.maybe_claim_first_touch(node.id, block, store=False)
-        if self.home.home_or_static(block) == node.id:
+        return self._fault(node, block, write=False)
+
+    def write_fault(self, node, block: int) -> Generator:
+        return self._fault(node, block, write=True)
+
+    def _fault(self, node, block: int, write: bool) -> Generator:
+        yield from self.maybe_claim_first_touch(node.id, block, store=write)
+        local = self.home.home_or_static(block) == node.id
+        if local:
             # Home-memory accesses are classified as local re-opens --
             # the paper's fault tables count faults taken on *cached*
             # remote data, which is why LU and Ocean-Original report
             # zero write faults (their writes are all home-local) even
             # though the home's tag still toggles and the directory
             # still invalidates/recalls remote copies (costs modeled).
+            # The directory transaction runs through the node-local
+            # message path (cheap, no wire).
             self.stats.record_local_reopen(node.id)
-            yield from self._local_home_fault(node, block, write=False)
-            return
-        self.stats.record_read_fault(node.id)
+        elif write:
+            self.stats.record_write_fault(node.id)
+        else:
+            self.stats.record_read_fault(node.id)
         fut = Future(self.engine)
         key = (node.id, block)
         self._poisoned.discard(key)
         self._inflight.add(key)
         self.send(
             node.id,
-            self.route_home(node.id, block),
-            "read_req",
+            node.id if local else self.route_home(node.id, block),
+            "write_req" if write else "read_req",
             block=block,
             reply_to=fut,
         )
         reply = yield from node.wait(fut, "fault_wait_us")
-        self._install_reply(node, block, reply, RO)
-
-    def write_fault(self, node, block: int) -> Generator:
-        yield from self.maybe_claim_first_touch(node.id, block, store=True)
-        if self.home.home_or_static(block) == node.id:
-            self.stats.record_local_reopen(node.id)
-            yield from self._local_home_fault(node, block, write=True)
-            return
-        self.stats.record_write_fault(node.id)
-        fut = Future(self.engine)
-        key = (node.id, block)
-        self._poisoned.discard(key)
-        self._inflight.add(key)
-        self.send(
-            node.id,
-            self.route_home(node.id, block),
-            "write_req",
-            block=block,
-            reply_to=fut,
-        )
-        reply = yield from node.wait(fut, "fault_wait_us")
-        self._install_reply(node, block, reply, RW)
+        self._install_reply(node, block, reply, RW if write else RO)
 
     def _install_reply(self, node, block: int, reply: dict, tag: int) -> None:
         if tag == RW:
@@ -223,36 +206,23 @@ class SCProtocol(CoherenceProtocol):
             if node.access.invalidate(block):
                 self.stats.invalidations += 1
         for recall in recalls:
-            if recall.mtype == "recall_ro":
-                self._h_recall_ro(node, recall)
-            else:
-                self._h_recall_inv(node, recall)
-
-    def _local_home_fault(self, node, block: int, write: bool) -> Generator:
-        """The home node itself faulted: run the directory transaction
-        through the node-local message path (cheap, no wire)."""
-        fut = Future(self.engine)
-        key = (node.id, block)
-        self._poisoned.discard(key)
-        self._inflight.add(key)
-        mtype = "write_req" if write else "read_req"
-        self.send(node.id, node.id, mtype, block=block, reply_to=fut)
-        reply = yield from node.wait(fut, "fault_wait_us")
-        self._install_reply(node, block, reply, RW if write else RO)
+            self._h_recall(node, recall)
 
     # ==================================================================
     # home-side directory transactions
     # ==================================================================
-    def _h_read_req(self, node, msg: Message) -> None:
+    def _h_req(self, node, msg: Message) -> None:
         if self.forward_if_not_home(node, msg):
             return
         e = self._entry(msg.block)
-        if e.busy:
-            if e.pending is None:
-                e.pending = deque()
-            e.pending.append(msg)
-            return
-        self._start_read(node, msg, e)
+        if not e.park(msg):
+            self._start(node, msg, e)
+
+    def _start(self, node, msg: Message, e: DirEntry) -> None:
+        if msg.mtype == "read_req":
+            self._start_read(node, msg, e)
+        else:
+            self._start_write(node, msg, e)
 
     def _start_read(self, node, msg: Message, e: DirEntry) -> None:
         requester, _ = self.requester_of(msg)
@@ -303,17 +273,6 @@ class SCProtocol(CoherenceProtocol):
                 reply_to=msg.reply_to,
             )
         self._complete_transaction(node, e)
-
-    def _h_write_req(self, node, msg: Message) -> None:
-        if self.forward_if_not_home(node, msg):
-            return
-        e = self._entry(msg.block)
-        if e.busy:
-            if e.pending is None:
-                e.pending = deque()
-            e.pending.append(msg)
-            return
-        self._start_write(node, msg, e)
 
     def _start_write(self, node, msg: Message, e: DirEntry) -> None:
         requester, _ = self.requester_of(msg)
@@ -393,13 +352,9 @@ class SCProtocol(CoherenceProtocol):
         self._complete_transaction(node, e)
 
     def _complete_transaction(self, node, e: DirEntry) -> None:
-        e.busy = False
-        if e.pending:
-            nxt = e.pending.popleft()
-            if nxt.mtype == "read_req":
-                self._start_read(node, nxt, e)
-            else:
-                self._start_write(node, nxt, e)
+        nxt = e.close()
+        if nxt is not None:
+            self._start(node, nxt, e)
 
     # ==================================================================
     # remote-side coherence actions
@@ -419,8 +374,10 @@ class SCProtocol(CoherenceProtocol):
             return False
         return key in self._inflight
 
-    def _h_recall_ro(self, node, msg: Message) -> None:
-        """Owner downgrades RW -> RO and writes the data back home."""
+    def _h_recall(self, node, msg: Message) -> None:
+        """The owner writes the block back home.  A ``recall_ro`` (a
+        read elsewhere) downgrades it to a read-only copy it keeps; a
+        ``recall_inv`` (a write elsewhere) invalidates it."""
         block = msg.block
         if self._recall_must_defer(node, block):
             # The recall overtook the grant that made us owner; act on
@@ -428,31 +385,10 @@ class SCProtocol(CoherenceProtocol):
             self._deferred_recalls.setdefault((node.id, block), []).append(msg)
             return
         self._owned.discard((node.id, block))
-        node.access.downgrade(block)
-        self.stats.writebacks += 1
-        self.send(
-            node.id,
-            msg.src,
-            "writeback",
-            size=HEADER_BYTES + self.params.granularity,
-            block=block,
-            payload={
-                "data": node.store.snapshot(block),
-                "pending": msg.payload["pending"],
-                "keep_sharer": True,
-                "from": node.id,
-            },
-            cost=self.data_reply_cost(),
-        )
-
-    def _h_recall_inv(self, node, msg: Message) -> None:
-        """Owner writes back and invalidates (write request elsewhere)."""
-        block = msg.block
-        if self._recall_must_defer(node, block):
-            self._deferred_recalls.setdefault((node.id, block), []).append(msg)
-            return
-        self._owned.discard((node.id, block))
-        if node.access.invalidate(block):
+        keep_sharer = msg.mtype == "recall_ro"
+        if keep_sharer:
+            node.access.downgrade(block)
+        elif node.access.invalidate(block):
             self.stats.invalidations += 1
         self.stats.writebacks += 1
         self.send(
@@ -464,7 +400,7 @@ class SCProtocol(CoherenceProtocol):
             payload={
                 "data": node.store.snapshot(block),
                 "pending": msg.payload["pending"],
-                "keep_sharer": False,
+                "keep_sharer": keep_sharer,
                 "from": node.id,
             },
             cost=self.data_reply_cost(),
@@ -479,12 +415,8 @@ class SCProtocol(CoherenceProtocol):
         e.owner = None
         if payload["keep_sharer"]:
             e.sharers.add(old_owner)
-        pending: Message = payload["pending"]
         e.busy = False
-        if pending.mtype == "read_req":
-            self._start_read(node, pending, e)
-        else:
-            self._start_write(node, pending, e)
+        self._start(node, payload["pending"], e)
 
     def _h_inval(self, node, msg: Message) -> None:
         """A sharer drops its read-only copy and acknowledges.

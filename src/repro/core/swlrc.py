@@ -29,12 +29,11 @@ strictly newer versions, so chains terminate at the current owner).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.core.lrc_base import LRCBase
-from repro.core.protocol import register
+from repro.core.protocol import HomeEntry, register
 from repro.core.timestamps import WriteNotice
 from repro.memory.access_control import INV, RO, RW
 from repro.net.message import HEADER_BYTES, Message
@@ -42,15 +41,11 @@ from repro.sim.process import Future
 
 
 @dataclass(slots=True)
-class OwnerEntry:
-    """Home-side authoritative ownership record for one block.
-
-    ``pending`` stays None until a transfer first queues behind a busy
-    one: almost no block ever sees two transfers at once."""
+class OwnerEntry(HomeEntry):
+    """Home-side authoritative ownership record for one block; its
+    :class:`HomeEntry` queue serializes the transfers."""
 
     owner: Optional[int] = None
-    busy: bool = False
-    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -91,21 +86,11 @@ class SWLRCProtocol(LRCBase):
             self.owners[block] = e
         return e
 
-    def _is_home(self, node_id: int, block: int) -> bool:
-        return self.home.home_or_static(block) == node_id
-
     # ==================================================================
-    # write fault: ownership migration (app context)
+    # write fault: ownership migration (app context).  The home's placed
+    # copy is readable (the base ``on_place``); its first write acquires
+    # ownership through the cheap local path.
     # ==================================================================
-    def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
-        """The home's copy is readable; its first write acquires
-        ownership through the cheap local path.  Re-placement revokes
-        the previous home's access (ownership is only taken at run time,
-        after every placement)."""
-        if prev is not None:
-            self.m.nodes[prev].access.invalidate(block)
-        self.m.nodes[home_id].access.set_tag(block, RO)
-
     def write_fault(self, node, block: int) -> Generator:
         yield from self.maybe_claim_first_touch(node.id, block, store=True)
         e = self.owners.get(block)
@@ -161,12 +146,8 @@ class SWLRCProtocol(LRCBase):
         if self.forward_if_not_home(node, msg):
             return
         e = self._entry(msg.block)
-        if e.busy:
-            if e.pending is None:
-                e.pending = deque()
-            e.pending.append(msg)
-            return
-        self._start_own(node, msg, e)
+        if not e.park(msg):
+            self._start_own(node, msg, e)
 
     def _start_own(self, node, msg: Message, e: OwnerEntry) -> None:
         requester, _ = self.requester_of(msg)
@@ -261,9 +242,9 @@ class SWLRCProtocol(LRCBase):
         self._complete_own(node, e)
 
     def _complete_own(self, node, e: OwnerEntry) -> None:
-        e.busy = False
-        if e.pending:
-            self._start_own(node, e.pending.popleft(), e)
+        nxt = e.close()
+        if nxt is not None:
+            self._start_own(node, nxt, e)
 
     # ==================================================================
     # read fault: one-hop service from the hinted writer (app context)

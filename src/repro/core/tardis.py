@@ -49,11 +49,10 @@ SW-LRC/HLRC.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.core.protocol import CoherenceProtocol, register
+from repro.core.protocol import CoherenceProtocol, HomeEntry, register
 from repro.memory.access_control import INV, RO, RW
 from repro.net.message import HEADER_BYTES, Message
 from repro.sim.process import Future
@@ -63,21 +62,19 @@ TS_BYTES = 16
 
 
 @dataclass(slots=True)
-class TardisEntry:
+class TardisEntry(HomeEntry):
     """Home-side per-block record -- the *entire* coherence metadata.
 
     Fixed size regardless of node count: two timestamps, an owner id,
-    and transfer-serialization plumbing.  No copyset.
+    and transfer-serialization plumbing (the :class:`HomeEntry` queue).
+    No copyset.
     """
 
     wts: int = 0
     rts: int = 0
     owner: Optional[int] = None
-    busy: bool = False
     #: request stalled behind an owner recall
     stalled: Optional[Message] = None
-    #: requests queued behind a busy transfer (None until one queues)
-    pending: Optional[Deque[Message]] = None
 
 
 @register
@@ -126,21 +123,14 @@ class TardisProtocol(CoherenceProtocol):
             self.entries[block] = e
         return e
 
-    def _is_home(self, node_id: int, block: int) -> bool:
-        return self.home.home_or_static(block) == node_id
-
     # ==================================================================
     # placement
     # ==================================================================
     def on_place(self, block: int, home_id: int, prev: Optional[int]) -> None:
-        """The home's copy is readable from t=0; re-placement revokes
-        the previous home's copy (ownership and leases are only taken at
-        run time, after every placement)."""
-        if prev is not None:
-            self.m.nodes[prev].access.invalidate(block)
-        self.m.nodes[home_id].access.set_tag(block, RO)
-        e = self._entry(block)
-        e.owner = None
+        """The home's copy is readable from t=0 (the base placement);
+        the block's record starts unowned."""
+        super().on_place(block, home_id, prev)
+        self._entry(block).owner = None
 
     # ==================================================================
     # read fault: lease acquisition (app context)
@@ -241,12 +231,8 @@ class TardisProtocol(CoherenceProtocol):
         if self.forward_if_not_home(node, msg):
             return
         e = self._entry(msg.block)
-        if e.busy:
-            if e.pending is None:
-                e.pending = deque()
-            e.pending.append(msg)
-            return
-        self._start(node, msg, e)
+        if not e.park(msg):
+            self._start(node, msg, e)
 
     def _start(self, node, msg: Message, e: TardisEntry) -> None:
         block = msg.block
@@ -353,9 +339,9 @@ class TardisProtocol(CoherenceProtocol):
         )
 
     def _complete(self, node, e: TardisEntry) -> None:
-        e.busy = False
-        if e.pending:
-            self._start(node, e.pending.popleft(), e)
+        nxt = e.close()
+        if nxt is not None:
+            self._start(node, nxt, e)
 
     # ------------------------------------------------------------------
     # owner recall (downgrade + writeback -- never an invalidation)

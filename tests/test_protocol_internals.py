@@ -7,9 +7,7 @@ from collections import deque
 
 import pytest
 
-import repro.core.sc
-import repro.core.swlrc
-import repro.core.tardis
+import repro.core.protocol
 import repro.sync.locks
 from repro import Machine, MachineParams, run_program
 from repro.apps import make_app
@@ -266,8 +264,9 @@ class _Queue(deque):
         super().append(item)
 
 
-_QUEUE_MODULES = (repro.core.sc, repro.core.swlrc, repro.core.tardis,
-                  repro.sync.locks)
+#: where wait queues are built: every home entry's (HomeEntry) and the
+#: lock holders'
+_QUEUE_MODULES = (repro.core.protocol, repro.sync.locks)
 
 #: the home-side per-block table of each protocol with wait queues
 _HOME_TABLES = {"sc": "dir", "swlrc": "owners", "tardis": "entries"}
@@ -321,14 +320,14 @@ class TestPerBlockState:
     def test_queued_requests_drain_fifo(self, protocol, monkeypatch):
         """Requests that queue on a busy home entry start in the order
         they queued, and every one of them starts."""
-        monkeypatch.setattr(getattr(repro.core, protocol), "deque", _Queue)
+        monkeypatch.setattr(repro.core.protocol, "deque", _Queue)
         m = make(protocol, g=64)
         seg = m.alloc(64, "x")
         m.place(seg.base, 64, 0)
         proto = m.protocol
         started = []
-        starts = {"sc": ("_start_read", "_start_write"),
-                  "swlrc": ("_start_own",), "tardis": ("_start",)}[protocol]
+        starts = {"sc": ("_start",), "swlrc": ("_start_own",),
+                  "tardis": ("_start",)}[protocol]
         for name in starts:
             def recording(node, msg, e, _start=getattr(proto, name)):
                 started.append(msg)
