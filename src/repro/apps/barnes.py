@@ -239,11 +239,15 @@ class BarnesSpatial(BarnesBase):
         return owner
 
     def _build_weight(self, rank: int, nprocs: int, step: int) -> float:
-        """Deterministic per-rank build-load factor with mean ~1."""
-        hot = (step * 5 + 3) % nprocs
-        if rank == hot:
-            return self.IMBALANCE
-        return (nprocs - self.IMBALANCE) / (nprocs - 1)
+        """Deterministic per-rank build-load factor with mean 1.
+
+        The hot rank's factor is capped at ``nprocs``: on fewer than
+        three nodes the full imbalance would leave the others a
+        negative share (and one node a mean of 2.6)."""
+        hot_factor = min(self.IMBALANCE, nprocs)
+        if rank == (step * 5 + 3) % nprocs:
+            return hot_factor
+        return (nprocs - hot_factor) / (nprocs - 1)
 
     def program(self, dsm, rank: int, nprocs: int) -> Generator:
         lo, hi = self.split(self.n_bodies, nprocs, rank)

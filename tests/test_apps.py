@@ -192,6 +192,20 @@ class TestBarnesVersions:
                         sequential_time_us=app.sequential_time_us())
         assert r.stats.total_lock_acquires == 0
 
+    def test_spatial_runs_on_two_nodes(self):
+        """The build imbalance is capped at the node count, so no rank's
+        build share goes negative and a 2-node cell finishes."""
+        app = make_app("barnes-spatial", "tiny")
+        for n in (1, 2, 3, 16):
+            weights = [app._build_weight(r, n, 0) for r in range(n)]
+            assert min(weights) >= 0
+            assert sum(weights) == pytest.approx(n)
+        m = Machine(MachineParams(n_nodes=2, granularity=1024), protocol="hlrc")
+        app.setup(m)
+        r = run_program(m, app.program, nprocs=2,
+                        sequential_time_us=app.sequential_time_us())
+        assert r.stats.parallel_time_us > 0
+
     def test_parttree_locks_between_the_two(self):
         results = {}
         for name in ("barnes-original", "barnes-parttree", "barnes-spatial"):
