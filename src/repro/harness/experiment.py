@@ -32,7 +32,7 @@ class RunConfig:
     """Identifies one cell of the evaluation matrix."""
 
     app: str
-    protocol: str          # 'sc' | 'swlrc' | 'hlrc'
+    protocol: str          # a registered protocol: 'sc', 'swlrc', 'hlrc', 'tardis', 'erc', 'dc'
     granularity: int       # 64 | 256 | 1024 | 4096
     mechanism: str = "polling"   # 'polling' | 'interrupt'
     nprocs: int = 16
