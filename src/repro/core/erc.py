@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Set
 
-from repro.core.diff import create_diff
 from repro.core.hlrc import HomeDiffMixin
 from repro.core.protocol import register
 from repro.memory.access_control import INV, RO
@@ -260,12 +259,7 @@ class ERCProtocol(HomeDiffMixin):
         piggy = None
         twin = self.twins[node.id].pop(block, None)
         if twin is not None:
-            piggy = create_diff(block, node.store.block(block), twin)
-            self.stats.diffs_created += 1
-            if piggy.empty:
-                piggy = None
-            else:
-                self.stats.diff_bytes += piggy.payload_bytes
+            piggy = self._take_diff(node, block, twin)
             self.dirty[node.id].discard(block)
         if node.access.invalidate(block):
             self.stats.invalidations += 1

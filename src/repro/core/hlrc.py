@@ -29,7 +29,7 @@ layer.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Set
+from typing import Dict, Generator, Iterable, List, Optional, Set
 
 from repro.core.diff import Diff, apply_diff, create_diff
 from repro.core.lrc_base import LRCBase
@@ -134,9 +134,16 @@ class HomeDiffMixin(CoherenceProtocol):
     def _diff(self, node, block: int, twin) -> Generator:
         """Diff the node's copy of ``block`` against ``twin``, charging
         the compare; returns the diff, or None when nothing changed."""
+        diff = self._take_diff(node, block, twin)
         p = self.params
-        diff = create_diff(block, node.store.block(block), twin)
         yield p.diff_create_fixed_us + p.diff_create_per_byte_us * p.granularity
+        return diff
+
+    def _take_diff(self, node, block: int, twin) -> Optional[Diff]:
+        """The counted diff of the node's copy of ``block`` against
+        ``twin``, or None when nothing changed.  Charges no time: a
+        handler's piggybacked diff rides on its message's cost."""
+        diff = create_diff(block, node.store.block(block), twin)
         self.stats.diffs_created += 1
         if diff.empty:
             return None
