@@ -8,8 +8,9 @@ consistency (SW-LRC / HLRC) only promises SC results for properly
 labeled programs, so this is the validity precondition for every
 number the simulator produces.
 
-``repro.analyze`` reads *source* (plus the footprints of one tiny
-run); everything that post-processes
+``repro.analyze`` reads the programs through one tiny run of each
+(plus an ``ast`` scan for ``assume_disjoint`` scopes the run never
+entered); everything that post-processes
 *results* (tables, classification, cost-model sensitivity) lives in
 ``repro.harness`` and ``repro.stats``.
 
@@ -17,10 +18,6 @@ Layers (see docs/ANALYSIS_STATIC.md):
 
 * ``core``       -- AST helpers, Finding, noqa filtering (shared with
                     ``tools/lint_sim.py``)
-* ``cfg``        -- AST -> CFG front end with interprocedural inlining
-                    of ``yield from`` helper delegation
-* ``dataflow``   -- lockset + barrier-region dataflow -> per-site
-                    synchronization contexts
 * ``footprint``  -- small-scope concretization: per-rank byte-interval
                     footprints recorded through the hooks of a real
                     tiny-machine run

@@ -20,9 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analyze import drf
-from repro.analyze.cfg import CfgBuilder
 from repro.analyze.core import Finding, filter_noqa
-from repro.analyze.dataflow import SiteContext, compute_contexts
 from repro.analyze.falseshare import (
     FS_GRANULARITIES,
     FalseSharingAccum,
@@ -200,11 +198,6 @@ def analyze_app(
         else:
             modes = [False, True] if _wants_both_modes(app_cls) else [False]
 
-    # AST side: CFG + dataflow contexts (mode-independent)
-    cfg = CfgBuilder(app_cls).build()
-    contexts: Dict[Tuple[str, int], SiteContext] = compute_contexts(cfg)
-    cfg_findings = _merge_findings([cfg.findings])
-
     mode_results: List[ModeAnalysis] = []
     consumed_probe = False
     for lrc_mode in modes:
@@ -216,7 +209,7 @@ def analyze_app(
         expl = explore(inst, nprocs, lrc_mode=lrc_mode)
         fs = FalseSharingAccum(granularities)
         sweep_res = drf.sweep(expl, fs)
-        findings = (drf.conflict_findings(sweep_res, contexts)
+        findings = (drf.conflict_findings(sweep_res)
                     + drf.structural_findings(expl))
         exempts: Dict[Tuple[str, int], Tuple[str, int]] = {}
         scope_sites: Dict[Tuple[str, int], Set[drf.Site]] = {}
@@ -251,10 +244,10 @@ def analyze_app(
         merged_participants |= m.participants
     audit = drf.audit_findings(
         merged_exempts, merged_scopes, merged_participants,
-        _dedup_ast_sites(cfg.disjoint_sites))
+        drf.source_scopes(app_cls))
 
     all_findings = _merge_findings(
-        [m.findings for m in mode_results] + [cfg_findings, audit])
+        [m.findings for m in mode_results] + [audit])
     kept, suppressed = _apply_noqa(all_findings)
     return AppAnalysis(
         name=app_name,
@@ -269,17 +262,6 @@ def analyze_app(
         exempted_pairs=max(
             (m.sweep.exempted_pairs for m in mode_results), default=0),
     )
-
-
-def _dedup_ast_sites(sites) -> list:
-    seen = set()
-    out = []
-    for file, line, reason, conditional in sites:
-        if (file, line) in seen:
-            continue
-        seen.add((file, line))
-        out.append((file, line, reason, conditional))
-    return out
 
 
 def analyze_corpus(

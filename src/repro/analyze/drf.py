@@ -29,30 +29,31 @@ Rule catalog (see docs/ANALYSIS_STATIC.md):
 
 * **ANA101** -- conflicting access pair with no ordering and no lock
   on at least one side: a data race / labeling violation.
-* **ANA102** -- barrier phase skew: a rank parks forever at a barrier
-  (exploration) or a barrier is guarded by a rank-dependent branch
-  (CFG).
+* **ANA102** -- barrier phase skew: a rank parks forever at a
+  barrier.
 * **ANA103** -- both sides hold locks but no *common* lock: a lock
   protects the wrong block range.
 * **ANA104** -- ``assume_disjoint`` that exempts no conflicting pair:
-  provably unnecessary.
+  provably unnecessary (or, unconditional in source, never entered).
 * **ANA105** -- ``assume_disjoint`` covering accesses that never
   conflict with anyone: overbroad scope.
 * **ANA106** -- lock discipline: release without hold, lock held at
   program end, rank parked forever on a lock.
-* **ANA107** -- analysis incomplete: unresolvable ``yield from``,
-  app exception, step-budget overrun.  Never a verdict, always a
-  confession.
+* **ANA107** -- analysis incomplete: app exception, event-budget
+  overrun.  Never a verdict, always a confession.
 """
 
 from __future__ import annotations
 
+import ast
+import linecache
 import os
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analyze.core import Finding
-from repro.analyze.dataflow import SiteContext
 from repro.analyze.falseshare import FalseSharingAccum
 from repro.analyze.footprint import Exploration, ordered
 
@@ -73,6 +74,10 @@ class Conflict:
     total_bytes: int
     locks_a: frozenset
     locks_b: frozenset
+    #: the barriers bracketing each side in the run, e.g.
+    #: 'between [barrier(0)@47] and [barrier(2)@58]'
+    region_a: str
+    region_b: str
     occurrences: int = 1
 
 
@@ -149,13 +154,13 @@ def _sweep_pair(expl, res, fs, gmax, s1, s2) -> None:
                                 res.exempt_by_site.get(did, 0) + 1)
                             res.exempt_participants.add(site)
                 else:
-                    _record_conflict(res, s1, s2, site_a, site_b, w_a, w_b,
-                                     inter[0], n_bytes)
+                    _record_conflict(expl, res, s1, s2, site_a, site_b,
+                                     w_a, w_b, inter[0], n_bytes)
             if fs is not None and not common_lock and not exempt:
                 fs.add_pair(site_a, iv_a, site_b, iv_b, inter)
 
 
-def _record_conflict(res, s1, s2, site_a, site_b, w_a, w_b, sample,
+def _record_conflict(expl, res, s1, s2, site_a, site_b, w_a, w_b, sample,
                      n_bytes) -> None:
     code = "ANA103" if (s1.lockset and s2.lockset) else "ANA101"
     # canonical orientation so (a, b) and (b, a) dedup together
@@ -169,7 +174,8 @@ def _record_conflict(res, s1, s2, site_a, site_b, w_a, w_b, sample,
         res.conflicts[key] = Conflict(
             code=code, site_a=site_a, site_b=site_b, write_a=w_a,
             write_b=w_b, ranks=(s1.rank, s2.rank), sample=sample,
-            total_bytes=n_bytes, locks_a=s1.lockset, locks_b=s2.lockset)
+            total_bytes=n_bytes, locks_a=s1.lockset, locks_b=s2.lockset,
+            region_a=expl.region(s1), region_b=expl.region(s2))
     else:
         hit.total_bytes += n_bytes
         hit.occurrences += 1
@@ -185,25 +191,28 @@ def _rel(path: str) -> str:
         return path
 
 
-def _side_line(kind: str, site: Site, locks: frozenset,
-               ctx: Optional[SiteContext]) -> str:
+def _statement(file: str, line: int) -> str:
+    """The whole source statement at ``file:line``, on one line."""
+    tree = ast.parse("".join(linecache.getlines(file)))
+    stmt = None
+    for node in ast.walk(tree):  # breadth first: each hit nests deeper
+        if isinstance(node, ast.stmt) and node.lineno <= line <= node.end_lineno:
+            stmt = node
+    if stmt is None or hasattr(stmt, "body"):  # a compound header line
+        return linecache.getline(file, line).strip()
+    return ast.unparse(stmt)
+
+
+def _side_line(kind: str, site: Site, region: str, locks: frozenset) -> str:
     file, line, func = site
-    txt = f"{kind:5s} {_rel(file)}:{line} in {func}"
-    if ctx is not None:
-        txt += f" | addr `{ctx.addr_src}` size `{ctx.size_src}`"
-        txt += f" | region {ctx.region_text()}"
-    txt += f" | locks held {sorted(locks) if locks else 'none'}"
-    return txt
+    return (f"{kind:5s} {_rel(file)}:{line} in {func}"
+            f" | `{_statement(file, line)}` | region {region}"
+            f" | locks held {sorted(locks) if locks else 'none'}")
 
 
-def conflict_findings(
-    sweep_res: SweepResult,
-    contexts: Dict[Tuple[str, int], SiteContext],
-) -> List[Finding]:
+def conflict_findings(sweep_res: SweepResult) -> List[Finding]:
     out: List[Finding] = []
     for c in sweep_res.conflicts.values():
-        ctx_a = contexts.get((c.site_a[0], c.site_a[1]))
-        ctx_b = contexts.get((c.site_b[0], c.site_b[1]))
         kind_a = "write" if c.write_a else "read"
         kind_b = "write" if c.write_b else "read"
         if c.code == "ANA103":
@@ -216,8 +225,8 @@ def conflict_findings(
                 f"unordered conflicting accesses ({kind_a} vs {kind_b}): "
                 "no barrier, no common lock, no assume_disjoint")
         detail = [
-            _side_line(kind_a, c.site_a, c.locks_a, ctx_a),
-            _side_line(kind_b, c.site_b, c.locks_b, ctx_b),
+            _side_line(kind_a, c.site_a, c.region_a, c.locks_a),
+            _side_line(kind_b, c.site_b, c.region_b, c.locks_b),
             (f"overlap e.g. bytes [0x{c.sample[0]:x}, 0x{c.sample[1]:x}) "
              f"between ranks {c.ranks[0]} and {c.ranks[1]}; "
              f"{c.total_bytes} byte(s) over {c.occurrences} segment pair(s)"),
@@ -318,3 +327,68 @@ def audit_findings(
                 "analyzed mode and exempts no conflicting pair",
                 extra={"reason": reason}))
     return out
+
+
+def _disjoint_call(node: ast.AST) -> Optional[ast.Call]:
+    """``node`` itself when it is an ``<x>.assume_disjoint(...)`` call."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "assume_disjoint"):
+        return node
+    return None
+
+
+def _methods(file: str, cls_name: str) -> List[ast.FunctionDef]:
+    """The methods of class ``cls_name`` as parsed from ``file``."""
+    try:
+        tree = ast.parse(Path(file).read_text())
+    except OSError:
+        return []
+    body = next((st.body for st in ast.walk(tree)
+                 if isinstance(st, ast.ClassDef) and st.name == cls_name), [])
+    return [st for st in body if isinstance(st, ast.FunctionDef)]
+
+
+def source_scopes(app_cls: type) -> List[Tuple[str, int, str, bool]]:
+    """``(file, with line, reason, conditional)`` of every
+    ``assume_disjoint`` scope in the methods ``app_cls`` runs.
+
+    Methods resolve through the MRO, first definition wins.  A ``with``
+    enters a scope directly (``with dsm.assume_disjoint(...)``) or
+    through a name assigned from an expression that calls it (barnes'
+    ``ctx = nullcontext() if locked else dsm.assume_disjoint(...)``);
+    the latter is conditional.  Each scope is keyed by its ``with``
+    line, the line the run reports when it enters the scope.
+    """
+    seen: Set[str] = set()
+    out: Dict[Tuple[str, int], Tuple[str, int, str, bool]] = {}
+    for cls in app_cls.__mro__:
+        file = getattr(sys.modules.get(cls.__module__), "__file__", None)
+        for fn in _methods(file, cls.__name__) if file else ():
+            if fn.name in seen:
+                continue
+            seen.add(fn.name)
+            bound: Dict[str, ast.Call] = {}
+            for st in ast.walk(fn):
+                if isinstance(st, ast.Assign):
+                    call = next(filter(None, map(_disjoint_call,
+                                                 ast.walk(st.value))), None)
+                    for t in st.targets:
+                        if call is not None and isinstance(t, ast.Name):
+                            bound[t.id] = call
+            for st in ast.walk(fn):
+                if not isinstance(st, ast.With):
+                    continue
+                for item in st.items:
+                    expr = item.context_expr
+                    call = _disjoint_call(expr)
+                    conditional = call is None
+                    if conditional and isinstance(expr, ast.Name):
+                        call = bound.get(expr.id)
+                    if call is None:
+                        continue
+                    arg = call.args[0] if call.args else None
+                    reason = (str(arg.value) if isinstance(arg, ast.Constant)
+                              else ast.unparse(call))
+                    out.setdefault((file, st.lineno),
+                                   (file, st.lineno, reason, conditional))
+    return list(out.values())

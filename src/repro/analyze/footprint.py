@@ -29,7 +29,10 @@ event (lock acquire/release, barrier exit) and at every
 ``assume_disjoint`` scope boundary, so within one segment the
 lockset, the barrier clock, and the exemption state are all constant.
 Barrier-only vector clocks (one tick per barrier exit) give the
-schedule-independent happens-before between segments.
+schedule-independent happens-before between segments.  A segment's
+own clock component counts the barriers its rank has passed, so the
+per-rank list of entered barriers (``barrier(id)@line``) names the
+pair that brackets it -- the region a finding prints.
 """
 
 from __future__ import annotations
@@ -166,19 +169,31 @@ class Exploration:
     segments: List[Segment] = field(default_factory=list)
     #: site_id -> (file, line, function)
     sites: List[Tuple[str, int, str]] = field(default_factory=list)
-    #: disjoint site_id -> (file, line, reason); entered counts parallel
+    #: disjoint site_id -> (file, line, reason)
     disjoint_sites: List[Tuple[str, int, str]] = field(default_factory=list)
-    disjoint_entered: List[int] = field(default_factory=list)
+    #: per rank, every barrier it entered in order, as 'barrier(id)@line'
+    barriers: List[List[str]] = field(init=False)
     stalls: List[Stall] = field(default_factory=list)
     lock_errors: List[LockError] = field(default_factory=list)
     crashes: List[Tuple[int, str]] = field(default_factory=list)
     n_ops: int = 0
+
+    def __post_init__(self) -> None:
+        self.barriers = [[] for _ in range(self.nprocs)]
 
     def segments_by_rank(self) -> List[List[Segment]]:
         out: List[List[Segment]] = [[] for _ in range(self.nprocs)]
         for seg in self.segments:
             out[seg.rank].append(seg)
         return out
+
+    def region(self, seg: Segment) -> str:
+        """The pair of barriers that brackets ``seg`` on its rank."""
+        entered = self.barriers[seg.rank]
+        passed = seg.clock[seg.rank] - 1  # the clock starts at 1
+        before = entered[passed - 1] if passed else "program start"
+        after = entered[passed] if passed < len(entered) else "program end"
+        return f"between [{before}] and [{after}]"
 
 
 class FootprintRecorder(Hooks):
@@ -211,7 +226,6 @@ class FootprintRecorder(Hooks):
         if did is None:
             did = self._disjoint_ids[site] = len(self.result.disjoint_sites)
             self.result.disjoint_sites.append(site)
-            self.result.disjoint_entered.append(0)
         return did
 
     def _segment(self, rank: int) -> Segment:
@@ -249,6 +263,8 @@ class FootprintRecorder(Hooks):
     def on_barrier_enter(self, node_id: int, barrier_id: int, episode: int) -> None:
         self._entries.setdefault((barrier_id, episode), []).append(
             self.clocks[node_id])
+        self.result.barriers[node_id].append(
+            f"barrier({barrier_id})@{app_site()[1]}")
 
     def on_barrier_exit(self, node_id: int, barrier_id: int, episode: int) -> None:
         # The manager releases an episode only once every participant
@@ -261,9 +277,8 @@ class FootprintRecorder(Hooks):
     def on_assume_disjoint(self, node_id: int, active: bool, reason: str) -> None:
         if active:
             file, line, _ = app_site()
-            did = self._disjoint_id((file, line, reason))
-            self.result.disjoint_entered[did] += 1
-            self.disjoint[node_id].append(did)
+            self.disjoint[node_id].append(
+                self._disjoint_id((file, line, reason)))
         else:
             self.disjoint[node_id].pop()
         self._seg[node_id] = None

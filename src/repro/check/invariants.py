@@ -74,8 +74,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, gt
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.hlrc import HLRCProtocol
+from repro.core.sc import SCProtocol
+from repro.core.swlrc import SWLRCProtocol
+from repro.core.tardis import TardisProtocol
 from repro.hooks import Hooks
 from repro.memory.access_control import INV, RW, tag_name
 
@@ -127,21 +131,9 @@ class InvariantChecker(Hooks):
         # Per-protocol checks, as plain functions called with self: bound
         # methods stored on the instance would make every checker a
         # reference cycle that holds its whole machine.
-        name = self.p.name
-        self._per_message = {
-            "sc": InvariantChecker._msg_sc,
-            "swlrc": InvariantChecker._msg_swlrc,
-            "tardis": InvariantChecker._msg_tardis,
-        }.get(name)
-        self._at_release = {
-            "swlrc": InvariantChecker._release_swlrc,
-            "hlrc": InvariantChecker._release_hlrc,
-        }.get(name)
-        self._at_sync = {
-            "swlrc": InvariantChecker._sync_swlrc,
-            "hlrc": InvariantChecker._sync_hlrc,
-            "tardis": InvariantChecker._sync_tardis,
-        }.get(name)
+        self._per_message = _rule(_PER_MESSAGE, self.p)
+        self._at_release = _rule(_AT_RELEASE, self.p)
+        self._at_sync = _rule(_AT_SYNC, self.p)
 
     # ------------------------------------------------------------------
     # reporting
@@ -539,12 +531,36 @@ class InvariantChecker(Hooks):
         if self._at_release is not None:
             for i in range(self.n):
                 self._scan_intervals(i)
-        if self.p.name == "sc":
+        if isinstance(self.p, SCProtocol):
             blocks = set(self.p.dir)
             for node in self.m.nodes:
                 blocks.update(b for b, _ in node.access.blocks_with_access())
             for block in sorted(blocks):
                 self._msg_sc(block)
-        elif self.p.name == "tardis":
+        elif isinstance(self.p, TardisProtocol):
             for block in sorted(self.p.entries):
                 self._msg_tardis(block)
+
+
+# Each table maps a protocol class to the rule written for it; a
+# subclass (dc, swlrc-broken, a mutant) runs its nearest ancestor's.
+_PER_MESSAGE: Dict[type, Callable] = {
+    SCProtocol: InvariantChecker._msg_sc,
+    SWLRCProtocol: InvariantChecker._msg_swlrc,
+    TardisProtocol: InvariantChecker._msg_tardis,
+}
+_AT_RELEASE: Dict[type, Callable] = {
+    SWLRCProtocol: InvariantChecker._release_swlrc,
+    HLRCProtocol: InvariantChecker._release_hlrc,
+}
+_AT_SYNC: Dict[type, Callable] = {
+    SWLRCProtocol: InvariantChecker._sync_swlrc,
+    HLRCProtocol: InvariantChecker._sync_hlrc,
+    TardisProtocol: InvariantChecker._sync_tardis,
+}
+
+
+def _rule(table: Dict[type, Callable], protocol) -> Optional[Callable]:
+    """The rule for ``protocol``'s class or its nearest ancestor."""
+    return next((table[cls] for cls in type(protocol).__mro__ if cls in table),
+                None)

@@ -16,7 +16,7 @@ Subcommands:
   granularity, with the reliable transport recovering losses; exit 1
   if any cell failed.
 * ``analyze`` -- static labeling/DRF verification of the app corpus
-  (:mod:`repro.analyze`): CFG + lockset/barrier-phase dataflow over a
+  (:mod:`repro.analyze`): concrete locksets and barrier clocks from a
   small-scope exploration, false-sharing prediction per granularity,
   and (``--concordance``) a cross-tab against the dynamic checkers;
   exit 1 on any unsuppressed finding.

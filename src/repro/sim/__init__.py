@@ -15,7 +15,6 @@ Public API:
 * :class:`~repro.sim.process.Future` -- a one-shot completion token.
 * :class:`~repro.sim.process.CountdownLatch` -- resolves after *n* hits
   (used to collect invalidation acknowledgements and diff acks).
-* :class:`~repro.sim.process.Signal` -- broadcast wakeup for many waiters.
 * :class:`~repro.sim.engine.SchedulerPolicy` /
   :class:`~repro.sim.engine.DefaultPolicy` -- pluggable choice of which
   ready event dispatches next (the model-checking hook).
@@ -33,7 +32,6 @@ from repro.sim.process import (
     Future,
     Process,
     ProcessCrashed,
-    Signal,
 )
 
 __all__ = [
@@ -45,6 +43,5 @@ __all__ = [
     "Process",
     "Future",
     "CountdownLatch",
-    "Signal",
     "ProcessCrashed",
 ]

@@ -6,8 +6,7 @@ effects* to the engine:
 * a ``float``/``int`` -- sleep that many microseconds;
 * a :class:`Future` -- suspend until it resolves; ``yield`` evaluates to
   the future's value;
-* a :class:`CountdownLatch` -- suspend until the latch count reaches 0;
-* a :class:`Signal` -- suspend until the next broadcast.
+* a :class:`CountdownLatch` -- suspend until the latch count reaches 0.
 
 Sub-routines compose with ``yield from``, which is how the DSM runtime
 nests "application issues region write" -> "access control faults" ->
@@ -16,7 +15,7 @@ nests "application issues region write" -> "access control faults" ->
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.engine import Engine, SimulationError
 
@@ -102,30 +101,8 @@ class CountdownLatch:
             self._waiters.append(fn)
 
 
-class Signal:
-    """Broadcast wakeup: every process currently waiting is resumed.
-
-    Unlike :class:`Future`, a signal can fire many times; a waiter only
-    observes broadcasts that happen after it started waiting.
-    """
-
-    __slots__ = ("engine", "_waiters")
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self._waiters: list[Callable[[Any], None]] = []
-
-    def broadcast(self, value: Any = None) -> None:
-        waiters, self._waiters = self._waiters, []
-        for w in waiters:
-            self.engine.post(0.0, w, value)
-
-    def add_callback(self, fn: Callable[[Any], None]) -> None:
-        self._waiters.append(fn)
-
-
 #: Types a process may yield and wait on (besides numeric sleeps).
-_WAITABLE_TYPES = (Future, CountdownLatch, Signal)
+_WAITABLE_TYPES = (Future, CountdownLatch)
 
 
 class Process:
@@ -205,20 +182,3 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Process {self.name} finished={self.finished}>"
-
-
-def all_of(engine: Engine, futures: Iterable[Future]) -> Future:
-    """A future that resolves once every input future has resolved.
-
-    Resolves with ``None`` immediately when the input is empty.
-    """
-    futures = list(futures)
-    out = Future(engine)
-    latch = CountdownLatch(engine, len(futures))
-    if latch.done:
-        out.resolve(None)
-        return out
-    latch.add_callback(lambda _: out.resolve(None))
-    for f in futures:
-        f.add_callback(lambda _v: latch.hit())
-    return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,37 @@ class OverbroadDisjoint(_PlantedBase):
                 self.data.addr(2048 + rank * 256), 64, pattern=2)
 
 
+class NeverEnteredDisjoint(_PlantedBase):
+    """An unconditional scope on a branch no rank takes."""
+
+    name = "planted-never-entered-disjoint"
+
+    def program(self, dsm, rank, nprocs):
+        yield from dsm.barrier(0)
+        if rank >= nprocs:  # no rank takes this branch
+            with dsm.assume_disjoint("dead branch"):
+                yield from dsm.touch_write(self.data.addr(0), 64, pattern=1)
+        yield from dsm.touch_write(self.data.addr(rank * 64), 64, pattern=2)
+
+
+class ConditionalDisjointNotEntered(_PlantedBase):
+    """barnes' mode-gated scope in a run where every rank locks instead."""
+
+    name = "planted-conditional-disjoint"
+
+    def program(self, dsm, rank, nprocs):
+        yield from dsm.barrier(0)
+        locked = True
+        if locked:
+            yield from dsm.acquire(5)
+        ctx = (nullcontext() if locked
+               else dsm.assume_disjoint("uncontended writes"))
+        with ctx:
+            yield from dsm.touch_write(self.data.addr(0), 64, pattern=1)
+        if locked:
+            yield from dsm.release(5)
+
+
 class TestPlantedBugs:
     def test_missing_barrier_canary_is_caught_with_both_sites(self):
         a = canary_analysis(NPROCS)
@@ -168,6 +200,18 @@ class TestPlantedBugs:
         text = str(f)
         assert f"canary.py:{read_line}" in text
         assert f"canary.py:{write_line}" in text
+        # each side shows its whole statement (the write spans two
+        # lines) and the barriers that bracket it in the run
+        first = next(i for i, ln in enumerate(lines, 1) if "barrier(0)" in ln)
+        last = next(i for i, ln in enumerate(lines, 1)
+                    if ln.strip() == "yield from dsm.barrier(2)")
+        region = f"region between [barrier(0)@{first}] and [barrier(2)@{last}]"
+        read_side, write_side = f.detail[:2]
+        assert ("`yield from dsm.touch_read(self.grid.addr((lo - 1) * ROW), "
+                "ROW)`") in read_side
+        assert ("`yield from dsm.touch_write(self.grid.addr(row * ROW), ROW, "
+                "pattern=self.pattern(it, row))`") in write_side
+        assert region in read_side and region in write_side
 
     def test_missing_release_is_ana106(self):
         a = analyze_app(MissingRelease, nprocs=NPROCS)
@@ -194,10 +238,8 @@ class TestPlantedBugs:
     def test_phase_skew_is_ana102(self):
         a = analyze_app(PhaseSkew, nprocs=NPROCS)
         assert "ANA102" in codes(a)
-        # both the CFG (rank-dependent barrier) and the exploration
-        # (parked ranks) see it
+        # the exploration sees the other ranks parked at barrier(1)
         msgs = " | ".join(f.message for f in a.findings)
-        assert "rank-dependent" in msgs
         assert "phase skew" in msgs
 
     def test_wrong_lock_is_ana103_with_both_sites(self):
@@ -217,6 +259,18 @@ class TestPlantedBugs:
         # the scope is named by its reason, not its enclosing function
         assert ('assume_disjoint("leftover from an old sharing pattern")'
                 in a.findings[0].message)
+
+    def test_never_entered_unconditional_scope_is_ana104(self):
+        a = analyze_app(NeverEnteredDisjoint, nprocs=NPROCS)
+        assert codes(a) == ["ANA104"]
+        (f,) = a.findings
+        assert "never entered in any analyzed mode" in f.message
+        assert f.line == _line_of(NeverEnteredDisjoint, "assume_disjoint(")
+
+    def test_never_entered_conditional_scope_is_no_finding(self):
+        a = analyze_app(ConditionalDisjointNotEntered, nprocs=NPROCS)
+        assert a.ok, [str(f) for f in a.findings]
+        assert a.lock_protected_pairs > 0 and a.exempted_pairs == 0
 
     def test_overbroad_disjoint_is_ana105(self):
         a = analyze_app(OverbroadDisjoint, nprocs=NPROCS)

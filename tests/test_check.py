@@ -459,6 +459,31 @@ class TestInvariantInjection:
         assert "below its retired floor" in v.detail
         assert (2, 0) in granted  # the notice is gone from the grant
 
+    @pytest.mark.parametrize("protocol, parent",
+                             [("swlrc-broken", "swlrc"), ("dc", "sc")])
+    def test_subclass_runs_its_parents_rules(self, protocol, parent):
+        """The rules follow the protocol class, not its registry name:
+        dc, the mc canary and any mutant subclass keep the sanitizer
+        layer of the protocol they derive from."""
+        import repro.mc  # noqa: F401 -- registers swlrc-broken
+        from repro.check import InvariantChecker
+
+        sub = InvariantChecker(_machine(protocol=protocol))
+        base = InvariantChecker(_machine(protocol=parent))
+        for rule in ("_per_message", "_at_release", "_at_sync"):
+            assert getattr(sub, rule) is getattr(base, rule), rule
+        assert sub._per_message is not None
+
+    def test_dc_end_of_run_sweeps_the_sc_directory(self):
+        m, checkers = self._run_app_cell("dc")
+        from repro.memory.access_control import RW
+
+        m.nodes[0].access.set_tag(0, RW)
+        m.nodes[1].access.set_tag(0, RW)
+        checkers.invariants.end_of_run()
+        rules = {v.rule for v in checkers.invariants.violations}
+        assert "single-writer" in rules
+
     def test_sanitizer_reachable_only_through_hooks(self):
         """The sanitizer is one more hooks subscriber: the protocol
         holds no reference to it."""

@@ -332,7 +332,7 @@ class TestFingerprintScoping:
         assert not _fingerprint_relevant("perf/micros.py")
         assert not _fingerprint_relevant("harness/sensitivity.py")
         assert not _fingerprint_relevant("analyze/drf.py")
-        assert not _fingerprint_relevant("analyze/cfg.py")
+        assert not _fingerprint_relevant("analyze/footprint.py")
         assert not _fingerprint_relevant("harness/report.py")
         assert not _fingerprint_relevant("harness/tables.py")
         assert not _fingerprint_relevant("harness/figures.py")

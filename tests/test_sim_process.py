@@ -1,9 +1,8 @@
-"""Unit tests for processes, futures, latches, and signals."""
+"""Unit tests for processes, futures and latches."""
 
 import pytest
 
-from repro.sim import CountdownLatch, Engine, Future, Process, ProcessCrashed, Signal
-from repro.sim.process import all_of
+from repro.sim import CountdownLatch, Engine, Future, Process, ProcessCrashed
 
 
 def test_process_sleeps_advance_time():
@@ -147,26 +146,6 @@ def test_latch_negative_count_rejected():
         CountdownLatch(eng, -1)
 
 
-def test_signal_broadcast_wakes_all_current_waiters_only():
-    eng = Engine()
-    sig = Signal(eng)
-    woken = []
-
-    def waiter(tag):
-        v = yield sig
-        woken.append((tag, v, eng.now))
-
-    Process(eng, waiter("a"))
-    Process(eng, waiter("b"))
-    eng.schedule(5.0, sig.broadcast, "x")
-    eng.run()
-    assert sorted(woken) == [("a", "x", 5.0), ("b", "x", 5.0)]
-    # A new broadcast with no waiters is a no-op.
-    sig.broadcast("y")
-    eng.run()
-    assert len(woken) == 2
-
-
 def test_yield_from_composition():
     eng = Engine()
     trace = []
@@ -218,29 +197,6 @@ def test_negative_sleep_rejected():
     Process(eng, prog())
     with pytest.raises(Exception, match="negative"):
         eng.run()
-
-
-def test_all_of_waits_for_every_future():
-    eng = Engine()
-    futs = [Future(eng) for _ in range(3)]
-    combined = all_of(eng, futs)
-    done_at = []
-
-    def prog():
-        yield combined
-        done_at.append(eng.now)
-
-    Process(eng, prog())
-    for t, f in zip((3.0, 1.0, 2.0), futs):
-        eng.schedule(t, f.resolve)
-    eng.run()
-    assert done_at == [3.0]
-
-
-def test_all_of_empty_resolves_immediately():
-    eng = Engine()
-    combined = all_of(eng, [])
-    assert combined.done
 
 
 def test_two_processes_interleave_deterministically():

@@ -51,8 +51,8 @@ deterministic and the protocol engine sound:
   a discarded ``dsm.<op>(...)`` from the app/runtime API.  The call
   builds a generator and throws it away, so every simulated effect
   inside it (accesses, waits, protocol traffic) silently never
-  happens.  This is the same bug class the ``repro.analyze`` CFG
-  builder models: a dropped generator contributes no footprint.
+  happens.  The ``repro.analyze`` run cannot see it either: a dropped
+  generator contributes no footprint.
 * **SIM008** -- replacing another object's message seam or scheduler
   (assigning, or ``setattr``-ing, ``send``, ``_deliver``, ``post``,
   ``schedule`` or ``schedule_at`` on anything but ``self``) anywhere in
